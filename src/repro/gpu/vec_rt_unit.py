@@ -1,45 +1,60 @@
 """Vectorized (SoA) implementation of the RT-unit timing model.
 
 :class:`VectorRTUnit` is a drop-in replacement for
-:class:`repro.gpu.rt_unit.RTUnit` that keeps per-ray state in flat numpy
-arrays and advances every ready thread of a warp iteration with masked
-array kernels instead of a Python loop: one exact-order slab kernel per
-children of the interior threads, one gathered Moeller-Trumbore kernel
-for all leaf triangles, insertion-ordered dict dedup for the MSHR/memory
-stage (at warp width a dict beats ``np.unique``), and batched predictor
-lookups at warp admission.
+:class:`repro.gpu.rt_unit.RTUnit` that traces each ray once and replays
+it.  Timing never changes which nodes a ray visits: the ray, the tree
+and, for a predicted ray, the speculative stack installed at admission
+fix that sequence.  So a batched DFS - one exact-order slab kernel for
+both children of every interior pop, one gathered Moeller-Trumbore
+kernel for all leaf triangles - records the visits, and the event loop
+advances per-ray cursors through them with array gathers.
+
+Trace then replay
+-----------------
+* A *visit* is one stack pop: a run ``[rec, rec + cnt)`` of the unit's
+  line table (node lines, then triangle lines, so a leaf visit is its
+  triangles' lines up to the first hit), its latency including the
+  spill penalty, and whether it ends the ray with a hit.  ``cnt < 0``
+  marks no visit: an empty stack (``_MISS``, a scene miss) or an
+  invalid pop after a restart (``_FAULT``, the stepper's
+  ``TraversalError``), acted on when the ray is next serviced.
+* *Root traces* (from a stack holding only the root) are built in
+  chunks of whole source warps as each chunk's first warp is admitted,
+  which bounds the kernels' temporaries.
+* At admission, predictor lookups batch per warp (``predict_batch`` is
+  order-equivalent to sequential lookups) and the same DFS builds every
+  predicted ray's *verification trace* from its speculative stack
+  ``[SENTINEL, nodes...]``.  It ends in a hit, or in the restart (the
+  sentinel or a guard-invalid node) that links it to the root trace,
+  whose records are copied behind it: each cursor walks one run.
+* Fetch, test, spill and misprediction counters are summed from the
+  traces each ray executes; the replay yields cycles and memory stats.
 
 Cycle-for-cycle equivalence
 ---------------------------
 The scalar stepper remains the differential oracle; this engine is
-*cycle-count- and counter-identical* to it (the contract
-``tests/test_vec_rt_unit.py`` pins on all seven scenes).  The details
-that make that work:
+*cycle-count- and counter-identical* to it (``tests/test_vec_rt_unit.py``).
+The event loop (heap of ``(ready_time, age)``, admission gate, partial-
+warp collector, watchdog) is the stepper's at warp granularity, and
+the DFS pops and pushes in its order.  Three seams join a verification
+trace to its root trace:
 
-* The discrete-event loop (heap of ``(ready_time, age)``, admission
-  gate, partial-warp collector, watchdog) is shared logic operating on
-  warp granularity - only the per-thread step body is vectorized, so
-  event order is unchanged.  Warp steps serialize through the shared
-  memory-hierarchy state exactly as before.
-* The slab kernel reproduces the scalar ``ray_aabb_intersect``
-  *operation order*: a compare-and-swap per axis (``np.where(t1 > t2)``
-  - NaN compares false, so no swap, like Python) and left-fold
-  max/min reductions (``acc = np.where(v > acc, v, acc)``), not
-  ``np.maximum``, whose NaN propagation differs from Python's ``max``.
-* Leaf threads test all triangles in one gathered kernel
-  (:func:`~repro.geometry.intersect.ray_triangle_intersect_batch` is
-  bit-identical to the scalar test by contract) and then charge fetches
-  and latency only up to the first hit, recovering the scalar engine's
-  early-exit counters.
-* Per-step cache lines are assembled in exact scalar order (member
-  order, each thread's lines in issue order) so the first-occurrence
-  dedup, L1 port serialization, LRU updates and DRAM bank timing see
-  the same request sequence.
-* Predictor lookups batch per warp (``predict_batch`` is
-  order-equivalent to sequential lookups - the PR 7 vectable
-  contract); training and confirmation stay scalar per retired ray in
-  member order, because interleaving them across rays would reorder
-  LRU stamps within a table set.
+* A sentinel pop and the root trace's first visit share one warp step:
+  the pop is no visit, so the root records directly follow (a
+  guard-invalid pop, which discards the speculative stack, joins alike).
+* A hit counts as verified only when its visit lies inside the ray's
+  verification segment, which needs a bound on both ends: root-trace
+  visits never verify, nor does any visit after the first restart (a
+  sentinel popped with entries below it restarts inside the trace).
+* Verification visits spill at the speculative stack's depth, so their
+  spill flags come from their own DFS, never from the root trace.
+
+Each step expands its visits' line runs in member order and walks the
+unique lines in first-occurrence order (the stepper's MSHR ``dict``
+order) through the shared port, caches and DRAM banks - the one Python
+loop, as it mutates that state line by line.  Training and confirmation
+stay scalar per retired ray in member order: interleaving them would
+reorder LRU stamps within a table set.
 """
 
 from __future__ import annotations
@@ -74,8 +89,17 @@ from repro.telemetry.publish import (
     table_stats_state,
 )
 
-#: Sentinel for "no hit yet" in first-hit reductions.
-_NO_HIT = np.int64(1) << 62
+#: Line counts of the records that end a trace without a visit.
+_MISS = -1
+_FAULT = -2
+
+#: Line count above which a step dedups its lines by sorting.
+_SORT_DEDUP_LINES = 256
+
+#: Rays per root-trace DFS (rounded up to whole source warps): enough to
+#: amortize the kernels' per-call cost, few enough to bound their
+#: temporaries.
+_ROOT_CHUNK = 512
 
 #: Selectable RT-unit timing engines (`vector` is the default).
 RT_ENGINES = ("vector", "scalar")
@@ -106,49 +130,52 @@ def _slab_exact(origins, inv_dirs, t_min, t_max, lo, hi):
     return t_near <= t_far, t_near
 
 
-class _VecState:
-    """Per-ray thread state as struct-of-arrays planes."""
+def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenated index runs ``[starts[i], starts[i] + lengths[i])``."""
+    offsets = np.cumsum(lengths) - lengths
+    total = int(offsets[-1] + lengths[-1]) if len(lengths) else 0
+    return np.arange(total) + np.repeat(starts - offsets, lengths)
 
-    def __init__(self, rays: RayBatch, hashes: Optional[np.ndarray]) -> None:
-        n = len(rays)
-        self.n = n
+
+class _VecState:
+    """Per-ray thread state as struct-of-arrays planes, plus the records."""
+
+    def __init__(self, rays: RayBatch) -> None:
+        self.n = n = len(rays)
         self.origin = np.asarray(rays.origins, dtype=np.float64)
         self.direction = np.asarray(rays.directions, dtype=np.float64)
         # 1/d matches _safe_inverse bit-for-bit: signed zeros give
         # correctly-signed infinities.
         with np.errstate(divide="ignore"):
             self.inv_direction = 1.0 / self.direction
-        self.t_min = np.asarray(rays.t_min, dtype=np.float64)
-        self.t_max = np.asarray(rays.t_max, dtype=np.float64)
-        if hashes is not None:
-            self.ray_hash = np.asarray(hashes, dtype=np.uint64)
-        else:
-            self.ray_hash = np.zeros(n, dtype=np.uint64)
-        self.ready_time = np.zeros(n, dtype=np.int64)
-        self.done = np.zeros(n, dtype=bool)
-        self.trained = np.zeros(n, dtype=bool)
-        self.predicted = np.zeros(n, dtype=bool)
-        self.verified = np.zeros(n, dtype=bool)
-        self.restarted = np.zeros(n, dtype=bool)
+        self.t_min, self.t_max = (
+            np.asarray(t, dtype=np.float64) for t in (rays.t_min, rays.t_max)
+        )
+        self.ray_hash = np.zeros(n, dtype=np.uint64)
+        self.done, self.predicted, self.verified = np.zeros((3, n), dtype=bool)
         self.hit_tri = np.full(n, -1, dtype=np.int64)
-        self.node_fetches = np.zeros(n, dtype=np.int64)
-        self.tri_fetches = np.zeros(n, dtype=np.int64)
-        self.verify_node_fetches = np.zeros(n, dtype=np.int64)
-        self.verify_tri_fetches = np.zeros(n, dtype=np.int64)
-        self.spills = np.zeros(n, dtype=np.int64)
-        # Traversal stacks: a (rays, capacity) plane plus explicit
-        # lengths; every stack starts holding the root.
-        self.stack = np.zeros((n, 16), dtype=np.int64)
-        self.stack_len = np.ones(n, dtype=np.int64)
+        # The counters of the records each ray executes; `cur` is its next
+        # record, `root` its root trace (built for rays [0, rooted)).
+        (self.ready_time, self.node_fetches, self.tri_fetches, self.spills,
+         self.cur, self.root, self.root_len) = np.zeros((7, n), dtype=np.int64)
+        self.mis_node_fetches = self.mis_tri_fetches = self.guard_restarts = 0
+        self.rooted = 0
+        # Record planes (rec, cnt, lat as int32; hit), grown geometrically.
+        cap = 24 * n + 64
+        self.planes = [np.empty(cap, dtype=np.int32) for _ in range(3)]
+        self.planes.append(np.empty(cap, dtype=bool))
+        self.used = 0
 
-    def ensure_stack(self, need: int) -> None:
-        """Grow the stack plane to hold at least ``need`` entries."""
-        cap = self.stack.shape[1]
-        if need <= cap:
-            return
-        grown = np.zeros((self.n, max(need, 2 * cap)), dtype=np.int64)
-        grown[:, :cap] = self.stack
-        self.stack = grown
+    def reserve(self, k: int) -> int:
+        """Claim ``k`` records; returns the first one's index."""
+        start = self.used
+        self.used += k
+        if self.used > len(self.planes[0]):
+            cap = max(self.used, 2 * len(self.planes[0]))
+            for i, old in enumerate(self.planes):
+                self.planes[i] = np.empty(cap, dtype=old.dtype)
+                self.planes[i][:start] = old[:start]
+        return start
 
 
 @dataclass
@@ -158,8 +185,12 @@ class _VecWarp:
     members: np.ndarray
     age: int
     ready_time: int
-    from_collector: bool = False
     inflight: Dict[int, int] = field(default_factory=dict)
+    #: Members not yet done, in member order.
+    live: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.live = self.members
 
 
 class VectorRTUnit:
@@ -179,28 +210,21 @@ class VectorRTUnit:
         self.predictor = predictor
         if config.predictor is not None and predictor is None:
             self.predictor = RayPredictor(bvh, config.predictor)
-        self._left = bvh.left
-        self._right = bvh.right
-        self._first_tri = bvh.first_tri
-        self._tri_count = bvh.tri_count
-        self._lo = bvh.lo
-        self._hi = bvh.hi
-        self._v0 = np.asarray(bvh.mesh.v0, dtype=np.float64)
-        self._v1 = np.asarray(bvh.mesh.v1, dtype=np.float64)
-        self._v2 = np.asarray(bvh.mesh.v2, dtype=np.float64)
+        self._v0, self._v1, self._v2 = (
+            np.asarray(v, np.float64) for v in (bvh.mesh.v0, bvh.mesh.v1, bvh.mesh.v2)
+        )
         self._num_nodes = bvh.num_nodes
+        # A DFS stack holds at most one pending sibling per level below
+        # where it started, plus two fresh children.
+        self._stack_depth = bvh.max_depth() + 2
         line_bytes = memory.config.l1.line_bytes
         nodes = np.arange(bvh.num_nodes, dtype=np.int64)
         tris = np.arange(bvh.num_triangles, dtype=np.int64)
-        self._node_line = (NODE_BASE_ADDRESS + NODE_SIZE_BYTES * nodes) // line_bytes
-        self._tri_line = (
-            TRIANGLE_BASE_ADDRESS + TRIANGLE_SIZE_BYTES * tris
-        ) // line_bytes
-        self._st: Optional[_VecState] = None
+        self._lines = np.concatenate([
+            (NODE_BASE_ADDRESS + NODE_SIZE_BYTES * nodes) // line_bytes,
+            (TRIANGLE_BASE_ADDRESS + TRIANGLE_SIZE_BYTES * tris) // line_bytes,
+        ])
 
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
     def run(self, rays: RayBatch) -> RTUnitResult:
         """Trace every ray in ``rays`` (in order) and return statistics."""
         table = getattr(self.predictor, "table", None)
@@ -215,16 +239,15 @@ class VectorRTUnit:
         publish_table_stats(table, since=table_base, engine="vector")
         return result
 
-    # ------------------------------------------------------------------
     # Event loop (mirrors RTUnit._run at warp granularity)
-    # ------------------------------------------------------------------
     def _run(self, rays: RayBatch) -> RTUnitResult:
-        hashes = None
+        st = _VecState(rays)
         if self.predictor is not None:
             hashes = self.predictor.hash_batch(rays.origins, rays.directions)
-        st = self._st = _VecState(rays, hashes)
+            st.ray_hash = np.asarray(hashes, dtype=np.uint64)
         n = st.n
         warp_size = self.rt.warp_size
+        chunk = -(-_ROOT_CHUNK // warp_size) * warp_size
         pending = [
             np.arange(i, min(i + warp_size, n), dtype=np.int64)
             for i in range(0, n, warp_size)
@@ -255,13 +278,8 @@ class VectorRTUnit:
         # Divergence introspection: per-iteration active-lane counts,
         # accumulated locally and folded into the registry at run end.
         lane_hist = LaneHistogram() if telemetry.enabled() else None
-        mis_nodes = 0
-        mis_tris = 0
-        box_tests = 0
-        tri_tests = 0
         predictor_lookups = 0
         predictor_updates = 0
-        guard_restarts = 0
         retired_rays = 0
         steps_since_retire = 0
         watchdog_cycles = self.config.watchdog_cycles
@@ -281,14 +299,8 @@ class VectorRTUnit:
             while collector_ready:
                 ids = collector_ready.pop(0)
                 collector_warps += 1
-                launch(
-                    _VecWarp(
-                        members=np.asarray(ids, dtype=np.int64),
-                        age=next(counter),
-                        ready_time=time + self.rt.queue_latency,
-                        from_collector=True,
-                    )
-                )
+                members = np.asarray(ids, dtype=np.int64)
+                launch(_VecWarp(members, next(counter), time + self.rt.queue_latency))
 
         def admit_source(time: int) -> None:
             nonlocal buffer_used, warps_executed, collector_last_push
@@ -296,16 +308,22 @@ class VectorRTUnit:
             while pending and buffer_used + warp_size <= buffer_capacity:
                 group = pending.pop()
                 buffer_used += len(group)
+                if group[-1] >= st.rooted:  # next chunk's root traces
+                    rows = np.arange(st.rooted, min(n, st.rooted + chunk))
+                    stack = np.zeros((len(rows), self._stack_depth), dtype=np.int64)
+                    depth = np.ones(len(rows), dtype=np.int64)
+                    self._trace(st, rows, stack, depth, speculative=False)
+                    st.rooted += len(rows)
                 ready = time + self.rt.queue_latency
                 if use_predictor:
-                    ready += self._predictor_stage(group)
+                    ready += self._predictor_stage(st, group)
                     predictor_lookups += len(group)
                     if repack:
                         pm = st.predicted[group]
                         predicted = group[pm]
                         group = group[~pm]
                         if len(predicted):
-                            for ids in collector.push([int(r) for r in predicted]):
+                            for ids in collector.push(predicted.tolist()):
                                 collector_ready.append(ids)
                             collector_last_push = ready
                             dispatch_collector_ready(ready)
@@ -340,17 +358,12 @@ class VectorRTUnit:
                     break
             ready, _, warp = heapq.heappop(heap)
             now = max(now, ready)
-            step = self._step_warp(warp, now)
+            step = self._step_warp(st, warp, now)
             warp_steps += 1
             active_thread_steps += step.active_threads
             if lane_hist is not None:
                 lane_hist.add(step.active_threads)
-            mis_nodes += step.mis_node_fetches
-            mis_tris += step.mis_tri_fetches
-            box_tests += step.box_tests
-            tri_tests += step.tri_tests
             predictor_updates += step.updates
-            guard_restarts += step.guard_restarts
 
             retired_rays += step.retired
             steps_since_retire = 0 if step.retired else steps_since_retire + 1
@@ -395,18 +408,20 @@ class VectorRTUnit:
         l1 = self.memory.l1.stats
         l2 = self.memory.l2.stats
         dram = self.memory.dram.stats
+        node_fetches = int(st.node_fetches.sum())
+        tri_fetches = int(st.tri_fetches.sum())
         return RTUnitResult(
             cycles=now,
             rays=n,
             hits=int((st.hit_tri >= 0).sum()),
             predicted=int(st.predicted.sum()),
             verified=int(st.verified.sum()),
-            node_fetches=int(st.node_fetches.sum()),
-            tri_fetches=int(st.tri_fetches.sum()),
-            misprediction_node_fetches=mis_nodes,
-            misprediction_tri_fetches=mis_tris,
-            box_tests=box_tests,
-            tri_tests=tri_tests,
+            node_fetches=node_fetches,
+            tri_fetches=tri_fetches,
+            misprediction_node_fetches=st.mis_node_fetches,
+            misprediction_tri_fetches=st.mis_tri_fetches,
+            box_tests=2 * node_fetches,
+            tri_tests=tri_fetches,
             warps_executed=warps_executed + collector_warps,
             warp_steps=warp_steps,
             active_thread_steps=active_thread_steps,
@@ -423,338 +438,322 @@ class VectorRTUnit:
             predictor_updates=predictor_updates,
             collector_warps=collector_warps,
             collector_timeout_flushes=collector.stats.timeout_flushes,
-            guard_restarts=guard_restarts,
+            guard_restarts=st.guard_restarts,
             dram_row_hits=dram.row_hits - dram_row_before,
         )
 
-    # ------------------------------------------------------------------
-    # Predictor stage (batched lookups, scalar-equivalent stacks)
-    # ------------------------------------------------------------------
-    def _predictor_stage(self, group: np.ndarray) -> int:
+    # Predictor stage: batched lookups, then verification traces
+    def _predictor_stage(self, st: _VecState, group: np.ndarray) -> int:
         assert self.predictor is not None
-        st = self._st
         config = self.predictor.config
         if self.predictor.supports_batch:
             nodes, counts = self.predictor.predict_batch(st.ray_hash[group])
-            hitm = counts > 0
-            rows = group[hitm]
-            if len(rows):
-                c = counts[hitm]
-                st.ensure_stack(int(c.max()) + 1)
-                st.predicted[rows] = True
-                st.stack[rows, 0] = _RESTART_SENTINEL
-                picked = nodes[hitm]
-                # Scalar layout: [SENTINEL] + reversed(nodes), so list
-                # slot j lands at stack position c - j (position c pops
-                # first).
-                for j in range(picked.shape[1]):
-                    sel = c > j
-                    st.stack[rows[sel], (c - j)[sel]] = picked[sel, j]
-                st.stack_len[rows] = 1 + c
         else:
             # Fault-injection proxies (FaultyPredictor) have no batch
             # surface; fall back to per-ray lookups in member order.
-            for r in group:
-                r = int(r)
-                nodes = self.predictor.predict(int(st.ray_hash[r]))
-                if nodes:
-                    k = len(nodes)
-                    st.ensure_stack(k + 1)
-                    st.predicted[r] = True
-                    st.stack[r, 0] = _RESTART_SENTINEL
-                    st.stack[r, 1 : k + 1] = nodes[::-1]
-                    st.stack_len[r] = k + 1
+            found = [self.predictor.predict(int(h)) or [] for h in st.ray_hash[group]]
+            counts = np.array([len(f) for f in found], dtype=np.int64)
+            nodes = np.zeros((len(group), max(1, int(counts.max()))), dtype=np.int64)
+            for i, f in enumerate(found):
+                nodes[i, : len(f)] = f
+        hitm = counts > 0
+        rows = group[hitm]
+        if len(rows):
+            c = counts[hitm]
+            picked = nodes[hitm]
+            st.predicted[rows] = True
+            # Scalar layout: [SENTINEL] + reversed(nodes), so list slot j
+            # lands at stack position c - j (position c pops first).
+            width = int(c.max()) + 1 + self._stack_depth
+            stack = np.zeros((len(rows), width), dtype=np.int64)
+            stack[:, 0] = _RESTART_SENTINEL
+            for j in range(picked.shape[1]):
+                sel = c > j
+                stack[sel, (c - j)[sel]] = picked[sel, j]
+            self._trace(st, rows, stack, 1 + c, speculative=True)
         ports = max(1, config.ports)
         return (len(group) + ports - 1) // ports + config.lookup_latency
 
-    # ------------------------------------------------------------------
-    # One warp iteration, vectorized across ready threads
-    # ------------------------------------------------------------------
-    def _step_warp(self, warp: _VecWarp, now: int) -> _StepOutcome:
-        st = self._st
+    # Trace: batched DFS in the scalar stepper's pop/push order
+    def _trace(
+        self, st: _VecState, rows: np.ndarray, stack: np.ndarray,
+        depth: np.ndarray, speculative: bool,
+    ) -> None:
+        """Record the traces of ``rows`` from their ``stack`` planes.
+
+        A trace ends in a hit, an empty stack (``_MISS``), an invalid pop
+        after a restart (``_FAULT``) or - *linked* - a restart with
+        nothing below it, whose root visit is the root trace's first.
+        ``speculative`` traces verify until their first restart.  Each
+        ray's records (plus a linked one's root trace) land contiguously
+        at its cursor; its counters become those of the records it runs.
+        """
         rt = self.rt
-        members = warp.members
-        out = _StepOutcome(end_time=now, finished=False, active_threads=0)
-
-        m_done = st.done[members]
-        if rt.warp_barrier:
-            considered = ~m_done
-        else:
-            considered = ~m_done & (st.ready_time[members] <= now + rt.coalesce_window)
-        cand = members[considered]
-        cand_len = st.stack_len[cand]
-
-        # Threads whose stack drained without a hit retire as scene
-        # misses (no predictor interaction: hit_tri stays -1).
-        empty = cand_len == 0
-        if empty.any():
-            rows = cand[empty]
-            st.done[rows] = True
-            self._retire_rows(rows, out)
-            live = ~empty
-            parts = cand[live]
-            top_pos = cand_len[live] - 1
-        else:
-            parts = cand
-            top_pos = cand_len - 1
-        k = len(parts)
-        out.active_threads = k
-        if not k:
-            alive = ~st.done[members]
-            if alive.any():
-                out.end_time = max(now + 1, int(st.ready_time[members[alive]].min()))
-                out.finished = False
-            else:
-                out.end_time = now + 1
-                out.finished = True
-            return out
-
-        # Pop one stack entry per participant.
-        node = st.stack[parts, top_pos]
-        st.stack_len[parts] = top_pos
-
-        neg = node < 0
-        if neg.any() or (node >= self._num_nodes).any():
-            node = self._recover_bad_pops(parts, node, out)
-
-        # Verification accounting uses post-restart flags; `restarted`
-        # was just updated for this step's sentinel/guard threads.
-        ver = st.predicted[parts]
-        if ver.any():
-            ver &= ~st.restarted[parts]
-            ver &= ~st.verified[parts]
-
-        is_leaf = self._left[node] < 0
-        any_leaf = is_leaf.any()
-        im = ~is_leaf
-
-        # ---------------- interior threads ----------------
-        rows_i = parts[im] if any_leaf else parts
-        k_i = len(rows_i)
-        if k_i:
-            nodes_i = node[im] if any_leaf else node
-            st.node_fetches[rows_i] += 1
-            vi = ver[im] if any_leaf else ver
-            if vi.any():
-                st.verify_node_fetches[rows_i[vi]] += 1
-            child = self._left[nodes_i]
-            other = self._right[nodes_i]
-            # One merged slab call for both children: rows duplicated,
-            # left boxes in the first half, right boxes in the second.
-            rows2 = np.concatenate([rows_i, rows_i])
-            nodes2 = np.concatenate([child, other])
-            hit2, t2 = _slab_exact(
-                st.origin[rows2],
-                st.inv_direction[rows2],
-                st.t_min[rows2],
-                st.t_max[rows2],
-                self._lo[nodes2],
-                self._hi[nodes2],
-            )
-            hit_l, hit_r = hit2[:k_i], hit2[k_i:]
-            t_l, t_r = t2[:k_i], t2[k_i:]
-            out.box_tests += 2 * k_i
-
-            n_push = hit_l.astype(np.int64)
-            n_push += hit_r
-            both = hit_l & hit_r
-            near_first = t_l <= t_r
-            first = np.where(
-                both,
-                np.where(near_first, other, child),
-                np.where(hit_l, child, other),
-            )
-            base = st.stack_len[rows_i]
-            st.ensure_stack(int((base + n_push).max()))
-            one = n_push >= 1
-            st.stack[rows_i[one], base[one]] = first[one]
-            two = n_push == 2
-            if two.any():
-                second = np.where(near_first, child, other)
-                st.stack[rows_i[two], base[two] + 1] = second[two]
-            st.stack_len[rows_i] = base + n_push
-
-        # ---------------- leaf threads ----------------
-        hrows = ()
-        if any_leaf:
-            rows_l = parts[is_leaf]
-            nodes_l = node[is_leaf]
-            counts = self._tri_count[nodes_l]
-            starts = self._first_tri[nodes_l]
-            vl = ver[is_leaf]
-            total = int(counts.sum())
-            kl = len(rows_l)
-            seg = np.repeat(np.arange(kl), counts)
-            pos = np.arange(total, dtype=np.int64) - np.repeat(
-                np.cumsum(counts) - counts, counts
-            )
-            tris = starts[seg] + pos
-            rseg = rows_l[seg]
-            t = ray_triangle_intersect_batch(
-                st.origin[rseg],
-                st.direction[rseg],
-                st.t_min[rseg],
-                st.t_max[rseg],
-                self._v0[tris],
-                self._v1[tris],
-                self._v2[tris],
-            )
-            hitp = t < np.inf
-            first_pos = np.full(kl, _NO_HIT, dtype=np.int64)
-            if hitp.any():
-                np.minimum.at(first_pos, seg[hitp], pos[hitp])
-            hit_any = first_pos < _NO_HIT
-            tests = np.where(hit_any, first_pos + 1, counts)
-
-            st.tri_fetches[rows_l] += tests
-            if vl.any():
-                st.verify_tri_fetches[rows_l[vl]] += tests[vl]
-            out.tri_tests += int(tests.sum())
-            hrows = rows_l[hit_any]
-            if len(hrows):
-                st.hit_tri[hrows] = starts[hit_any] + first_pos[hit_any]
-                st.done[hrows] = True
-                verified_rows = rows_l[hit_any & vl]
-                if len(verified_rows):
-                    st.verified[verified_rows] = True
-        # Per-participant intersection latency and line counts.
-        latency = np.full(k, rt.box_test_latency + 1, dtype=np.int64)
-        if any_leaf:
-            latency[is_leaf] = rt.tri_test_latency + np.maximum(0, tests - 1)
-
-        # Spill penalty applies to the post-push stack depth of every
-        # participant (interior or leaf), matching the scalar check.
-        spill = st.stack_len[parts] > rt.stack_entries
-        if spill.any():
-            st.spills[parts[spill]] += 1
-            latency[spill] += rt.stack_spill_penalty
-
-        # ---------------- memory stage ----------------
-        # Assemble each participant's line requests in exact scalar
-        # order (member order; a leaf's lines in triangle order up to
-        # its early exit), then dedup by first occurrence - the scalar
-        # `dict.setdefault` MSHR sequence.  Only the walk over *unique*
-        # lines stays a Python loop: it mutates sequential port, cache
-        # and DRAM-bank state line by line.
-        if any_leaf:
-            nlines = np.ones(k, dtype=np.int64)
-            nlines[is_leaf] = tests
-            offsets = np.cumsum(nlines) - nlines
-            total_lines = int(offsets[-1] + nlines[-1])
-            all_lines = np.empty(total_lines, dtype=np.int64)
-            if k_i:
-                all_lines[offsets[im]] = self._node_line[nodes_i]
-            # A leaf's kept lines are triangle positions 0..tests-1 -
-            # contiguous - so they scatter to offset + position.
-            kept = pos < tests[seg]
-            all_lines[offsets[is_leaf][seg[kept]] + pos[kept]] = (
-                self._tri_line[tris[kept]]
-            )
-        else:
-            nlines = None
-            all_lines = self._node_line[nodes_i]
-
-        uniq, first_idx, inverse = np.unique(
-            all_lines, return_index=True, return_inverse=True
+        bvh = self.bvh
+        left = bvh.left
+        num_nodes = self._num_nodes
+        k = len(rows)
+        origin, direction, inv, t_min, t_max = (
+            plane[rows] for plane in
+            (st.origin, st.direction, st.inv_direction, st.t_min, st.t_max)
         )
-        order = np.argsort(first_idx)
+        length, node_fetches, tri_fetches, spills, ver_nodes, ver_tris = np.zeros(
+            (6, k), dtype=np.int64
+        )
+        linked, restarted, verified = np.zeros((3, k), dtype=bool)
+        hit_tri = np.full(k, -1, dtype=np.int64)
+        out: List[List[np.ndarray]] = []  # [ray, rec, cnt, lat, hit]
+        steps: List[int] = []
 
-        start = self.memory.acquire_scheduler_slot(now)
-        inflight = warp.inflight
-        access_line = self.memory.access_line_time
-        inflight_cap = 4 * rt.warp_size
-        uniq_list = uniq.tolist()
-        ready_list = [0] * len(uniq_list)
-        for j in order.tolist():
-            line = uniq_list[j]
-            pending = inflight.get(line)
-            if pending is not None and pending >= start:
-                ready_list[j] = pending
-                continue
-            ready = access_line(line, start)
-            ready_list[j] = ready
-            inflight[line] = ready
-            if len(inflight) > inflight_cap:
-                warp.inflight = {
-                    ln: tm for ln, tm in inflight.items() if tm >= start
-                }
-                inflight = warp.inflight
-        ready_by_uniq = np.array(ready_list, dtype=np.int64)
+        def emit(j, rec, cnt, lat=0, hit=False):
+            out.append(np.broadcast_arrays(j, rec, cnt, lat, hit))
+            steps.append(it)
 
-        # max over the thread's line-completion times; `start + 1` only
-        # when it requested no lines (a merged in-flight line may have
-        # completed at `start` itself, below that default).
-        if any_leaf:
-            owners = np.repeat(np.arange(k), nlines)
-            data_ready = np.full(k, np.iinfo(np.int64).min, dtype=np.int64)
-            np.maximum.at(data_ready, owners, ready_by_uniq[inverse])
-            data_ready[nlines == 0] = start + 1
-        else:
-            # Exactly one line per interior thread.
-            data_ready = ready_by_uniq[inverse]
-        residual = np.maximum(0, st.ready_time[parts] - now)
-        st.ready_time[parts] = np.maximum(data_ready, start + residual) + latency
+        act = np.arange(k)
+        it = 0
+        while len(act):
+            dep = depth[act]
+            empty = dep == 0
+            if empty.any():
+                emit(act[empty], 0, _MISS)
+                length[act[empty]] = it + 1
+                act, dep = act[~empty], dep[~empty]
+                if not len(act):
+                    break
+            dep -= 1
+            node = stack[act, dep]
+            depth[act] = dep
+            if node.min() < 0 or node.max() >= num_nodes:
+                sent = node == _RESTART_SENTINEL
+                bad = ~sent & ((node < 0) | (node >= num_nodes))
+                fault = bad & restarted[act]
+                # Every restart charges the verification fetches so far
+                # as a misprediction; only the first ends verifying.
+                charged = act[(sent | bad) & ~fault]
+                st.mis_node_fetches += int(ver_nodes[charged].sum())
+                st.mis_tri_fetches += int(ver_tris[charged].sum())
+                st.guard_restarts += int((bad & ~fault).sum())
+                restarted[charged] = True
+                if fault.any():
+                    emit(act[fault], node[fault], _FAULT)
+                    length[act[fault]] = it + 1
+                link = (sent & (dep == 0)) | (bad & ~fault)
+                linked[act[link]] = True
+                length[act[link]] = it
+                keep = ~(link | fault)
+                act, dep = act[keep], dep[keep]
+                node = np.where(sent, 0, node)[keep]
+                if not len(act):
+                    break
 
-        # Retire freshly-hit leaf threads in member order (train order
-        # must match the scalar engine's predictor-stamp sequence).
-        if len(hrows):
-            self._retire_rows(hrows, out)
+            ver = ~restarted[act] if speculative else None
+            is_leaf = left[node] < 0
+            im = ~is_leaf
+            rec = node.copy()
+            cnt = np.ones(len(act), dtype=np.int64)
+            lat = np.full(len(act), rt.box_test_latency + 1, dtype=np.int64)
+            hit = np.zeros(len(act), dtype=bool)
 
-        m_done = st.done[members]
-        if m_done.all():
-            out.end_time = max(now + 1, int(st.ready_time[members].max()))
-            out.finished = True
-        else:
-            rem = st.ready_time[members[~m_done]]
-            pick = int(rem.max() if rt.warp_barrier else rem.min())
-            out.end_time = max(now + 1, pick)
-            out.finished = False
-        return out
+            rows_i = act[im]
+            if len(rows_i):
+                nodes_i = node[im]
+                node_fetches[rows_i] += 1
+                if speculative:
+                    ver_nodes[rows_i[ver[im]]] += 1
+                child = left[nodes_i]
+                other = bvh.right[nodes_i]
+                # One merged slab call for both children: rows duplicated,
+                # left boxes in the first half, right boxes in the second.
+                rows2 = np.concatenate([rows_i, rows_i])
+                nodes2 = np.concatenate([child, other])
+                hit2, t2 = _slab_exact(
+                    origin[rows2], inv[rows2], t_min[rows2], t_max[rows2],
+                    bvh.lo[nodes2], bvh.hi[nodes2],
+                )
+                k_i = len(rows_i)
+                hit_l, hit_r = hit2[:k_i], hit2[k_i:]
+                near_first = t2[:k_i] <= t2[k_i:]
+                n_push = hit_l.astype(np.int64) + hit_r
+                first = np.where(hit_l & hit_r, np.where(near_first, other, child),
+                                 np.where(hit_l, child, other))
+                base = dep[im]
+                one = n_push >= 1
+                stack[rows_i[one], base[one]] = first[one]
+                two = n_push == 2
+                if two.any():
+                    second = np.where(near_first, child, other)
+                    stack[rows_i[two], base[two] + 1] = second[two]
+                depth[rows_i] = base + n_push
 
-    def _recover_bad_pops(
-        self, parts: np.ndarray, node: np.ndarray, out: _StepOutcome
-    ) -> np.ndarray:
-        """Handle restart sentinels and guard-invalid popped nodes."""
-        st = self._st
-        sent = node == _RESTART_SENTINEL
-        if sent.any():
-            rows = parts[sent]
-            out.mis_node_fetches += int(st.verify_node_fetches[rows].sum())
-            out.mis_tri_fetches += int(st.verify_tri_fetches[rows].sum())
-            st.restarted[rows] = True
-            node = np.where(sent, 0, node)
-        invalid = ~sent & ((node < 0) | (node >= self._num_nodes))
-        if invalid.any():
-            rows = parts[invalid]
-            already = st.restarted[rows]
-            if already.any():
-                pos = int(already.argmax())
+            if is_leaf.any():
+                rows_l = act[is_leaf]
+                counts = bvh.tri_count[node[is_leaf]]
+                starts = bvh.first_tri[node[is_leaf]]
+                seg = np.repeat(np.arange(len(rows_l)), counts)
+                tri_ids = _runs(starts, counts)
+                pos = tri_ids - starts[seg]
+                rseg = rows_l[seg]
+                t = ray_triangle_intersect_batch(
+                    origin[rseg], direction[rseg], t_min[rseg], t_max[rseg],
+                    self._v0[tri_ids], self._v1[tri_ids], self._v2[tri_ids],
+                )
+                hitp = t < np.inf
+                first_pos = counts.copy()  # no hit: every triangle tested
+                if hitp.any():
+                    np.minimum.at(first_pos, seg[hitp], pos[hitp])
+                hit_any = first_pos < counts
+                tests = np.where(hit_any, first_pos + 1, counts)
+                tri_fetches[rows_l] += tests
+                hit_tri[rows_l[hit_any]] = (starts + first_pos)[hit_any]
+                if speculative:
+                    vl = ver[is_leaf]
+                    ver_tris[rows_l[vl]] += tests[vl]
+                    verified[rows_l[hit_any & vl]] = True
+                rec[is_leaf] = num_nodes + starts
+                cnt[is_leaf] = tests
+                lat[is_leaf] = rt.tri_test_latency + np.maximum(0, tests - 1)
+                hit[is_leaf] = hit_any
+
+            # The spill penalty applies to the post-push stack depth.
+            spill = depth[act] > rt.stack_entries
+            if spill.any():
+                spills[act[spill]] += 1
+                lat[spill] += rt.stack_spill_penalty
+            emit(act, rec, cnt, lat, hit)
+            if hit.any():
+                length[act[hit]] = it + 1
+                act = act[~hit]
+            it += 1
+
+        # Lay the records out per ray; a linked ray's root trace follows.
+        tail = np.where(linked, st.root_len[rows], 0)
+        total = length + tail
+        start = st.reserve(int(total.sum())) + np.cumsum(total) - total
+        planes = st.planes
+        if out:
+            pos = start[np.concatenate([o[0] for o in out])]
+            pos += np.repeat(steps, [len(o[0]) for o in out])
+            for i, plane in enumerate(planes):
+                plane[pos] = np.concatenate([o[i + 1] for o in out])
+        if linked.any():
+            src = _runs(st.root[rows[linked]], tail[linked])
+            dst = _runs((start + length)[linked], tail[linked])
+            for plane in planes:
+                plane[dst] = plane[src]
+        st.cur[rows] = start
+        if not speculative:
+            st.root[rows] = start
+            st.root_len[rows] = length
+        st.hit_tri[rows] = np.where(linked, st.hit_tri[rows], hit_tri)
+        st.verified[rows] = verified
+        for plane, own in (
+            (st.node_fetches, node_fetches), (st.tri_fetches, tri_fetches),
+            (st.spills, spills),
+        ):
+            plane[rows] = own + np.where(linked, plane[rows], 0)
+
+    # Replay: one warp iteration, vectorized across ready threads
+    def _step_warp(self, st: _VecState, warp: _VecWarp, now: int) -> _StepOutcome:
+        rt = self.rt
+        rec_plane, cnt_plane, lat_plane, hit_plane = st.planes
+        out = _StepOutcome(end_time=now, finished=False, active_threads=0)
+        live = warp.live
+        parts = live
+        if not rt.warp_barrier:
+            parts = live[st.ready_time[live] <= now + rt.coalesce_window]
+        cur = st.cur[parts]
+        cnt = cnt_plane[cur]
+        if len(cnt) and cnt.min() < 0:
+            ended = cnt < 0
+            rows = parts[ended]
+            fault = cnt[ended] == _FAULT
+            if fault.any():
+                bad = int(rec_plane[cur[ended][fault][0]])
                 raise TraversalError(
-                    f"ray {int(rows[pos])} popped invalid node "
-                    f"{int(node[invalid][pos])} "
+                    f"ray {int(rows[fault][0])} popped invalid node {bad} "
                     "after a guard restart (corrupted traversal state)",
-                    bad_nodes=[int(node[invalid][pos])],
+                    bad_nodes=[bad],
                     num_nodes=self._num_nodes,
                 )
-            out.mis_node_fetches += int(st.verify_node_fetches[rows].sum())
-            out.mis_tri_fetches += int(st.verify_tri_fetches[rows].sum())
-            out.guard_restarts += len(rows)
-            st.restarted[rows] = True
-            st.stack_len[rows] = 0
-            node = np.where(invalid, 0, node)
-        return node
+            # Drained stacks retire as scene misses (hit_tri stays -1).
+            self._retire_rows(st, rows, out)
+            parts, cur, cnt = parts[~ended], cur[~ended], cnt[~ended]
+        k = out.active_threads = len(parts)
+        if k:
+            st.cur[parts] = cur + 1
+            ends = np.cumsum(cnt)
+            offsets = ends - cnt
+            lines = self._lines[
+                np.arange(ends[-1]) + np.repeat(rec_plane[cur] - offsets, cnt)
+            ]
+            # Unique lines go out in first-occurrence order (member order,
+            # each visit's lines in order).  Sorting dedups wide steps
+            # faster than a dict, which wins below a few hundred lines.
+            inverse = None
+            if len(lines) > _SORT_DEDUP_LINES:
+                uniq, first, inverse = np.unique(
+                    lines, return_index=True, return_inverse=True
+                )
+                keys = uniq.tolist()
+                order = [keys[j] for j in np.argsort(first).tolist()]
+            else:
+                keys = lines.tolist()
+                order = dict.fromkeys(keys)
+            start = self.memory.acquire_scheduler_slot(now)
+            access_line = self.memory.access_line_time
+            inflight = warp.inflight
+            ready: Dict[int, int] = {}
+            for line in order:
+                # A line still in flight for this warp merges for free.
+                pending = inflight.get(line)
+                if pending is not None and pending >= start:
+                    ready[line] = pending
+                    continue
+                ready[line] = inflight[line] = access_line(line, start)
+                if len(inflight) > 4 * rt.warp_size:
+                    inflight = warp.inflight = {
+                        ln: tm for ln, tm in inflight.items() if tm >= start
+                    }
+            line_ready = np.fromiter(map(ready.get, keys), np.int64, len(keys))
+            if inverse is not None:
+                line_ready = line_ready[inverse]
+            # A thread's data is ready at its last line's return; an empty
+            # leaf requests no lines and waits for `start + 1`.
+            if cnt.all():
+                data_ready = np.maximum.reduceat(line_ready, offsets)
+            else:
+                data_ready = np.full(k, start + 1, dtype=np.int64)
+                has = cnt > 0
+                if has.any():
+                    data_ready[has] = np.maximum.reduceat(line_ready, offsets[has])
+            residual = np.maximum(0, st.ready_time[parts] - now)
+            st.ready_time[parts] = (
+                np.maximum(data_ready, start + residual) + lat_plane[cur]
+            )
+            # Retire freshly-hit threads in member order (train order must
+            # match the scalar engine's predictor-stamp sequence).
+            hit = hit_plane[cur]
+            if hit.any():
+                self._retire_rows(st, parts[hit], out)
+        if out.retired:
+            live = warp.live = live[~st.done[live]]
 
-    # ------------------------------------------------------------------
-    def _retire_rows(self, rows: np.ndarray, out: _StepOutcome) -> None:
-        """Train/confirm per retired ray, in member order (scalar parity)."""
-        st = self._st
+        if not len(live):
+            out.finished = True
+            last = int(st.ready_time[warp.members].max()) if k else 0
+            out.end_time = max(now + 1, last)
+        else:
+            rem = st.ready_time[live]
+            pick = int(rem.max() if k and rt.warp_barrier else rem.min())
+            out.end_time = max(now + 1, pick)
+        return out
+
+    def _retire_rows(self, st: _VecState, rows: np.ndarray, out: _StepOutcome) -> None:
+        """Retire ``rows``; train/confirm in member order (scalar parity)."""
+        st.done[rows] = True
+        out.retired += len(rows)
         predictor = self.predictor
-        for r in rows:
-            r = int(r)
-            if st.trained[r]:
-                continue
-            st.trained[r] = True
-            out.retired += 1
+        for r in rows.tolist():
             tri = int(st.hit_tri[r])
             if tri >= 0 and predictor is not None:
                 h = int(st.ray_hash[r])

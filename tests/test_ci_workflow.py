@@ -201,6 +201,24 @@ class TestTimingGate:
         # --check fails the build on cycle/counter drift.
         assert any("--quick" in r and "--check" in r for r in gate)
 
+    def test_smoke_job_runs_pipeline_bench(self, workflow):
+        steps = workflow["jobs"]["timing-smoke"]["steps"]
+        bench = [
+            s for s in steps if "pipeline_bench/run.py" in s.get("run", "")
+        ]
+        assert bench, "timing-smoke must run the pipeline benchmark"
+        run = bench[0]["run"]
+        # Tier-1 never collects pipeline_bench/tests; this step must.
+        assert "python -m pytest pipeline_bench/tests" in run
+        assert "--workload fig12" in run
+        # run.py exits 2 while the workflow-wide artifact cache is set.
+        assert workflow["env"]["REPRO_ARTIFACT_CACHE"]
+        assert bench[0].get("env", {}).get("REPRO_ARTIFACT_CACHE") == ""
+        installs = [
+            s.get("run", "") for s in steps if "pip install" in s.get("run", "")
+        ]
+        assert any(".[dev]" in r for r in installs), "pytest is a dev extra"
+
     def test_committed_timing_baseline_exists_for_gate(self):
         baseline = os.path.join(
             os.path.dirname(WORKFLOW), "..", "..",

@@ -33,6 +33,7 @@ from repro.faults import (
     run_differential_oracle,
 )
 from repro.gpu import GPUConfig, simulate_workload
+from repro.gpu.config import RTUnitConfig
 from repro.rays import generate_ao_workload
 from repro.scenes import SCENE_CODES, get_scene
 from repro.trace.traversal import occlusion_any_hit, occlusion_any_hit_tri
@@ -249,17 +250,21 @@ class TestDifferentialOracle:
 
     def test_faulty_predictor_in_timing_simulator(self, small_bvh, small_workload):
         """The corrupted-table proxy also drops into the GPU timing model."""
-        rays = small_workload.rays.subset(np.arange(128))
-        config = PredictorConfig()
+        rays = small_workload.rays
+        config = PredictorConfig(origin_bits=3, direction_bits=2)
         predictor = FaultyPredictor(
             RayPredictor(small_bvh, config),
             FaultInjector(FaultConfig(seed=4, table_rate=0.5)),
         )
-        gpu = GPUConfig(predictor=config)
+        # One resident warp per SM: rays retire and train the table
+        # before later warps look it up, so the per-ray lookups hit.
+        gpu = GPUConfig(predictor=config, rt_unit=RTUnitConfig(max_warps=1))
         out = simulate_workload(
             small_bvh, rays, gpu, predictors=[predictor, predictor]
         )
         baseline = simulate_workload(small_bvh, rays, gpu.baseline())
+        assert out.predicted_rate > 0
+        assert predictor.injector.log
         assert out.hit_rate == baseline.hit_rate
 
     @pytest.mark.parametrize("code", SCENE_CODES)

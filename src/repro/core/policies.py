@@ -36,11 +36,9 @@ class NodeReplacementPolicy:
 
     def insert(self, node: int) -> Optional[int]:
         """Insert ``node``; returns the evicted node, if any."""
-        """Insert ``node``; returns the evicted node, if any."""
         raise NotImplementedError
 
     def touch(self, node: int) -> None:
-        """Record a use of ``node``."""
         """Record a use (successful verification) of ``node``."""
         raise NotImplementedError
 

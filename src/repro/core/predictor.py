@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.bvh.nodes import FlatBVH
 from repro.core.hashing import RayHasher, make_hasher
-from repro.core.vectable import make_table
+from repro.core.table import PredictorTable
 
 
 @dataclass
@@ -68,10 +68,6 @@ class PredictorConfig:
         lookup_latency: table access latency in cycles (timing model).
         repack: enable warp repacking after prediction (Section 4.4).
         extra_warps: additional warps admitted after repacking (4.4.2).
-        table_impl: predictor-table backend: ``"vector"`` (struct-of-
-            arrays numpy store with batched probes, the default) or
-            ``"scalar"`` (per-entry reference).  The two are
-            order-equivalent; results are identical.
     """
 
     num_entries: int = 1024
@@ -87,7 +83,6 @@ class PredictorConfig:
     lookup_latency: int = 1
     repack: bool = True
     extra_warps: int = 0
-    table_impl: str = "vector"
 
     @property
     def hash_bits(self) -> int:
@@ -112,8 +107,7 @@ class RayPredictor:
             direction_bits=self.config.direction_bits,
             length_ratio=self.config.length_ratio,
         )
-        self.table = make_table(
-            self.config.table_impl,
+        self.table = PredictorTable(
             num_entries=self.config.num_entries,
             ways=self.config.ways,
             nodes_per_entry=self.config.nodes_per_entry,
@@ -161,82 +155,6 @@ class RayPredictor:
     def confirm(self, ray_hash: int, node: int) -> None:
         """Tell the table which predicted node verified (policy feedback)."""
         self.table.confirm(ray_hash, node)
-
-    # ------------------------------------------------------------------
-    # Batched pipeline (wavefront window path).  Each *_batch method is
-    # order-equivalent to calling its scalar counterpart per element.
-    # ------------------------------------------------------------------
-    @property
-    def supports_batch(self) -> bool:
-        """Whether the whole-window batched pipeline may be used.
-
-        True only when the bound table exposes the batched kernels;
-        proxies that must observe every individual probe (e.g. the
-        fault injector's :class:`~repro.faults.injector.FaultyPredictor`)
-        deliberately report False so the simulation falls back to
-        per-ray probing.
-        """
-        return hasattr(self.table, "lookup_batch")
-
-    def predict_batch(self, hashes: np.ndarray):
-        """Guarded table lookup over a whole hash vector.
-
-        Returns ``(nodes, counts)``: ``nodes`` is ``(n, nodes_per_entry)``
-        int64 in entry list order (``-1`` padded) and ``counts`` the
-        per-ray number of surviving nodes - 0 means "no prediction"
-        (table miss, or every node rejected by the range guard).
-        Equivalent to ``n`` sequential :meth:`predict` calls, including
-        guard-counter updates.
-        """
-        nodes, counts = self.table.lookup_batch(hashes)
-        P = nodes.shape[1]
-        slot = np.arange(P)[None, :] < counts[:, None]
-        ok = slot & (nodes >= 0) & (nodes < self.bvh.num_nodes)
-        dropped = int((slot & ~ok).sum())
-        if dropped:
-            self.guards.invalid_nodes_dropped += dropped
-            new_counts = ok.sum(axis=1)
-            rejected = int(((counts > 0) & (new_counts == 0)).sum())
-            if rejected:
-                self.guards.predictions_rejected += rejected
-            # Compact surviving nodes left, preserving list order.
-            order = np.argsort(~ok, axis=1, kind="stable")
-            nodes = np.take_along_axis(nodes, order, axis=1)
-            nodes[np.arange(P)[None, :] >= new_counts[:, None]] = -1
-            counts = new_counts
-        return nodes, counts
-
-    def confirm_batch(self, hashes: np.ndarray, nodes: np.ndarray) -> None:
-        """Batched policy feedback (see :meth:`confirm`)."""
-        self.table.confirm_batch(hashes, nodes)
-
-    def train_batch(self, hashes: np.ndarray, hit_tris: np.ndarray) -> np.ndarray:
-        """Batched training; returns the stored node per ray (-1 = dropped).
-
-        Out-of-range triangle indices are dropped and counted, exactly
-        like sequential :meth:`train` calls.
-        """
-        hashes = np.asarray(hashes, dtype=np.uint64)
-        hit_tris = np.asarray(hit_tris, dtype=np.int64)
-        ok = (hit_tris >= 0) & (hit_tris < self.bvh.num_triangles)
-        invalid = int((~ok).sum())
-        if invalid:
-            self.guards.invalid_training_dropped += invalid
-        stored = np.full(hit_tris.shape, -1, dtype=np.int64)
-        if ok.any():
-            leaves = self._tri_to_leaf[hit_tris[ok]]
-            stored[ok] = self._ancestors[leaves]
-            self.table.update_batch(hashes[ok], stored[ok])
-        return stored
-
-    def trained_nodes_batch(self, hit_tris: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`trained_node_for` (-1 for out-of-range)."""
-        hit_tris = np.asarray(hit_tris, dtype=np.int64)
-        ok = (hit_tris >= 0) & (hit_tris < self.bvh.num_triangles)
-        nodes = np.full(hit_tris.shape, -1, dtype=np.int64)
-        if ok.any():
-            nodes[ok] = self._ancestors[self._tri_to_leaf[hit_tris[ok]]]
-        return nodes
 
     def train(self, ray_hash: int, hit_tri: int) -> int:
         """Insert the traversal result for a ray that hit triangle ``hit_tri``.

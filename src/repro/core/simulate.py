@@ -170,11 +170,11 @@ def simulate_predictor(
             (needed by the repacking analysis and some tests).
         predictor: reuse an existing (already warmed) predictor instead
             of building a fresh one - used by the multi-SM experiment.
-        engine: ``"wavefront"`` (vectorized, default - each window runs
-            as array stages: batched hash, batched table probe,
-            wavefront verification, memoized-baseline fallback and
-            batched delayed updates) or ``"scalar"`` (reference -
-            per-ray traversal in exact paper order).  Correctness
+        engine: ``"wavefront"`` (default - batched hashing, then per
+            window: per-ray table probes, one verification wavefront,
+            the memoized-baseline fallback, and delayed confirms and
+            updates in ray order) or ``"scalar"`` (reference - per-ray
+            traversal in exact paper order).  Correctness
             (per-ray occlusion) is identical; traversal-order-dependent
             statistics such as which triangle trained the table, and
             therefore downstream predicted / verified rates, may differ
@@ -414,7 +414,7 @@ def _simulate_wavefront(
     in_flight: int,
     keep_outcomes: bool,
 ) -> SimulationResult:
-    """Wavefront form of the functional simulation: array stages only.
+    """Wavefront form of the functional simulation.
 
     One batched full-occlusion pass per *stream* (memoized per
     ``(bvh, rays)`` across configurations, see
@@ -422,28 +422,25 @@ def _simulate_wavefront(
     every unverified ray and the baseline bookkeeping of every window -
     per-ray wavefront results are independent of batch composition, so
     the whole-stream record is bit-identical to per-window fallback and
-    baseline passes.  Each ``in_flight`` window then runs as pure array
+    baseline passes.  Each ``in_flight`` window then runs in three
     stages:
 
-    1. batched table probe over the window's hash vector
-       (:meth:`~repro.core.predictor.RayPredictor.predict_batch`);
-    2. one verification wavefront seeded from the probe's ``(nodes,
-       counts)`` arrays (:func:`wavefront_verify_batch`);
-    3. vectorized policy feedback for verified rays
-       (``confirm_batch``) and vectorized delayed training
-       (``train_batch``) when the window drains.
+    1. one guarded table probe per ray, in ray order, all against the
+       window-start table state;
+    2. one verification wavefront seeded from every predicted ray's
+       entry points (:func:`wavefront_verify_batch`);
+    3. when the window drains, policy feedback for verified rays, then
+       delayed training for hitting rays, each in ray order.
 
-    Table semantics are unchanged: lookups see the window-start state
-    and updates commit when the window drains.  The batched kernels are
-    order-equivalent to the per-ray probes, so results match the
-    previous per-ray wavefront path exactly.  A predictor that must
-    observe individual probes (``supports_batch`` false, e.g. the fault
-    injector's proxy) drops to per-ray probing with identical
-    semantics.
+    The probes stay per ray: AO rays from neighbouring pixels hash
+    alike, so most of a window's updates share a table set with another
+    update and must apply one after another anyway.  Any object with the
+    :class:`~repro.core.predictor.RayPredictor` probe surface
+    (``predict``/``confirm``/``train``/``trained_node_for``) drops in,
+    e.g. the fault injector's proxy.
     """
     n = len(rays)
     base = baseline_record(bvh, rays, "wavefront")
-    use_batch = bool(getattr(pred, "supports_batch", False))
 
     predicted = np.zeros(n, dtype=bool)
     verified = np.zeros(n, dtype=bool)
@@ -460,23 +457,13 @@ def _simulate_wavefront(
         m = stop - start
         w = slice(start, stop)
         sub = rays.subset(np.arange(start, stop))
-        whashes = hashes[start:stop]
+        whashes = hashes[start:stop].tolist()
 
         with telemetry.span("predictor.lookup", engine="wavefront", rays=m):
-            if use_batch:
-                seed_nodes, seed_counts = pred.predict_batch(whashes)
-                seeds = (seed_nodes, seed_counts)
-                predicted[w] = seed_counts > 0
-                predicted_nodes[w] = seed_counts
-            else:
-                preds: List[Optional[List[int]]] = []
-                for j in range(m):
-                    nodes = pred.predict(int(whashes[j]))
-                    preds.append(nodes if nodes else None)
-                    if nodes:
-                        predicted[start + j] = True
-                        predicted_nodes[start + j] = len(nodes)
-                seeds = preds
+            seeds = [pred.predict(h) for h in whashes]
+            counts = [len(nodes) if nodes else 0 for nodes in seeds]
+        predicted_nodes[w] = counts
+        predicted[w] = predicted_nodes[w] > 0
         if telemetry.enabled() and m:
             telemetry.observe(
                 "predictor.window_predicted_fraction",
@@ -502,27 +489,12 @@ def _simulate_wavefront(
         hit[w] = win_hit_tri >= 0
 
         # Policy feedback: these stored nodes were useful.
-        vidx = np.nonzero(win_verified)[0]
-        if vidx.size:
-            if use_batch:
-                pred.confirm_batch(
-                    whashes[vidx], pred.trained_nodes_batch(ver_tri[vidx])
-                )
-            else:
-                for j in vidx:
-                    pred.confirm(
-                        int(whashes[j]),
-                        pred.trained_node_for(int(ver_tri[j])),
-                    )
+        for j in np.flatnonzero(win_verified).tolist():
+            pred.confirm(whashes[j], pred.trained_node_for(int(ver_tri[j])))
 
         # Updates from this window commit only after the window drains.
-        hidx = np.nonzero(win_hit_tri >= 0)[0]
-        if hidx.size:
-            if use_batch:
-                pred.train_batch(whashes[hidx], win_hit_tri[hidx])
-            else:
-                for j in hidx:
-                    pred.train(int(whashes[j]), int(win_hit_tri[j]))
+        for j in np.flatnonzero(win_hit_tri >= 0).tolist():
+            pred.train(whashes[j], int(win_hit_tri[j]))
 
     mis_mask = predicted & ~verified
     outcomes: Optional[List[PredictionOutcome]] = None

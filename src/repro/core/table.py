@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro import telemetry
 from repro.core.hashing import fold_hash
 from repro.core.policies import NodeReplacementPolicy, make_node_policy
 
@@ -78,9 +79,19 @@ class PredictorTable:
         self.index_bits = num_sets.bit_length() - 1
         self.node_policy = node_policy
         self._node_policy_kwargs = dict(node_policy_kwargs or {})
+        # Entries build their policies lazily; reject a bad policy name or
+        # kwargs now rather than at the first update.
+        make_node_policy(node_policy, nodes_per_entry, **self._node_policy_kwargs)
         # Each set is an LRU-ordered list of entries (front = LRU victim).
         self._sets: List[List[_Entry]] = [[] for _ in range(num_sets)]
         self.stats = TableStats()
+        # Tag-alias introspection (docs/OBSERVABILITY.md): a lookup whose
+        # set holds more than one entry with the probed tag - impossible
+        # in normal operation, observable after ``corrupt_tag`` fault
+        # injection.  Enablement is sampled at construction so the
+        # disabled lookup path pays a single attribute check.
+        self._telemetry = telemetry.enabled()
+        self.tag_alias_probes = 0
 
     # ------------------------------------------------------------------
     def _index_and_tag(self, ray_hash: int) -> tuple[int, int]:
@@ -103,11 +114,16 @@ class PredictorTable:
 
         A hit refreshes the entry's LRU position (the entry was useful
         enough to consult; whether it verifies is reported separately via
-        :meth:`confirm`).
+        :meth:`confirm`).  If tags alias after ``corrupt_tag``, the
+        matching entry nearest the LRU end answers.
         """
         self.stats.lookups += 1
         index, tag = self._index_and_tag(ray_hash)
         bucket = self._sets[index]
+        if self._telemetry:
+            telemetry.record_hook_activation()
+            if sum(1 for e in bucket if e.tag == tag) > 1:
+                self.tag_alias_probes += 1
         entry = self._find(bucket, tag)
         if entry is None:
             return None

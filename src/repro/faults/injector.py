@@ -274,14 +274,9 @@ class FaultyPredictor:
     corruption racing real lookups.  All other attribute access is
     delegated to the wrapped predictor, so the proxy drops into
     :func:`repro.core.simulate.simulate_predictor` (via its
-    ``predictor=`` argument) and :class:`repro.gpu.rt_unit.RTUnit`
-    unchanged.
+    ``predictor=`` argument) and both RT-unit engines unchanged: every
+    engine probes the table once per ray through ``predict``.
     """
-
-    #: The proxy must observe every individual lookup to race corruption
-    #: against it, so the batched window pipeline is disabled: the
-    #: simulation engines fall back to per-ray ``predict`` calls.
-    supports_batch = False
 
     def __init__(self, predictor: RayPredictor, injector: FaultInjector) -> None:
         self.inner = predictor

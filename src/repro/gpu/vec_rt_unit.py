@@ -21,10 +21,9 @@ Trace then replay
 * *Root traces* (from a stack holding only the root) are built in
   chunks of whole source warps as each chunk's first warp is admitted,
   which bounds the kernels' temporaries.
-* At admission, predictor lookups batch per warp (``predict_batch`` is
-  order-equivalent to sequential lookups) and the same DFS builds every
-  predicted ray's *verification trace* from its speculative stack
-  ``[SENTINEL, nodes...]``.  It ends in a hit, or in the restart (the
+* At admission, the warp's predictor lookups run in member order and
+  the same DFS builds every predicted ray's *verification trace* from
+  its speculative stack ``[SENTINEL, nodes...]``.  It ends in a hit, or in the restart (the
   sentinel or a guard-invalid node) that links it to the root trace,
   whose records are copied behind it: each cursor walks one run.
 * Fetch, test, spill and misprediction counters are summed from the
@@ -53,8 +52,8 @@ Each step expands its visits' line runs in member order and walks the
 unique lines in first-occurrence order (the stepper's MSHR ``dict``
 order) through the shared port, caches and DRAM banks - the one Python
 loop, as it mutates that state line by line.  Training and confirmation
-stay scalar per retired ray in member order: interleaving them would
-reorder LRU stamps within a table set.
+stay per retired ray in member order: reordering them would change the
+LRU order within a table set.
 """
 
 from __future__ import annotations
@@ -442,20 +441,16 @@ class VectorRTUnit:
             dram_row_hits=dram.row_hits - dram_row_before,
         )
 
-    # Predictor stage: batched lookups, then verification traces
+    # Predictor stage: per-ray lookups, then verification traces
     def _predictor_stage(self, st: _VecState, group: np.ndarray) -> int:
         assert self.predictor is not None
         config = self.predictor.config
-        if self.predictor.supports_batch:
-            nodes, counts = self.predictor.predict_batch(st.ray_hash[group])
-        else:
-            # Fault-injection proxies (FaultyPredictor) have no batch
-            # surface; fall back to per-ray lookups in member order.
-            found = [self.predictor.predict(int(h)) or [] for h in st.ray_hash[group]]
-            counts = np.array([len(f) for f in found], dtype=np.int64)
-            nodes = np.zeros((len(group), max(1, int(counts.max()))), dtype=np.int64)
-            for i, f in enumerate(found):
-                nodes[i, : len(f)] = f
+        predict = self.predictor.predict
+        found = [predict(h) or [] for h in st.ray_hash[group].tolist()]
+        counts = np.array([len(f) for f in found], dtype=np.int64)
+        nodes = np.zeros((len(group), max(1, int(counts.max()))), dtype=np.int64)
+        for i, f in enumerate(found):
+            nodes[i, : len(f)] = f
         hitm = counts > 0
         rows = group[hitm]
         if len(rows):

@@ -154,8 +154,8 @@ def _append_worker_snapshot(snapshot: dict) -> None:
 def record_hook_activation(count: int = 1) -> None:
     """Count one enabled-branch execution of an introspection hook.
 
-    Called *inside* the ``enabled()`` branch of the vectable / RT-unit /
-    memory-hierarchy hooks, never on the off path - so the off-path
+    Called *inside* the ``enabled()`` branch of the predictor-table /
+    RT-unit / memory-hierarchy hooks, never on the off path - so the off-path
     overhead guard can assert "hooks did nothing" via this counter
     instead of a brittle wall-clock measurement.
     """

@@ -87,7 +87,7 @@ def table_stats_state(table) -> Optional[Tuple[int, ...]]:
     return (
         stats.lookups, stats.hits, stats.updates,
         stats.entry_evictions, stats.node_evictions,
-        getattr(table, "tag_alias_probes", 0),
+        table.tag_alias_probes,
     )
 
 
@@ -98,10 +98,10 @@ def publish_table_stats(
 
     ``since`` is a :func:`table_stats_state` snapshot from run start;
     ``None`` publishes the cumulative values (fresh-table runs).  The
-    occupancy gauge is point-in-time by nature.  ``tag_alias_probes``
-    (probes matching more than one way, only possible after tag
-    corruption or deliberate hash aliasing) is only tracked by the
-    vectorized table; the scalar reference table publishes zero.
+    occupancy gauge is point-in-time by nature.  ``table.tag_aliases``
+    counts lookups whose set held more than one entry with the probed
+    tag, which only tag corruption (``corrupt_tag``) can cause; the
+    table tracks it only if telemetry was enabled when it was built.
     ``table=None`` is a no-op (predictors without a single table).
     """
     if table is None or not telemetry.enabled():
@@ -114,8 +114,7 @@ def publish_table_stats(
     inc("table.updates", stats.updates - base[2], **labels)
     inc("table.entry_evictions", stats.entry_evictions - base[3], **labels)
     inc("table.node_evictions", stats.node_evictions - base[4], **labels)
-    inc("table.tag_aliases",
-        getattr(table, "tag_alias_probes", 0) - base[5], **labels)
+    inc("table.tag_aliases", table.tag_alias_probes - base[5], **labels)
     occupancy = getattr(table, "occupancy", None)
     if occupancy is not None:
         telemetry.set_gauge("table.occupancy", occupancy(), **labels)

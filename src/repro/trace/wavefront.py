@@ -496,37 +496,10 @@ def wavefront_closest_batch(
     return ts, best_tri
 
 
-def _array_seed_frontier(
-    nodes: np.ndarray, counts: np.ndarray, num_nodes: int, n: int
-) -> Tuple[Frontier, np.ndarray]:
-    """Vectorized seed construction from ``(nodes, counts)`` arrays.
-
-    Applies the same per-ray speculation guard as the sequence form: a
-    ray whose *active* slots contain any out-of-range node is flagged
-    for guard fallback and contributes no seeds.  Inactive (padding)
-    slots are ignored.
-    """
-    nodes = np.asarray(nodes, dtype=np.int64)
-    counts = np.asarray(counts, dtype=np.int64)
-    if nodes.shape[0] != n or counts.shape[0] != n:
-        raise ValueError(
-            f"seed arrays cover {nodes.shape[0]} rays, batch has {n}"
-        )
-    slots = nodes.shape[1] if nodes.ndim == 2 else 0
-    active = np.arange(slots)[None, :] < counts[:, None]
-    ok = (nodes >= 0) & (nodes < num_nodes)
-    guard_fallback = (active & ~ok).any(axis=1)
-    use = active & ok & ~guard_fallback[:, None]
-    seed_rids, _ = np.nonzero(use)
-    return (nodes[use], seed_rids.astype(np.int64)), guard_fallback
-
-
 def wavefront_verify_batch(
     bvh: FlatBVH,
     rays: RayBatch,
-    start_nodes_per_ray: Union[
-        Sequence[Optional[Sequence[int]]], Tuple[np.ndarray, np.ndarray]
-    ],
+    start_nodes_per_ray: Sequence[Optional[Sequence[int]]],
     stats: Optional[TraversalStats] = None,
 ) -> Tuple[np.ndarray, PerRayCounters, np.ndarray]:
     """Batched predictor verification with per-ray entry points.
@@ -538,13 +511,9 @@ def wavefront_verify_batch(
     the *same* node share one active list, so a popular predicted node is
     fetched once per window instead of once per ray.
 
-    ``start_nodes_per_ray`` is either a per-ray sequence of node lists,
-    or - the fully vectorized form produced by
-    :meth:`~repro.core.predictor.RayPredictor.predict_batch` - a
-    ``(nodes, counts)`` pair of arrays where ``nodes`` is ``(n, slots)``
-    int64 (left-packed, ``-1`` padded) and ``counts`` the number of
-    active slots per ray (0 = not predicted).  Both forms apply the
-    identical per-ray speculation guard.
+    ``start_nodes_per_ray`` holds one entry per ray, typically the
+    window's :meth:`~repro.core.predictor.RayPredictor.predict` results
+    in ray order.
 
     Speculation guard (degraded fallback): a ray whose entry list
     contains an out-of-range node index - a corrupted table entry driven
@@ -561,55 +530,42 @@ def wavefront_verify_batch(
         and the guard mask.
     """
     n = len(rays)
-    if (
-        isinstance(start_nodes_per_ray, tuple)
-        and len(start_nodes_per_ray) == 2
-        and isinstance(start_nodes_per_ray[0], np.ndarray)
-    ):
-        frontier, guard_fallback = _array_seed_frontier(
-            start_nodes_per_ray[0], start_nodes_per_ray[1], bvh.num_nodes, n
+    if len(start_nodes_per_ray) != n:
+        raise ValueError(
+            f"start_nodes_per_ray has {len(start_nodes_per_ray)} entries "
+            f"for {n} rays"
         )
-        counters = PerRayCounters.zeros(n)
-        hit_tri = np.full(n, -1, dtype=np.int64)
-        seed_rids_size = int(frontier[1].size)
-    else:
-        if len(start_nodes_per_ray) != n:
-            raise ValueError(
-                f"start_nodes_per_ray has {len(start_nodes_per_ray)} entries "
-                f"for {n} rays"
-            )
-        counters = PerRayCounters.zeros(n)
-        hit_tri = np.full(n, -1, dtype=np.int64)
-        guard_fallback = np.zeros(n, dtype=bool)
+    counters = PerRayCounters.zeros(n)
+    hit_tri = np.full(n, -1, dtype=np.int64)
+    guard_fallback = np.zeros(n, dtype=bool)
 
-        num_nodes = bvh.num_nodes
-        seed_nodes: List[int] = []
-        seed_rids: List[int] = []
-        for i, nodes in enumerate(start_nodes_per_ray):
-            if not nodes:
-                continue
-            entry: List[int] = []
-            ok = True
-            for raw in nodes:
-                node = int(raw)
-                if 0 <= node < num_nodes:
-                    entry.append(node)
-                else:
-                    ok = False
-                    break
-            if not ok:
-                guard_fallback[i] = True
-                continue
-            seed_nodes.extend(entry)
-            seed_rids.extend([i] * len(entry))
+    num_nodes = bvh.num_nodes
+    seed_nodes: List[int] = []
+    seed_rids: List[int] = []
+    for i, nodes in enumerate(start_nodes_per_ray):
+        if not nodes:
+            continue
+        entry: List[int] = []
+        ok = True
+        for raw in nodes:
+            node = int(raw)
+            if 0 <= node < num_nodes:
+                entry.append(node)
+            else:
+                ok = False
+                break
+        if not ok:
+            guard_fallback[i] = True
+            continue
+        seed_nodes.extend(entry)
+        seed_rids.extend([i] * len(entry))
 
-        frontier = (
-            np.asarray(seed_nodes, dtype=np.int64),
-            np.asarray(seed_rids, dtype=np.int64),
-        )
-        seed_rids_size = len(seed_rids)
+    frontier = (
+        np.asarray(seed_nodes, dtype=np.int64),
+        np.asarray(seed_rids, dtype=np.int64),
+    )
     with telemetry.span(
-        "wavefront.verify", rays=n, seeded=seed_rids_size,
+        "wavefront.verify", rays=n, seeded=len(seed_rids),
         guarded=int(guard_fallback.sum()),
     ) as sp:
         levels = _any_hit_pass(bvh, rays, frontier, hit_tri, counters)

@@ -133,6 +133,19 @@ class TestBenchmarkGate:
         assert gate, "benchmark-smoke must gate the predictor pipeline"
         assert any("--check" in r for r in gate)
 
+    def test_smoke_job_runs_pipeline_sweep(self, workflow):
+        steps = workflow["jobs"]["benchmark-smoke"]["steps"]
+        bench = [
+            s for s in steps if "pipeline_bench/run.py" in s.get("run", "")
+        ]
+        assert bench, "benchmark-smoke must run the pipeline sweep workload"
+        # The sweep checks the functional simulator's hits against
+        # trace_occlusion_batch; no other CI job runs it.
+        assert "--workload sweep" in bench[0]["run"]
+        # run.py exits 2 while the workflow-wide artifact cache is set.
+        assert workflow["env"]["REPRO_ARTIFACT_CACHE"]
+        assert bench[0].get("env", {}).get("REPRO_ARTIFACT_CACHE") == ""
+
     def test_committed_predictor_baseline_exists_for_gate(self):
         baseline = os.path.join(
             os.path.dirname(WORKFLOW), "..", "..",

@@ -1,5 +1,7 @@
 """Unit tests for the functional predictor simulation."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import PredictorConfig, simulate_predictor
@@ -86,6 +88,58 @@ class TestConcurrencyWindow:
         b = simulate_predictor(small_bvh, small_workload.rays, CFG)
         assert a.predictor_node_fetches == b.predictor_node_fetches
         assert a.verified == b.verified
+
+
+#: Statistics shared by every pinned case: same rays, same baseline.
+_PIN_COMMON = dict(
+    num_rays=512, hits=295,
+    baseline_node_fetches=5132, baseline_tri_fetches=3137,
+    table_lookups=512, table_updates=295, guard_fallbacks=0,
+)
+#: (predicted, verified, predictor node/tri fetches, misprediction
+#: node/tri fetches) per (table entries, node policy, in_flight), as
+#: computed by the per-entry table.  At 1024 entries the table never
+#: fills, so node eviction tells the policies apart; at 32 entries sets
+#: evict entries, so the order of a window's trains shows.
+_PINNED = {
+    (1024, "lru", 1): (247, 82, 5184, 3471, 388, 348),
+    (1024, "lru", 8): (219, 68, 5201, 3431, 352, 308),
+    (1024, "lru", 256): (42, 14, 5113, 3161, 46, 28),
+    (1024, "lfu", 1): (247, 82, 5186, 3471, 390, 348),
+    (1024, "lfu", 8): (219, 68, 5203, 3431, 354, 308),
+    (1024, "lfu", 256): (42, 14, 5113, 3161, 46, 28),
+    (1024, "lru-k", 1): (247, 82, 5186, 3471, 390, 348),
+    (1024, "lru-k", 8): (219, 68, 5203, 3431, 354, 308),
+    (1024, "lru-k", 256): (42, 14, 5113, 3161, 46, 28),
+    (32, "lru", 1): (192, 67, 5110, 3371, 270, 248),
+    (32, "lru", 8): (162, 51, 5159, 3327, 243, 204),
+    (32, "lru", 256): (35, 9, 5134, 3161, 43, 28),
+}
+
+
+class TestPinnedStatistics:
+    """Every counter of the default (wavefront) engine, pinned exactly."""
+
+    @pytest.mark.parametrize("entries,policy,in_flight", sorted(_PINNED))
+    def test_statistics(self, small_bvh, small_workload, entries, policy,
+                        in_flight):
+        config = CFG.with_overrides(
+            num_entries=entries, nodes_per_entry=2, node_policy=policy
+        )
+        result = simulate_predictor(
+            small_bvh, small_workload.rays, config, in_flight=in_flight
+        )
+        got = {
+            f.name: getattr(result, f.name)
+            for f in dataclasses.fields(result) if f.name != "outcomes"
+        }
+        varying = dict(zip(
+            ("predicted", "verified",
+             "predictor_node_fetches", "predictor_tri_fetches",
+             "misprediction_node_fetches", "misprediction_tri_fetches"),
+            _PINNED[entries, policy, in_flight],
+        ))
+        assert got == {**_PIN_COMMON, **varying}
 
 
 class TestSavingsMetrics:

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro import telemetry
 from repro.core.table import PredictorTable
+from repro.telemetry.publish import publish_table_stats, table_stats_state
 
 
 def make(entries=64, ways=4, nodes=1, bits=15, policy="lru"):
@@ -124,6 +126,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             PredictorTable(num_entries=0, ways=1)
 
+    def test_rejects_bad_node_policy(self):
+        # Rejected at construction, not at the first update mid-sweep.
+        with pytest.raises(ValueError, match="policy"):
+            PredictorTable(node_policy="mru")
+        with pytest.raises(ValueError, match="k must be"):
+            PredictorTable(node_policy="lru-k", node_policy_kwargs={"k": 0})
+
 
 class TestSizeAccounting:
     def test_paper_default_is_5_5kb(self):
@@ -168,3 +177,49 @@ class TestOccupancyAndIteration:
         table.update(1, 11)
         table.update(2, 22)
         assert sorted(table.iter_nodes()) == [11, 22]
+
+
+class TestFaultSurface:
+    def test_way_zero_is_the_lru_end(self):
+        table = make(entries=2, ways=2, bits=6)  # one set
+        table.update(1, 10)
+        table.update(2, 20)
+        assert [table.entry_tag(0, w) for w in (0, 1)] == [1, 2]
+        table.lookup(1)
+        assert [table.entry_tag(0, w) for w in (0, 1)] == [2, 1]
+
+
+class TestTagAliases:
+    @pytest.fixture(autouse=True)
+    def clean_telemetry(self):
+        telemetry.disable()
+        telemetry.reset_telemetry()
+        yield
+        telemetry.disable()
+        telemetry.reset_telemetry()
+
+    @staticmethod
+    def _aliased_lookups():
+        """Give both entries of one set tag 1, then look tags 1 and 3 up."""
+        table = make(entries=2, ways=2, bits=6)  # one set
+        table.update(1, 10)  # front of the set (LRU end)
+        table.update(2, 20)
+        base = table_stats_state(table)
+        table.corrupt_tag(0, 1, 1)
+        found = [table.lookup(1), table.lookup(3)]
+        return table, base, found
+
+    def test_enabled_counts_aliased_lookups(self):
+        telemetry.enable(reset=True)
+        table, base, found = self._aliased_lookups()
+        # The aliased lookup answers with the entry at the LRU end.
+        assert found == [[10], None]
+        publish_table_stats(table, since=base)
+        assert telemetry.get_registry().value("table.tag_aliases") == 1
+        assert telemetry.hook_activations() == 2
+
+    def test_disabled_records_no_hook(self):
+        table, _, found = self._aliased_lookups()
+        assert found == [[10], None]
+        assert table.tag_alias_probes == 0
+        assert telemetry.hook_activations() == 0

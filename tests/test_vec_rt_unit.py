@@ -5,10 +5,8 @@ rewrite, not a remodel: it must produce the *same* :class:`RTUnitResult`
 as the scalar stepper — cycle counts, every fetch/test counter, and the
 cache/DRAM statistics — for any configuration.  These tests pin that
 contract on the shared test scene across config variants, plus a
-Hypothesis property over small warp shapes, mirroring the
-``test_vectable.py``-vs-``table.py`` pattern used for the predictor
-pipeline, and on a registry scene at the Figure 12 shape, where the
-predictor verifies and mispredicts.
+Hypothesis property over small warp shapes, and on a registry scene at
+the Figure 12 shape, where the predictor verifies and mispredicts.
 """
 
 import numpy as np
@@ -55,8 +53,6 @@ class UnguardedPredictor(FaultyPredictor):
 
 class FixedPredictor:
     """A per-ray predictor double that predicts ``nodes`` for every ray."""
-
-    supports_batch = False
 
     def __init__(self, bvh, config, nodes):
         self.inner = RayPredictor(bvh, config)

@@ -1,5 +1,10 @@
 #!/usr/bin/env python3
-"""Standalone entry point for the engine benchmark harness.
+"""Standalone entry point for the benchmark harness.
+
+The harness times each production call against its scalar twin (the
+:mod:`repro.reference` oracles for traversal and the predictor
+simulation); presets, gates and committed baselines are shared with
+``python -m repro bench``.
 
 Thin wrapper over :mod:`repro.bench.harness` so the harness can be run
 straight from a checkout without installing the package::

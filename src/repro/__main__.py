@@ -5,7 +5,8 @@ Commands:
     quick SCENE       baseline-vs-predictor headline numbers for a scene
     limit SCENE       run the Figure 2 limit study on a scene
     faults SCENE      differential fault-injection oracle for a scene
-    bench             scalar-vs-wavefront timing, BENCH_*.json artifacts
+    bench             production code timed against its scalar twin,
+                      BENCH_*.json artifacts
     simulate          resilient multi-scene predictor sweep, SIM_*.json
     telemetry         instrumented run, telemetry.json + summary
     report            stitch results/*.txt into REPORT.md; --ledger builds
@@ -16,7 +17,7 @@ Resilience (``bench`` and ``simulate``): ``--resume`` continues a sweep
 from its checkpoint without re-running completed scenes; ``--supervise``
 / ``--max-retries`` / ``--unit-timeout`` / ``--memory-budget`` run each
 scene under the run supervisor (retry with backoff, then the
-wavefront -> scalar -> predictor-off -> skip degradation ladder);
+wavefront -> predictor-off -> skip degradation ladder);
 ``--no-degrade`` fails the sweep instead of degrading; ``--chaos-rate``
 / ``--force-fail`` inject synthetic unit faults for chaos testing.
 See docs/ROBUSTNESS.md.
@@ -133,7 +134,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         in_flight=args.in_flight,
         perturb_rays=args.perturb_rays,
         scene=scene.name,
-        engine=args.engine,
     )
     print(report.summary())
     # A mismatch is the one result this command exists to catch; raise
@@ -320,7 +320,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         detail=args.detail,
         sim_rays=args.rays,
         in_flight=args.in_flight,
-        engine=args.engine,
     )
     default_checkpoint = os.path.join(
         args.out, f"SIM_{preset.name}.checkpoint.json"
@@ -354,7 +353,6 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
         spp=args.spp,
         sim_rays=args.rays,
         rt_rays=args.rays,
-        engine=args.engine,
     )
     if args.quick:
         preset = preset.scaled_for_quick()
@@ -471,15 +469,18 @@ def main(argv: list[str] | None = None) -> int:
                         help="delayed-update window (smaller = more predictions)")
     faults.add_argument("--perturb-rays", action="store_true",
                         help="also inject NaN/inf/zero-direction rays")
-    faults.add_argument("--engine", default="scalar",
-                        help="traversal engine: scalar or wavefront")
 
     bench = sub.add_parser(
         "bench",
-        help="time scalar vs. wavefront engines, emit BENCH_*.json",
+        help="time production code against its scalar twin, emit "
+        "BENCH_*.json",
         description="Run the benchmark harness (repro.bench) on pinned-seed "
         "workloads and write a BENCH_<preset>.json artifact; with --check, "
-        "fail on regression against the committed baselines.",
+        "fail on regression against the committed baselines.  Each "
+        "production call is timed against its scalar twin: the "
+        "repro.reference loops for traversal and the predictor simulation "
+        "(records labelled 'scalar' next to 'wavefront'), the scalar RT "
+        "unit and BVH builders for the timing and build presets.",
     )
     bench.add_argument("--quick", action="store_true",
                        help="CI smoke preset (3 scenes, <60s) instead of full")
@@ -532,8 +533,6 @@ def main(argv: list[str] | None = None) -> int:
     simulate.add_argument("--in-flight", type=int, default=32,
                           dest="in_flight",
                           help="delayed-update window for the predictor")
-    simulate.add_argument("--engine", default="wavefront",
-                          help="traversal engine at the top ladder rung")
     simulate.add_argument("--out", default="results",
                           help="directory for the SIM_*.json artifact")
     _add_parallel_args(simulate)
@@ -553,8 +552,6 @@ def main(argv: list[str] | None = None) -> int:
     tele.add_argument("--spp", type=int, default=2)
     tele.add_argument("--rays", type=int, default=1024,
                       help="rays for the predictor/RT-unit stages")
-    tele.add_argument("--engine", default="wavefront",
-                      help="traversal engine: scalar or wavefront")
     tele.add_argument("--out", default="results/telemetry.json",
                       help="artifact path")
     tele.add_argument("--trace-out", default=None, dest="trace_out",

@@ -1,11 +1,14 @@
-"""Benchmark harness: timed scalar-vs-wavefront runs with JSON artifacts.
+"""Benchmark harness: production code timed against its scalar twin.
 
-The harness is the measured half of the wavefront engine's contract: the
-engines are proven bit-identical by the differential tests, and proven
-*faster* by :mod:`repro.bench.harness`, which times both engines on
+The harness is the measured half of the production engines' contract:
+the differential tests prove each production call agrees with its
+scalar twin (the :mod:`repro.reference` oracles for traversal and the
+predictor simulation), and :mod:`repro.bench.harness` times the two on
 pinned seeds and emits machine-readable ``BENCH_<name>.json`` artifacts.
+It is the only production module that imports :mod:`repro.reference`.
 CI's benchmark-smoke job replays the quick preset and fails the build on
-a >20 % regression against the committed baselines (see
+a >20 % regression against the committed baselines, which keep their
+presets, gates and ``"wavefront"``/``"scalar"`` record labels (see
 ``docs/BENCHMARKING.md``).
 """
 

@@ -1,7 +1,13 @@
-"""Timed scalar-vs-wavefront benchmarks emitting ``BENCH_<name>.json``.
+"""Production code timed against its scalar twin, as ``BENCH_<name>.json``.
 
-Three benchmarks run per scene, each once per engine on identical
-pinned-seed workloads:
+Every benchmark times a production call against its scalar twin on
+identical pinned-seed workloads.  Records name the side they timed in
+their ``engine`` field: ``"wavefront"`` is the production traversal or
+predictor simulation and ``"scalar"`` its oracle in
+:mod:`repro.reference`; the ``rt_timing`` and ``bvh_build`` families
+pair the ``"vector"`` production engine with the ``"scalar"`` engine of
+:func:`repro.gpu.simulate_workload` and :func:`repro.bvh.build_bvh`.
+Three benchmarks run per scene by default:
 
 * ``occlusion_trace`` - batch any-hit tracing of the scene's AO rays
   (the paper's headline workload and the wavefront engine's target);
@@ -58,7 +64,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import telemetry
+from repro import reference, telemetry
 from repro.bvh.cache import cached_build_bvh, configure_artifact_cache, get_artifact_cache
 from repro.errors import TelemetryAggregationError
 from repro.core.simulate import simulate_baseline, simulate_predictor
@@ -74,7 +80,6 @@ from repro.resilience import (
 from repro.scenes import get_scene
 from repro.telemetry import distributed
 from repro.trace import TraversalStats, trace_closest_batch, trace_occlusion_batch
-from repro.trace.wavefront import ENGINES
 
 #: Artifact schema identifier; bump on incompatible layout changes.
 #: 2 added the optional ``telemetry`` section; 3 added the optional
@@ -97,6 +102,29 @@ ACCEPTED_SCHEMAS = (
 
 #: Benchmarks gated by the regression check, in artifact order.
 BENCHMARKS = ("occlusion_trace", "closest_trace", "predictor_sim")
+
+#: The two sides a sweep times, as record labels: the production call
+#: and its :mod:`repro.reference` twin.
+ENGINES: Tuple[str, ...] = ("wavefront", "scalar")
+
+#: The call each benchmark times on each side.
+_CALLS = {
+    "occlusion_trace": {
+        "wavefront": trace_occlusion_batch,
+        "scalar": reference.trace_occlusion_batch,
+    },
+    "closest_trace": {
+        "wavefront": trace_closest_batch,
+        "scalar": reference.trace_closest_batch,
+    },
+    "predictor_sim": {
+        "wavefront": simulate_predictor,
+        "scalar": reference.simulate_predictor,
+    },
+}
+
+#: RT-unit and BVH-build engine timed for each side.
+_PAIRED_ENGINE = {"wavefront": "vector", "scalar": "scalar"}
 
 #: Allowed relative regression before the check fails (satellite spec: 20%).
 DEFAULT_TOLERANCE = 0.20
@@ -281,13 +309,8 @@ def _trace_record(
     benchmark: str, scene_code: str, engine: str, bvh, rays, repeats: int
 ) -> BenchRecord:
     stats = TraversalStats()
-    if benchmark == "occlusion_trace":
-        def run():
-            return trace_occlusion_batch(bvh, rays, stats=stats, engine=engine)
-    else:
-        def run():
-            return trace_closest_batch(bvh, rays, stats=stats, engine=engine)
-    wall, _ = _timed(run, repeats)
+    trace = _CALLS[benchmark][engine]
+    wall, _ = _timed(lambda: trace(bvh, rays, stats=stats), repeats)
     n = len(rays)
     # Counters accumulated across repeats; report the per-run share.
     runs = max(1, repeats)
@@ -310,15 +333,15 @@ def _sim_record(
     sub = rays.subset(np.arange(min(preset.sim_rays, len(rays))))
 
     if predictor_enabled:
+        simulate = _CALLS["predictor_sim"][engine]
+
         def run():
-            return simulate_predictor(
-                bvh, sub, in_flight=preset.in_flight, engine=engine
-            )
+            return simulate(bvh, sub, in_flight=preset.in_flight)
     else:
         # The ``predictor_off`` ladder rung: exact occlusion and
         # traversal traffic from plain full traversal, no table.
         def run():
-            return simulate_baseline(bvh, sub, engine=engine)
+            return simulate_baseline(bvh, sub)
 
     # The simulation trains a fresh table per call, so repeats are
     # independent; time a single run per repeat and keep the best.
@@ -424,12 +447,7 @@ def _build_records(
     from repro.bvh.stats import compute_stats
     from repro.bvh.vector import trees_identical
 
-    # Engine pair follows the degradation rung like ``rt_timing``: the
-    # full rung times vector against the scalar oracle; degraded rungs
-    # keep scalar only, dropping the speedup but keeping the tree stats.
-    build_engines = (
-        ("vector", "scalar") if "wavefront" in engines else ("scalar",)
-    )
+    build_engines = tuple(_PAIRED_ENGINE[e] for e in engines)
     n = len(scene.mesh)
     records: List[BenchRecord] = []
     refit_base = None
@@ -562,13 +580,7 @@ def _scene_records(
                     f"{rec.wall_time_s * 1e3:8.1f} ms  {rec.rays_per_sec:>12,.0f} rays/s"
                 )
         if "rt_timing" in selected:
-            # Engine pair follows the degradation rung: the full rung
-            # ("wavefront" in the traversal-engine set) times vector
-            # against the scalar oracle; degraded rungs keep scalar
-            # only, dropping the speedup but preserving the counters.
-            timing_engines = (
-                ("vector", "scalar") if "wavefront" in engines else ("scalar",)
-            )
+            timing_engines = tuple(_PAIRED_ENGINE[e] for e in engines)
             variants = [False]
             if preset.timing_predictor and predictor_enabled:
                 variants.append(True)
@@ -668,10 +680,8 @@ def _rung_plan(
     """(engines, predictor_enabled) for a bench unit at ``rung``."""
     if rung == "wavefront":
         return tuple(engines), True
-    if rung == "scalar":
-        return ("scalar",), True
     if rung == "predictor_off":
-        return ("scalar",), False
+        return ("wavefront",), False
     return None  # pragma: no cover - supervisor never asks for "skip"
 
 
@@ -689,7 +699,8 @@ def run_benchmarks(
 
     Args:
         preset: the pinned configuration to run.
-        engines: traversal engines to time (default: both).
+        engines: sides to time (default: both): ``"wavefront"``, the
+            production calls, and ``"scalar"``, their twins.
         scenes: optional scene-code override (subset runs for quick
             local iteration; the artifact records what actually ran).
         progress: optional callable receiving one-line status strings.
@@ -813,10 +824,10 @@ def _run_resilient(
 
     Rung semantics for a bench unit:
 
-    * ``wavefront``     - the requested engine set, predictor sim on;
-    * ``scalar``        - scalar engine only (lower peak memory);
-    * ``predictor_off`` - scalar engine, predictor-disabled baseline
-      simulation (:func:`repro.core.simulate.simulate_baseline`);
+    * ``wavefront``     - the requested sides, predictor sim on;
+    * ``predictor_off`` - production calls only, with the
+      predictor-disabled baseline simulation
+      (:func:`repro.core.simulate.simulate_baseline`);
     * ``skip``          - no records; the manifest carries the
       diagnostic.
 

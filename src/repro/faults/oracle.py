@@ -11,7 +11,11 @@ surface as a structured :class:`~repro.errors.OracleMismatchError`.
 This is the executable form of the paper's Section 3 contract ("a
 misprediction is later checked ... and the ray falls back to a full
 traversal"), generalized from *mispredicted* to *arbitrarily corrupted*
-table state.
+table state.  Both runs use the production code: the baseline is
+:func:`~repro.trace.traversal.trace_occlusion_batch` and the simulation
+is :func:`~repro.core.simulate.simulate_predictor`, whose windows probe
+the table once per ray through ``predict`` - the per-lookup hook the
+:class:`~repro.faults.injector.FaultyPredictor` corrupts through.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from repro.errors import OracleMismatchError
 from repro.faults.injector import FaultConfig, FaultInjector, FaultyPredictor
 from repro.geometry.ray import RayBatch, validate_ray_batch
 from repro.trace.traversal import trace_occlusion_batch
-from repro.trace.wavefront import resolve_engine
 
 
 @dataclass
@@ -91,7 +94,6 @@ def run_differential_oracle(
     in_flight: int = DEFAULT_IN_FLIGHT,
     perturb_rays: bool = False,
     scene: str = "?",
-    engine: str = "scalar",
 ) -> DifferentialReport:
     """Compare baseline vs. predictor-under-injected-faults occlusion.
 
@@ -106,16 +108,11 @@ def run_differential_oracle(
             ray perturbation and the input-validation filter first
             (exercises the full input boundary, not just the table).
         scene: label used in the report.
-        engine: traversal engine for both the baseline batch and the
-            predictor simulation (``"scalar"`` or ``"wavefront"``).  The
-            oracle's contract is engine-independent: corrupted
-            speculation must never change per-ray occlusion under either.
 
     Returns:
         A :class:`DifferentialReport`; check ``report.ok`` or call
         ``report.raise_on_mismatch()``.
     """
-    resolve_engine(engine)
     fault_config = fault_config or FaultConfig()
     injector = FaultInjector(fault_config, num_nodes=bvh.num_nodes)
 
@@ -126,14 +123,13 @@ def run_differential_oracle(
         rays_filtered = screening.num_invalid
 
     # Baseline: per-ray occlusion by plain full traversal.
-    baseline = trace_occlusion_batch(bvh, rays, engine=engine)
+    baseline = trace_occlusion_batch(bvh, rays)
 
     # Predictor under fault injection, same rays, same order.
     predictor = RayPredictor(bvh, config)
     faulty = FaultyPredictor(predictor, injector)
     result = simulate_predictor(
         bvh, rays, predictor=faulty, in_flight=in_flight, keep_outcomes=True,
-        engine=engine,
     )
     under_faults = np.array([o.hit for o in result.outcomes], dtype=bool)
 

@@ -18,10 +18,9 @@ import numpy as np
 from repro import telemetry
 from repro.bvh.nodes import FlatBVH
 from repro.geometry.ray import RayBatch, RayBatchValidation, validate_ray_batch
-from repro.rays.camera import PinholeCamera
+from repro.rays.camera import _primary_hits
 from repro.rays.sampling import cosine_hemisphere_batch
 from repro.scenes.scene import Scene
-from repro.trace.traversal import DEFAULT_ENGINE, trace_closest_batch
 
 #: Offset applied along the normal to avoid self-intersection.
 _SURFACE_EPSILON = 1e-4
@@ -102,28 +101,25 @@ def generate_ao_workload(
     height: int = 64,
     spp: int = 2,
     seed: int = 0,
-    engine: str = DEFAULT_ENGINE,
 ) -> AOWorkload:
     """Full Section 5.2 pipeline: primary pass then AO ray generation.
 
     The paper uses 1024x1024 at 4 spp (about four million AO rays); the
     defaults here are scaled for a pure-Python simulator but the knobs are
-    identical.  ``engine`` selects the traversal engine for the primary
-    pass; both engines yield bit-identical hits, so the generated
-    workload does not depend on the choice.
+    identical.
     """
     with telemetry.span(
         "workload.generate", width=width, height=height, spp=spp,
-        engine=engine,
+        engine="wavefront",
     ) as sp:
-        workload = _generate_ao_workload(
-            scene, bvh, width, height, spp, seed, engine
-        )
+        workload = _generate_ao_workload(scene, bvh, width, height, spp, seed)
         sp.add(
             rays=len(workload.rays),
             primary_hits=workload.num_primary_hits,
         )
-    telemetry.inc_counter("workload.ao_rays", len(workload.rays), engine=engine)
+    telemetry.inc_counter(
+        "workload.ao_rays", len(workload.rays), engine="wavefront"
+    )
     return workload
 
 
@@ -134,29 +130,11 @@ def _generate_ao_workload(
     height: int,
     spp: int,
     seed: int,
-    engine: str,
 ) -> AOWorkload:
     rng = np.random.default_rng(seed)
-    camera = PinholeCamera(scene.camera, width, height)
-    primary = camera.primary_rays()
-    ts, tris = trace_closest_batch(bvh, primary, engine=engine)
-
-    hit_mask = tris >= 0
-    hit_idx = np.nonzero(hit_mask)[0]
-    hit_points = primary.origins[hit_idx] + primary.directions[hit_idx] * ts[hit_idx][:, None]
-
-    # Geometric normals of the hit triangles, flipped toward the viewer.
-    mesh = bvh.mesh
-    hit_tris = tris[hit_idx]
-    e1 = mesh.v1[hit_tris] - mesh.v0[hit_tris]
-    e2 = mesh.v2[hit_tris] - mesh.v0[hit_tris]
-    normals = np.cross(e1, e2)
-    norms = np.linalg.norm(normals, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    normals /= norms
-    facing = np.einsum("ij,ij->i", normals, primary.directions[hit_idx])
-    normals[facing > 0.0] *= -1.0
-
+    primary, hit_idx, hit_points, normals = _primary_hits(
+        scene, bvh, width, height
+    )
     rays = generate_ao_rays(scene, bvh, hit_points, normals, spp, rng)
     pixel_index = np.repeat(hit_idx, spp)
     # Input boundary guard: drop NaN/inf/zero-direction rays (possible

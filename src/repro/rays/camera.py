@@ -1,13 +1,16 @@
-"""Pinhole camera and primary-ray generation."""
+"""Pinhole camera, primary-ray generation and the primary-hit pass."""
 
 from __future__ import annotations
 
 import math
+from typing import Tuple
 
 import numpy as np
 
+from repro.bvh.nodes import FlatBVH
 from repro.geometry.ray import RayBatch
-from repro.scenes.scene import CameraSpec
+from repro.scenes.scene import CameraSpec, Scene
+from repro.trace.traversal import trace_closest_batch
 
 
 class PinholeCamera:
@@ -65,3 +68,36 @@ class PinholeCamera:
         if index < 0 or index >= self.width * self.height:
             raise IndexError("ray index out of range")
         return index % self.width, index // self.width
+
+
+def _primary_hits(
+    scene: Scene, bvh: FlatBVH, width: int, height: int
+) -> Tuple[RayBatch, np.ndarray, np.ndarray, np.ndarray]:
+    """Trace the camera's primary rays and describe the surfaces they hit.
+
+    The first pass of every secondary-ray generator (AO, shadow and
+    reflection rays).
+
+    Returns:
+        ``(primary, hit_idx, points, normals)``: every primary ray, the
+        flat pixel indices whose ray hit geometry, the hit points, and
+        the hit triangles' unit geometric normals flipped toward the
+        viewer.
+    """
+    primary = PinholeCamera(scene.camera, width, height).primary_rays()
+    ts, tris = trace_closest_batch(bvh, primary)
+    hit_idx = np.nonzero(tris >= 0)[0]
+    incoming = primary.directions[hit_idx]
+    points = primary.origins[hit_idx] + incoming * ts[hit_idx][:, None]
+
+    mesh = bvh.mesh
+    hit_tris = tris[hit_idx]
+    e1 = mesh.v1[hit_tris] - mesh.v0[hit_tris]
+    e2 = mesh.v2[hit_tris] - mesh.v0[hit_tris]
+    normals = np.cross(e1, e2)
+    norms = np.linalg.norm(normals, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    normals /= norms
+    facing = np.einsum("ij,ij->i", normals, incoming)
+    normals[facing > 0.0] *= -1.0
+    return primary, hit_idx, points, normals

@@ -18,9 +18,8 @@ import numpy as np
 
 from repro.bvh.nodes import FlatBVH
 from repro.geometry.ray import RayBatch, RayBatchValidation, validate_ray_batch
-from repro.rays.camera import PinholeCamera
+from repro.rays.camera import _primary_hits
 from repro.scenes.scene import Scene
-from repro.trace.traversal import DEFAULT_ENGINE, trace_closest_batch
 
 _SURFACE_EPSILON = 1e-4
 #: Shadow rays stop just short of the light to avoid self-intersection.
@@ -60,37 +59,20 @@ def generate_shadow_workload(
     width: int = 64,
     height: int = 64,
     light: Sequence[float] | None = None,
-    engine: str = DEFAULT_ENGINE,
 ) -> ShadowWorkload:
     """One shadow ray per primary-hit pixel toward ``light``.
 
     Rays carry ``t_max`` equal to the surface-to-light distance (less an
     epsilon), so any hit inside the interval means the pixel is shadowed
     - first-hit termination applies, the predictor's target case.
-    ``engine`` selects the traversal engine for the primary pass.
     """
     light_pos = tuple(light) if light is not None else default_light_position(scene)
-    camera = PinholeCamera(scene.camera, width, height)
-    primary = camera.primary_rays()
-    ts, tris = trace_closest_batch(bvh, primary, engine=engine)
-    hit_idx = np.nonzero(tris >= 0)[0]
+    _, hit_idx, points, normals = _primary_hits(scene, bvh, width, height)
     if hit_idx.size == 0:
         return ShadowWorkload(
             RayBatch(np.zeros((0, 3)), np.zeros((0, 3))),
             np.zeros(0, dtype=np.int64), light_pos, width, height,
         )
-
-    points = primary.origins[hit_idx] + primary.directions[hit_idx] * ts[hit_idx][:, None]
-    mesh = bvh.mesh
-    hit_tris = tris[hit_idx]
-    e1 = mesh.v1[hit_tris] - mesh.v0[hit_tris]
-    e2 = mesh.v2[hit_tris] - mesh.v0[hit_tris]
-    normals = np.cross(e1, e2)
-    norms = np.linalg.norm(normals, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    normals /= norms
-    facing = np.einsum("ij,ij->i", normals, primary.directions[hit_idx])
-    normals[facing > 0.0] *= -1.0
 
     to_light = np.asarray(light_pos) - points
     distances = np.linalg.norm(to_light, axis=1)

@@ -15,8 +15,8 @@ import numpy as np
 from repro.bvh.nodes import FlatBVH
 from repro.rays.aogen import AOWorkload, generate_ao_workload
 from repro.scenes.scene import Scene
-from repro.trace.counters import TraversalStats
-from repro.trace.traversal import DEFAULT_ENGINE, trace_occlusion_batch
+from repro.telemetry.stats import TraversalStats
+from repro.trace.traversal import trace_occlusion_batch
 
 
 @dataclass
@@ -44,20 +44,17 @@ def render_ao(
     height: int = 64,
     spp: int = 4,
     seed: int = 0,
-    engine: str = DEFAULT_ENGINE,
 ) -> AOImage:
     """Render an ambient-occlusion image of ``scene``.
 
     Traces one primary ray per pixel, then ``spp`` occlusion rays per
     primary hit (Section 5.2's recipe), and averages visibility.
-    ``engine`` selects the traversal engine for both passes; the image is
-    bit-identical either way.
     """
     workload = generate_ao_workload(
-        scene, bvh, width=width, height=height, spp=spp, seed=seed, engine=engine
+        scene, bvh, width=width, height=height, spp=spp, seed=seed
     )
     stats = TraversalStats()
-    hits = trace_occlusion_batch(bvh, workload.rays, stats=stats, engine=engine)
+    hits = trace_occlusion_batch(bvh, workload.rays, stats=stats)
 
     visibility = np.ones(width * height, dtype=np.float64)
     if len(workload):

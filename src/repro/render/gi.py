@@ -25,7 +25,7 @@ from repro.geometry.vec import vec_normalize
 from repro.rays.camera import PinholeCamera
 from repro.rays.sampling import cosine_sample_hemisphere
 from repro.scenes.scene import Scene
-from repro.trace.counters import TraversalStats
+from repro.telemetry.stats import TraversalStats
 from repro.trace.traversal import closest_hit
 
 #: Offset along the surface normal to avoid self-intersection.

@@ -13,7 +13,7 @@ is never all-or-nothing:
   failures into transient (retry with seeded-jitter exponential
   backoff), degradable, skip-class, and fatal;
 * :mod:`repro.resilience.degrade` - the explicit degradation ladder
-  (wavefront -> scalar -> predictor-disabled -> skip-with-diagnostic)
+  (wavefront -> predictor-disabled -> skip-with-diagnostic)
   and the partial-results manifest every resilient sweep terminates
   with.
 

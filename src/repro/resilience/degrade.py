@@ -9,13 +9,15 @@ cheaper-but-safer configurations instead of sinking the whole sweep:
 ====================  ==================================================
 rung                  meaning
 ====================  ==================================================
-``wavefront``         full configuration, vectorized wavefront engine
-``scalar``            scalar reference engine (lower peak memory: no
-                      per-level gathered frontiers)
+``wavefront``         full configuration, predictor simulation on
 ``predictor_off``     predictor-disabled baseline - plain traversal
                       only, no table, no functional simulation
 ``skip``              give up on the unit, record a diagnostic
 ====================  ==================================================
+
+There is no engine rung: production has one traversal engine, and a
+deterministic engine bug is the differential tests' job (against the
+oracles in :mod:`repro.reference`), not a runtime fallback's.
 
 A sweep therefore always terminates, and its artifact carries a
 :class:`PartialResultsManifest` listing what succeeded, what ran
@@ -29,7 +31,7 @@ from typing import Dict, List, Optional, Tuple
 
 #: The ladder, strongest rung first.  ``skip`` is always last and always
 #: "succeeds" (by recording a diagnostic instead of a result).
-LADDER: Tuple[str, ...] = ("wavefront", "scalar", "predictor_off", "skip")
+LADDER: Tuple[str, ...] = ("wavefront", "predictor_off", "skip")
 
 #: Unit statuses a manifest entry can carry.
 STATUSES: Tuple[str, ...] = ("ok", "degraded", "skipped", "failed", "resumed")

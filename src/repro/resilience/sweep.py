@@ -1,6 +1,6 @@
 """Resilient multi-scene predictor-simulation sweeps (``repro simulate``).
 
-``repro bench`` times engines; this sweep runs the *functional*
+``repro bench`` times production code; this sweep runs the *functional*
 predictor simulation (:func:`repro.core.simulate.simulate_predictor`)
 across scenes and reports the paper's headline rates (predicted /
 verified / memory savings) per scene.  Every scene is a supervised unit
@@ -46,12 +46,10 @@ class SimulatePreset:
     detail: float = 0.5
     sim_rays: int = 512
     in_flight: int = 32
-    engine: str = "wavefront"
 
 
 def _scene_result(preset: SimulatePreset, code: str, rung: str) -> dict:
     """Simulate one scene at one ladder rung; returns a JSON-safe row."""
-    engine = preset.engine if rung == "wavefront" else "scalar"
     with telemetry.label_context(scene=code):
         scene = get_scene(code, detail=preset.detail)
         bvh = cached_build_bvh(scene.mesh)
@@ -64,14 +62,11 @@ def _scene_result(preset: SimulatePreset, code: str, rung: str) -> dict:
             np.arange(min(preset.sim_rays, len(workload.rays)))
         )
         if rung == "predictor_off":
-            result = simulate_baseline(bvh, rays, engine="scalar")
+            result = simulate_baseline(bvh, rays)
         else:
-            result = simulate_predictor(
-                bvh, rays, in_flight=preset.in_flight, engine=engine
-            )
+            result = simulate_predictor(bvh, rays, in_flight=preset.in_flight)
     return {
         "scene": code,
-        "engine": "scalar" if rung != "wavefront" else engine,
         "predictor_enabled": rung != "predictor_off",
         "num_rays": result.num_rays,
         "predicted_rate": round(result.predicted_rate, 6),
@@ -143,8 +138,8 @@ def run_simulation_sweep(
 ) -> dict:
     """Run the sweep; always returns a payload with a manifest.
 
-    The ladder for a simulate unit: the requested engine, then the
-    scalar reference, then the predictor-disabled baseline, then skip.
+    The ladder for a simulate unit: the predictor simulation, then the
+    predictor-disabled baseline, then skip.
     With ``jobs > 1``, non-resumed units shard across worker processes
     (each supervising its own unit); the parent checkpoints them as
     they complete, so ``--jobs`` composes with ``--resume``.
@@ -288,7 +283,7 @@ def summarize_sweep(payload: dict) -> str:
     for row in payload["results"]:
         tag = "" if row.get("predictor_enabled", True) else "  [predictor off]"
         lines.append(
-            f"  {row['scene']:4s} {row['engine']:9s} "
+            f"  {row['scene']:4s} "
             f"predicted {row['predicted_rate']:6.1%}  "
             f"verified {row['verified_rate']:6.1%}  "
             f"memory {row['memory_savings']:+7.1%}{tag}"

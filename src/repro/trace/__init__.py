@@ -1,15 +1,17 @@
-"""Reference BVH traversal (Algorithm 1) and traversal statistics.
+"""BVH traversal (Algorithm 1): per-ray kernels, the batch engine, stats.
 
-These kernels are the functional ground truth: the predictor and the
-RT-unit timing model are validated against them, and the limit study
-(Figure 2) uses their all-hits variant to compute oracle predictions.
+The per-ray kernels are the functional ground truth: the predictor and
+the RT-unit timing model are validated against them, and the limit
+study (Figure 2) uses their all-hits variant to compute oracle
+predictions.  Batches run on the wavefront engine
+(:mod:`repro.trace.wavefront`); the scalar batch loops it replaced live
+on as test oracles in :mod:`repro.reference`.
 """
 
-from repro.trace.counters import TraversalStats
+from repro.telemetry.stats import TraversalStats
 from repro.trace.packets import occlusion_packet, trace_occlusion_packets
 from repro.trace.stackless import occlusion_any_hit_stackless
 from repro.trace.traversal import (
-    DEFAULT_ENGINE,
     closest_hit,
     occlusion_all_hit_leaves,
     occlusion_any_hit,
@@ -19,10 +21,8 @@ from repro.trace.traversal import (
     trace_occlusion_batch,
 )
 from repro.trace.wavefront import (
-    ENGINES,
     PerRayCounters,
     as_ray_batch,
-    resolve_engine,
     wavefront_closest_batch,
     wavefront_occlusion_batch,
     wavefront_occlusion_tri_batch,
@@ -30,8 +30,6 @@ from repro.trace.wavefront import (
 )
 
 __all__ = [
-    "DEFAULT_ENGINE",
-    "ENGINES",
     "PerRayCounters",
     "TraversalStats",
     "as_ray_batch",
@@ -42,7 +40,6 @@ __all__ = [
     "occlusion_any_hit_tri",
     "occlusion_from_nodes",
     "occlusion_packet",
-    "resolve_engine",
     "trace_closest_batch",
     "trace_occlusion_batch",
     "trace_occlusion_packets",

@@ -30,7 +30,7 @@ from typing import Optional
 from repro.bvh.nodes import FlatBVH
 from repro.geometry.intersect import ray_aabb_intersect, ray_triangle_intersect
 from repro.geometry.ray import Ray
-from repro.trace.counters import TraversalStats
+from repro.telemetry.stats import TraversalStats
 
 #: Safety bound on tree depth supported by the trail.
 _MAX_LEVELS = 128

@@ -20,13 +20,13 @@ from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro import telemetry
 from repro.bvh.nodes import FlatBVH
 from repro.errors import TraversalError
 from repro.geometry.intersect import ray_aabb_intersect, ray_triangle_intersect
 from repro.geometry.ray import Ray
 from repro.geometry.ray import RayBatch
-from repro.trace.counters import TraversalStats
+from repro.telemetry.stats import TraversalStats
+from repro.trace.wavefront import wavefront_closest_batch, wavefront_occlusion_batch
 
 
 def _checked_start_nodes(start_nodes: Sequence[int], num_nodes: int) -> List[int]:
@@ -351,83 +351,34 @@ def occlusion_all_hit_leaves(bvh: FlatBVH, ray: Ray) -> Set[int]:
     return leaves
 
 
-#: Engine used by the batch entry points when none is requested.  The
-#: wavefront engine is bit-identical on hit results (see
-#: :mod:`repro.trace.wavefront`) and an order of magnitude faster, so it
-#: is the default; pass ``engine="scalar"`` to force the reference loop.
-DEFAULT_ENGINE = "wavefront"
-
-
-def _materialize_rays(rays: RayBatch | Iterable[Ray]) -> Sequence[Ray] | RayBatch:
-    """A sized, indexable view of ``rays`` for the scalar per-ray loop."""
-    if isinstance(rays, (RayBatch, list, tuple)):
-        return rays
-    return list(rays)
-
-
 def trace_occlusion_batch(
     bvh: FlatBVH,
     rays: RayBatch | Iterable[Ray],
     stats: Optional[TraversalStats] = None,
-    engine: str = DEFAULT_ENGINE,
 ) -> np.ndarray:
     """Trace a batch of occlusion rays; returns a boolean hit array.
 
+    Runs the wavefront engine (:mod:`repro.trace.wavefront`), which
+    consumes a :class:`RayBatch` directly and carries its own span and
+    counters.  Hit results are bit-identical to the per-ray loop that
+    :mod:`repro.reference` keeps as the differential oracle.
+
     Args:
         bvh: the acceleration structure.
-        rays: a :class:`RayBatch` (consumed directly, without
-            materializing per-ray :class:`Ray` objects, when the
-            wavefront engine is selected) or any iterable of rays.
+        rays: a :class:`RayBatch` or any iterable of rays.
         stats: counters to accumulate into.
-        engine: ``"wavefront"`` (vectorized, default) or ``"scalar"``
-            (the reference per-ray loop).  Hit results are bit-identical.
     """
-    from repro.trace.wavefront import resolve_engine, wavefront_occlusion_batch
-
-    if stats is None:
-        stats = TraversalStats()
-    if resolve_engine(engine) == "wavefront":
-        # The wavefront entry point carries its own span + counters.
-        return wavefront_occlusion_batch(bvh, rays, stats=stats)
-    batch = _materialize_rays(rays)
-    hits = np.empty(len(batch), dtype=bool)
-    local = TraversalStats()
-    with telemetry.span("trace.occlusion", engine="scalar", rays=len(batch)):
-        for i, ray in enumerate(batch):
-            hits[i] = occlusion_any_hit(bvh, ray, stats=local)
-    local.publish(engine="scalar", stage="occlusion")
-    stats.merge(local)
-    return hits
+    return wavefront_occlusion_batch(bvh, rays, stats=stats)
 
 
 def trace_closest_batch(
     bvh: FlatBVH,
     rays: RayBatch | Iterable[Ray],
     stats: Optional[TraversalStats] = None,
-    engine: str = DEFAULT_ENGINE,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Trace a batch of closest-hit rays.
-
-    Args:
-        engine: ``"wavefront"`` (vectorized, default) or ``"scalar"``.
+    """Trace a batch of closest-hit rays with the wavefront engine.
 
     Returns:
         ``(t, tri)`` arrays; ``t`` is ``inf`` and ``tri`` is ``-1`` on miss.
     """
-    from repro.trace.wavefront import resolve_engine, wavefront_closest_batch
-
-    if stats is None:
-        stats = TraversalStats()
-    if resolve_engine(engine) == "wavefront":
-        # The wavefront entry point carries its own span + counters.
-        return wavefront_closest_batch(bvh, rays, stats=stats)
-    batch = _materialize_rays(rays)
-    ts = np.empty(len(batch), dtype=np.float64)
-    tris = np.empty(len(batch), dtype=np.int64)
-    local = TraversalStats()
-    with telemetry.span("trace.closest", engine="scalar", rays=len(batch)):
-        for i, ray in enumerate(batch):
-            ts[i], tris[i] = closest_hit(bvh, ray, stats=local)
-    local.publish(engine="scalar", stage="closest")
-    stats.merge(local)
-    return ts, tris
+    return wavefront_closest_batch(bvh, rays, stats=stats)

@@ -16,18 +16,21 @@ Tracing").
 The number of vectorized kernel launches is therefore bounded by the
 *tree depth* - two slab gathers and one triangle gather per level - not
 by the ray count or even the node count, which is where the speedup
-over the scalar loop comes from.
+over the scalar loop comes from.  It is the only batch traversal in
+production: :func:`~repro.trace.traversal.trace_occlusion_batch` and
+:func:`~repro.trace.traversal.trace_closest_batch` call it directly.
 
 Equivalence contract
 --------------------
-Hit *results* are bit-identical to the scalar engine: both engines
-evaluate the same IEEE-754 double-precision slab and Moeller-Trumbore
+Hit *results* are bit-identical to the scalar per-ray loops kept in
+:mod:`repro.reference` (the differential tests and ``repro bench``
+compare the two): both evaluate the same IEEE-754 double-precision slab and Moeller-Trumbore
 arithmetic against the same ``[t_min, t_max]`` intervals, and whether a
 ray intersects any in-range triangle (occlusion) or what its minimum hit
 parameter is (closest hit) does not depend on traversal order.
 Order-*dependent* quantities - which triangle satisfied an any-hit query
 first, or how many nodes were fetched before early termination - may
-legitimately differ; :class:`~repro.trace.counters.TraversalStats`
+legitimately differ; :class:`~repro.telemetry.stats.TraversalStats`
 counters keep their exact scalar semantics (one node fetch per ray per
 interior-node visit, one triangle fetch per ray-triangle test) but count
 the wavefront's visit order.
@@ -57,10 +60,7 @@ from repro.geometry.intersect import (
     ray_triangle_intersect_batch,
 )
 from repro.geometry.ray import Ray, RayBatch
-from repro.trace.counters import TraversalStats
-
-#: Engine identifiers accepted by the batch entry points.
-ENGINES: Tuple[str, ...] = ("wavefront", "scalar")
+from repro.telemetry.stats import TraversalStats
 
 #: A frontier: parallel ``(nodes, ray_ids)`` entry arrays, one entry per
 #: (node, active ray) pair, processed level by level.
@@ -68,17 +68,6 @@ Frontier = Tuple[np.ndarray, np.ndarray]
 
 #: Sentinel for ``np.minimum.at`` triangle reductions (no triangle hit).
 _NO_TRI = np.iinfo(np.int64).max
-
-
-def resolve_engine(engine: str) -> str:
-    """Validate an engine name, returning it unchanged.
-
-    Raises:
-        ValueError: if ``engine`` is not one of :data:`ENGINES`.
-    """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown traversal engine {engine!r}; expected one of {ENGINES}")
-    return engine
 
 
 def as_ray_batch(rays: Union[RayBatch, Iterable[Ray]]) -> RayBatch:

@@ -26,7 +26,7 @@ class TestWavefrontRecord:
         record = baseline_record(small_bvh, rays, "wavefront")
         assert record.complete()
         # The record's occlusion agrees with the public tracer.
-        occluded = trace_occlusion_batch(small_bvh, rays, engine="wavefront")
+        occluded = trace_occlusion_batch(small_bvh, rays)
         assert np.array_equal(record.hit_tri >= 0, occluded)
         assert record.node_fetches.sum() > 0
 

@@ -184,6 +184,11 @@ class TestChaosGate:
         # actually injected.
         assert any("--force-fail" in r for r in sweep)
         assert any("--chaos-rate" in r for r in sweep)
+        # SB fails only its top rung's attempts, so a rung below the top
+        # produces a result in CI.
+        assert any(
+            "--force-fail SB:2" in r and "--max-retries 1" in r for r in sweep
+        )
 
     def test_smoke_job_checks_manifest(self, workflow):
         runs = [
@@ -193,6 +198,9 @@ class TestChaosGate:
         # Exit 0 alone is not enough: the job must also assert the
         # partial-results manifest recorded the degradation honestly.
         assert any("manifest" in r for r in runs)
+        check = next(r for r in runs if 'units["SB"]' in r)
+        assert 'units["SB"]["rung"] == "predictor_off"' in check
+        assert 'rows["SB"]["predictor_enabled"] is False' in check
 
     def test_uploads_artifact(self, workflow):
         paths = [

@@ -192,6 +192,23 @@ class TestExitCodeContract:
         result = _run_repro("frobnicate")
         assert result.returncode == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        ["faults", "SP", "--size", "8", "--spp", "1", "--rays", "32"],
+        ["simulate", "--scenes", "SB", "--size", "8", "--rays", "32",
+         "--out", "{tmp}"],
+        ["telemetry", "--quick", "--out", "{tmp}/telemetry.json"],
+    ], ids=["faults", "simulate", "telemetry"])
+    def test_engine_flag_is_gone(self, argv, tmp_path, capsys):
+        # One traversal engine in production: the flag that picked the
+        # scalar one is an unknown argument now.
+        from repro.errors import EXIT_USAGE
+
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--detail", "0.2", *argv, "--engine", "scalar"])
+        assert excinfo.value.code == EXIT_USAGE
+        assert "--engine" in capsys.readouterr().err
+
     def test_unknown_scene_exits_4(self):
         from repro.errors import EXIT_INPUT
 

@@ -1,70 +1,90 @@
-"""Per-ray parity of the scalar and wavefront predictor simulations.
+"""Per-ray parity of the production and reference predictor simulations.
 
-The vectorized wavefront pipeline replays the scalar reference's probe
-semantics with batched kernels; the contract (and the acceptance bar for
-making it the default engine) is that per-ray *occlusion* is
-bit-identical across engines on every benchmark scene.  Aggregate
-predicted/verified counts may differ slightly - the scalar engine
-interleaves confirms within a window - but what each ray reports back to
-the renderer may not.
+The production simulator (:func:`repro.core.simulate.simulate_predictor`)
+batches hashing, verification and the baseline fallback; the scalar
+reference (:func:`repro.reference.simulate_predictor`) runs each ray in
+exact paper order.  The contract is that per-ray *occlusion* is
+bit-identical on every benchmark scene.  Aggregate predicted/verified
+counts may differ slightly - the reference interleaves confirms within a
+window - but what each ray reports back to the renderer may not.
+
+The workload is shaped so the comparison covers the predicted path: a
+coarse origin hash and a 16-ray window make a few hundred rays per scene
+hit the table, and both verified and mispredicted rays occur on every
+scene.  Both simulators must actually verify and mispredict, or "the
+engines agree" would say nothing about the predictor.
 """
 
 import numpy as np
 import pytest
 
+from repro import reference
+from repro.analysis.experiments import scaled_predictor_config
 from repro.bvh import build_bvh
 from repro.core.simulate import simulate_baseline, simulate_predictor
 from repro.rays import generate_ao_workload
 from repro.scenes import SCENE_CODES, get_scene
+from repro.trace import trace_occlusion_batch
 
-#: Small shapes: parity must hold at any size, so test the cheap one.
 DETAIL = 0.3
-RAYS = 192
+SIZE = 16
+SPP = 4
 IN_FLIGHT = 16
+CONFIG = scaled_predictor_config(origin_bits=3)
 
 
 def _scene_rays(code):
     scene = get_scene(code, detail=DETAIL)
     bvh = build_bvh(scene.mesh, method="sah")
     workload = generate_ao_workload(
-        scene, bvh, width=16, height=16, spp=2, seed=1
+        scene, bvh, width=SIZE, height=SIZE, spp=SPP, seed=1
     )
-    rays = workload.rays.subset(np.arange(min(RAYS, len(workload.rays))))
-    return bvh, rays
+    return bvh, workload.rays
+
+
+def _hits(result):
+    return np.array([o.hit for o in result.outcomes])
 
 
 @pytest.mark.parametrize("code", SCENE_CODES)
 def test_per_ray_occlusion_identical_across_engines(code):
     bvh, rays = _scene_rays(code)
-    scalar = simulate_predictor(
-        bvh, rays, in_flight=IN_FLIGHT, engine="scalar", keep_outcomes=True
+    scalar = reference.simulate_predictor(
+        bvh, rays, CONFIG, in_flight=IN_FLIGHT, keep_outcomes=True
     )
     wave = simulate_predictor(
-        bvh, rays, in_flight=IN_FLIGHT, engine="wavefront", keep_outcomes=True
+        bvh, rays, CONFIG, in_flight=IN_FLIGHT, keep_outcomes=True
     )
-    scalar_hits = np.array([o.hit for o in scalar.outcomes])
-    wave_hits = np.array([o.hit for o in wave.outcomes])
-    assert np.array_equal(scalar_hits, wave_hits), (
+    for result in (scalar, wave):
+        assert result.verified > 0, f"{code}: nothing verified"
+        assert result.predicted > result.verified, f"{code}: no misprediction"
+    assert np.array_equal(_hits(scalar), _hits(wave)), (
         f"{code}: engines disagree on "
-        f"{int((scalar_hits != wave_hits).sum())} ray(s)"
+        f"{int((_hits(scalar) != _hits(wave)).sum())} ray(s)"
     )
-    # Both engines also agree with the no-predictor ground truth.
-    base = simulate_baseline(bvh, rays, engine="wavefront")
-    assert scalar.hits == wave.hits == base.hits
+    # Section 3: prediction never changes a ray's answer.  The production
+    # simulator matches the no-predictor traversal at any window.
+    truth = trace_occlusion_batch(bvh, rays)
+    for in_flight in (1, 8, 256):
+        result = simulate_predictor(
+            bvh, rays, CONFIG, in_flight=in_flight, keep_outcomes=True
+        )
+        assert np.array_equal(_hits(result), truth), (code, in_flight)
 
 
 @pytest.mark.parametrize("code", ("SB", "CK"))
 def test_baseline_agrees_on_occlusion_across_engines(code):
     # Fetch *counters* are order-dependent and differ between engines
     # by design (different early-exit order); what must agree is the
-    # occlusion answer, and each engine's counters must be self-
-    # consistent with its memoized baseline record.
+    # occlusion answer, and the production baseline's counters must be
+    # self-consistent with its memoized record.
     from repro.core.baseline import baseline_record
 
     bvh, rays = _scene_rays(code)
-    scalar = simulate_baseline(bvh, rays, engine="scalar")
-    wave = simulate_baseline(bvh, rays, engine="wavefront")
-    assert scalar.hits == wave.hits
+    base = simulate_baseline(bvh, rays)
+    truth = reference.trace_occlusion_batch(bvh, rays)
+    assert np.array_equal(_hits(base), truth)
+    assert base.hits == int(truth.sum())
     record = baseline_record(bvh, rays, "wavefront")
-    assert wave.baseline_node_fetches == int(record.node_fetches.sum())
-    assert wave.baseline_tri_fetches == int(record.tri_fetches.sum())
+    assert base.baseline_node_fetches == int(record.node_fetches.sum())
+    assert base.baseline_tri_fetches == int(record.tri_fetches.sum())

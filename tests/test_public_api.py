@@ -1,6 +1,10 @@
 """The public API surface: every exported name exists and is importable."""
 
+import ast
+import dataclasses
 import importlib
+import inspect
+import pathlib
 
 import pytest
 
@@ -56,3 +60,70 @@ class TestExports:
 
         assert repro.PredictorConfig is PredictorConfig
         assert repro.GPUConfig is GPUConfig
+
+
+class TestSingleTraversalEngine:
+    """Production code has one traversal engine and no switch to pick it.
+
+    The scalar oracles live in :mod:`repro.reference`, which only the
+    benchmark harness may import (tests import it freely).
+    """
+
+    CALLS = [
+        ("repro.trace", "trace_occlusion_batch"),
+        ("repro.trace", "trace_closest_batch"),
+        ("repro.rays", "generate_ao_workload"),
+        ("repro.rays.shadows", "generate_shadow_workload"),
+        ("repro.rays.reflection", "generate_reflection_rays"),
+        ("repro.render", "render_ao"),
+        ("repro.core.simulate", "simulate_predictor"),
+        ("repro.core.simulate", "simulate_baseline"),
+        ("repro.faults", "run_differential_oracle"),
+    ]
+
+    @pytest.mark.parametrize("module,name", CALLS)
+    def test_calls_take_no_engine(self, module, name):
+        func = getattr(importlib.import_module(module), name)
+        assert "engine" not in inspect.signature(func).parameters
+
+    def test_presets_have_no_engine_field(self):
+        from repro.resilience.sweep import SimulatePreset
+        from repro.telemetry.runner import TelemetryPreset
+
+        for preset in (SimulatePreset, TelemetryPreset):
+            assert "engine" not in {f.name for f in dataclasses.fields(preset)}
+
+    def test_trace_exports_no_engine_switch(self):
+        import repro.trace
+
+        for name in ("ENGINES", "resolve_engine", "DEFAULT_ENGINE"):
+            assert not hasattr(repro.trace, name), name
+            assert name not in repro.trace.__all__
+
+    def test_reference_imported_only_by_bench_harness(self):
+        import repro
+
+        root = pathlib.Path(repro.__file__).parent
+        importers = set()
+        for path in root.rglob("*.py"):
+            rel = path.relative_to(root.parent)
+            package = list(rel.parent.parts)
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    base = package[: len(package) - node.level + 1]
+                    module = ".".join(
+                        (base if node.level else []) + [node.module or ""]
+                    ).strip(".")
+                    names = [module] + [
+                        f"{module}.{alias.name}" for alias in node.names
+                    ]
+                else:
+                    continue
+                if any(
+                    n == "repro.reference" or n.startswith("repro.reference.")
+                    for n in names
+                ):
+                    importers.add(rel.as_posix())
+        assert importers == {"repro/bench/harness.py"}

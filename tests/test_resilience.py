@@ -179,22 +179,25 @@ class TestSweepCheckpoint:
 # ----------------------------------------------------------------------
 class TestLadder:
     def test_ladder_shape(self):
-        assert LADDER == ("wavefront", "scalar", "predictor_off", "skip")
+        assert LADDER == ("wavefront", "predictor_off", "skip")
 
     def test_next_rung_descends_to_none(self):
-        assert next_rung("wavefront") == "scalar"
+        assert next_rung("wavefront") == "predictor_off"
         assert next_rung("predictor_off") == "skip"
         assert next_rung("skip") is None
         with pytest.raises(ValueError):
             next_rung("turbo")
 
     def test_rungs_from(self):
-        assert rungs_from("scalar") == ("scalar", "predictor_off", "skip")
+        assert rungs_from("wavefront") == LADDER
+        assert rungs_from("predictor_off") == ("predictor_off", "skip")
+        with pytest.raises(ValueError):
+            rungs_from("scalar")
 
     def test_manifest_counts_and_flags(self):
         manifest = PartialResultsManifest()
         manifest.add(UnitEntry(unit="A", status="ok", rung="wavefront"))
-        manifest.add(UnitEntry(unit="B", status="degraded", rung="scalar"))
+        manifest.add(UnitEntry(unit="B", status="degraded", rung="predictor_off"))
         assert manifest.complete and not manifest.clean
         manifest.add(UnitEntry(unit="C", status="failed", rung="wavefront"))
         assert not manifest.complete
@@ -329,12 +332,12 @@ class TestRunSupervisor:
             "SB",
             self.make_fn_returning({
                 "wavefront": MemoryBudgetError("too big"),
-                "scalar": "lighter",
+                "predictor_off": "lighter",
             }),
         )
         assert outcome.value == "lighter"
         assert outcome.entry.status == "degraded"
-        assert outcome.entry.rung == "scalar"
+        assert outcome.entry.rung == "predictor_off"
         assert supervisor.counters["degradations"] == 1
         assert "MemoryBudgetError" in outcome.entry.errors[0]
 
@@ -346,11 +349,11 @@ class TestRunSupervisor:
             "SB",
             self.make_fn_returning({
                 "wavefront": InjectedFaultError("always"),
-                "scalar": "ok then",
+                "predictor_off": "ok then",
             }),
         )
         assert outcome.entry.status == "degraded"
-        assert outcome.entry.attempts == 3  # 2 on wavefront + 1 on scalar
+        assert outcome.entry.attempts == 3  # 2 on wavefront + 1 below
 
     def test_skip_class_jumps_to_bottom(self):
         supervisor = RunSupervisor(sleep=no_sleep)
@@ -359,7 +362,7 @@ class TestRunSupervisor:
             self.make_fn_returning({
                 "wavefront": SceneLoadError("corrupt asset"),
                 # Never reached: skip-class failures do not descend.
-                "scalar": "unreachable",
+                "predictor_off": "unreachable",
             }),
         )
         assert outcome.value is None
@@ -376,12 +379,11 @@ class TestRunSupervisor:
             "SB",
             self.make_fn_returning({
                 "wavefront": RuntimeError("a"),
-                "scalar": RuntimeError("b"),
-                "predictor_off": RuntimeError("c"),
+                "predictor_off": RuntimeError("b"),
             }),
         )
         assert outcome.entry.status == "skipped"
-        assert len(outcome.entry.errors) == 3
+        assert len(outcome.entry.errors) == 2
 
     def test_fatal_failure_propagates(self):
         supervisor = RunSupervisor(sleep=no_sleep)
@@ -410,14 +412,13 @@ class TestRunSupervisor:
         outcome = supervisor.run_unit(
             "SB",
             self.make_fn_returning({
-                "wavefront": RuntimeError("fails"),
-                # scalar: None => not applicable, no attempt
+                # wavefront: None => not applicable, no attempt
                 "predictor_off": "bottom value",
             }),
         )
         assert outcome.value == "bottom value"
         assert outcome.entry.rung == "predictor_off"
-        assert outcome.entry.attempts == 2
+        assert outcome.entry.attempts == 1
 
     def test_wall_clock_deadline_times_out(self):
         supervisor = RunSupervisor(
@@ -437,7 +438,7 @@ class TestRunSupervisor:
         outcome = supervisor.run_unit("SB", make_fn)
         release.set()  # unblock the abandoned workers
         assert outcome.entry.status == "skipped"
-        assert supervisor.counters["timeouts"] == 3
+        assert supervisor.counters["timeouts"] == 2
         assert all("UnitTimeoutError" in e for e in outcome.entry.errors)
 
     def test_deadline_passes_fast_units(self):
@@ -603,6 +604,24 @@ class TestBenchResilience:
         assert scenes_with_records == {"SB"}
         assert payload["resilience"]["chaos"]["injected"] > 0
 
+    def test_predictor_off_rung_times_production_only(self):
+        # SB's top rung fails once; its predictor_off rung then times the
+        # production calls alone, with the predictor disabled.
+        payload = run_benchmarks(
+            TINY_BENCH,
+            resilience=fast_options(max_retries=0),
+            fault_plan=UnitFaultPlan(force_fail={"SB": 1}),
+        )
+        units = {e["unit"]: e for e in payload["resilience"]["manifest"]["units"]}
+        assert units["SB"]["status"] == "degraded"
+        assert units["SB"]["rung"] == "predictor_off"
+        sb = [r for r in payload["results"] if r["scene"] == "SB"]
+        assert sb and {r["engine"] for r in sb} == {"wavefront"}
+        sim = [r for r in sb if r["benchmark"] == "predictor_sim"]
+        assert [r["extra"]["predictor_disabled"] for r in sim] == [1.0]
+        sp = {r["engine"] for r in payload["results"] if r["scene"] == "SP"}
+        assert sp == {"wavefront", "scalar"}
+
     def test_kill_and_resume_skips_completed_scenes(self, tmp_path, monkeypatch):
         import repro.bench.harness as harness
 
@@ -683,8 +702,8 @@ class TestSimulateSweep:
         assert "SB" in summary and "2 ok" in summary
 
     def test_degraded_scene_marked_predictor_off(self):
-        # Fail SB's first two rungs; predictor_off succeeds.
-        plan = UnitFaultPlan(force_fail={"SB": 2})
+        # Fail SB's top rung; predictor_off succeeds.
+        plan = UnitFaultPlan(force_fail={"SB": 1})
         payload = run_simulation_sweep(
             TINY_SIM, options=fast_options(max_retries=0), fault_plan=plan
         )

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import reference as scalar_reference
 from repro.core import PredictorConfig
 from repro.gpu import GPUConfig, MemoryHierarchy, RTUnit, simulate_workload
 from repro.gpu.config import CacheConfig, MemoryConfig, RTUnitConfig
@@ -42,13 +43,13 @@ class TestFunctionalEquivalence:
 
     def test_baseline_node_fetches_match_reference(self, small_bvh, small_workload):
         # The RT unit pops per-ray stacks in scalar order, so its traffic
-        # matches the scalar engine exactly; the wavefront engine visits
-        # nodes in a different order and retires any-hit rays at
+        # matches the scalar reference loop exactly; the wavefront engine
+        # visits nodes in a different order and retires any-hit rays at
         # different points, so only hit *results* (not fetch counts) are
         # comparable against it.
         stats = TraversalStats()
-        trace_occlusion_batch(
-            small_bvh, small_workload.rays, stats=stats, engine="scalar"
+        scalar_reference.trace_occlusion_batch(
+            small_bvh, small_workload.rays, stats=stats
         )
         result = run_unit(small_bvh, small_workload.rays)
         assert result.node_fetches == stats.node_fetches

@@ -244,12 +244,6 @@ class TestProfiling:
 
 
 class TestTraversalStatsShim:
-    def test_old_import_path_still_works(self):
-        from repro.trace.counters import TraversalStats as Old
-        from repro.telemetry.stats import TraversalStats as New
-
-        assert Old is New
-
     def test_publish_folds_into_registry(self):
         from repro.telemetry.stats import TraversalStats
 
@@ -285,9 +279,7 @@ class TestPipelineIntegration:
         with telemetry.enabled_scope():
             telemetry.reset_telemetry()
             with telemetry.label_context(scene=scene_code):
-                simulate_predictor(
-                    bvh, rays, scaled_predictor_config(), engine="wavefront"
-                )
+                simulate_predictor(bvh, rays, scaled_predictor_config())
             reg = telemetry.get_registry()
             total = reg.total("predictor.rays")
             assert total == len(rays)
@@ -307,6 +299,7 @@ class TestPipelineIntegration:
             ) == total
 
     def test_scalar_and_wavefront_publish_same_totals(self):
+        from repro import reference
         from repro.analysis.experiments import scaled_predictor_config
         from repro.bvh import build_bvh
         from repro.rays import generate_ao_workload
@@ -319,13 +312,20 @@ class TestPipelineIntegration:
             scene, bvh, width=8, height=8, spp=1, seed=1
         ).rays
         hits = {}
-        for engine in ("scalar", "wavefront"):
+        tracers = (
+            ("scalar", reference.trace_occlusion_batch),
+            ("wavefront", trace_occlusion_batch),
+        )
+        for engine, trace in tracers:
             with telemetry.enabled_scope():
                 telemetry.reset_telemetry()
                 stats = TraversalStats()
-                trace_occlusion_batch(bvh, rays, stats=stats, engine=engine)
+                trace(bvh, rays, stats=stats)
                 reg = telemetry.get_registry()
                 assert reg.total("trace.rays") == len(rays)
+                assert reg.value(
+                    "trace.rays", engine=engine, stage="occlusion"
+                ) == len(rays)
                 assert reg.total("trace.node_fetches") == stats.node_fetches
                 hits[engine] = reg.total("trace.hits")
         # The engines produce bit-identical *results*; fetch counts may

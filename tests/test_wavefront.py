@@ -2,11 +2,11 @@
 
 The differential tests are the executable form of the engine contract
 (see ``src/repro/trace/wavefront.py``): hit *results* - occlusion
-booleans, closest-hit ``t`` and triangle - are bit-identical to the
-scalar engine on every registry scene (the triangle up to genuine
-exact-``t`` ties, where each engine reports the lowest index it
-visited); order-dependent statistics are
-explicitly outside the contract.
+booleans, closest-hit ``t`` and triangle - of the production batch calls
+are bit-identical to the scalar per-ray loops of :mod:`repro.reference`
+on every registry scene (the triangle up to genuine exact-``t`` ties,
+where each engine reports the lowest index it visited); order-dependent
+statistics are explicitly outside the contract.
 """
 
 import os
@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import reference
 from repro.bvh import build_bvh
 from repro.core.simulate import simulate_predictor
 from repro.errors import TraversalError
@@ -27,7 +28,6 @@ from repro.scenes import SCENE_CODES, get_scene
 from repro.trace import (
     TraversalStats,
     as_ray_batch,
-    resolve_engine,
     trace_closest_batch,
     trace_occlusion_batch,
     wavefront_closest_batch,
@@ -43,25 +43,9 @@ def _scene_rays(code, detail=0.3, size=10):
     scene = get_scene(code, detail=detail)
     bvh = build_bvh(scene.mesh)
     rays = generate_ao_workload(
-        scene, bvh, width=size, height=size, spp=1, seed=1, engine="scalar"
+        scene, bvh, width=size, height=size, spp=1, seed=1
     ).rays
     return bvh, rays
-
-
-class TestEngineSelection:
-    def test_resolve_engine_accepts_known(self):
-        assert resolve_engine("wavefront") == "wavefront"
-        assert resolve_engine("scalar") == "scalar"
-
-    def test_resolve_engine_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown traversal engine"):
-            resolve_engine("simd")
-
-    def test_batch_entry_points_reject_unknown_engine(self, small_bvh, small_workload):
-        with pytest.raises(ValueError):
-            trace_occlusion_batch(small_bvh, small_workload.rays, engine="nope")
-        with pytest.raises(ValueError):
-            trace_closest_batch(small_bvh, small_workload.rays, engine="nope")
 
 
 class TestEdgeCases:
@@ -75,7 +59,7 @@ class TestEdgeCases:
         one = small_workload.rays.subset(np.array([0]))
         occ = wavefront_occlusion_batch(small_bvh, one)
         assert occ.shape == (1,)
-        assert occ[0] == trace_occlusion_batch(small_bvh, one, engine="scalar")[0]
+        assert occ[0] == reference.trace_occlusion_batch(small_bvh, one)[0]
 
     def test_all_miss(self, small_bvh):
         # Rays starting far outside the scene, pointing away: the root
@@ -111,7 +95,7 @@ class TestEdgeCases:
             np.tile([0.0, -1.0, 0.0], (4, 1)),
         )
         occ_w = wavefront_occlusion_batch(small_bvh, rays)
-        occ_s = trace_occlusion_batch(small_bvh, rays, engine="scalar")
+        occ_s = reference.trace_occlusion_batch(small_bvh, rays)
         assert np.array_equal(occ_w, occ_s)
 
     def test_as_ray_batch_coercion(self, small_bvh, small_workload):
@@ -156,7 +140,7 @@ class TestSpeculationGuards:
             small_bvh, rays, [[0]] * 32
         )
         assert not fallback.any()
-        expected = trace_occlusion_batch(small_bvh, rays, engine="scalar")
+        expected = reference.trace_occlusion_batch(small_bvh, rays)
         assert np.array_equal(hit_tri >= 0, expected)
 
 
@@ -166,11 +150,11 @@ class TestDifferential:
     @pytest.mark.parametrize("code", SCENE_CODES)
     def test_all_scenes_bit_identical(self, code):
         bvh, rays = _scene_rays(code)
-        occ_s = trace_occlusion_batch(bvh, rays, engine="scalar")
-        occ_w = trace_occlusion_batch(bvh, rays, engine="wavefront")
+        occ_s = reference.trace_occlusion_batch(bvh, rays)
+        occ_w = trace_occlusion_batch(bvh, rays)
         assert np.array_equal(occ_s, occ_w), "occlusion diverged"
-        ts_s, tri_s = trace_closest_batch(bvh, rays, engine="scalar")
-        ts_w, tri_w = trace_closest_batch(bvh, rays, engine="wavefront")
+        ts_s, tri_s = reference.trace_closest_batch(bvh, rays)
+        ts_w, tri_w = trace_closest_batch(bvh, rays)
         assert np.array_equal(ts_s, ts_w), "closest-hit t diverged"
         assert np.array_equal(tri_s, tri_w), "closest-hit triangle diverged"
 
@@ -178,30 +162,25 @@ class TestDifferential:
         # Aggregate hit counts (result-derived) agree even though fetch
         # counters (order-derived) may not.
         s_stats, w_stats = TraversalStats(), TraversalStats()
-        trace_occlusion_batch(
-            small_bvh, small_workload.rays, stats=s_stats, engine="scalar"
-        )
-        trace_occlusion_batch(
-            small_bvh, small_workload.rays, stats=w_stats, engine="wavefront"
-        )
+        reference.trace_occlusion_batch(small_bvh, small_workload.rays, stats=s_stats)
+        trace_occlusion_batch(small_bvh, small_workload.rays, stats=w_stats)
         assert s_stats.rays == w_stats.rays
         assert s_stats.hits == w_stats.hits
 
     def test_simulation_hits_identical(self, small_bvh, small_workload):
-        rs = simulate_predictor(
-            small_bvh, small_workload.rays, keep_outcomes=True, engine="scalar"
-        )
-        rw = simulate_predictor(
-            small_bvh, small_workload.rays, keep_outcomes=True, engine="wavefront"
-        )
+        rays = small_workload.rays
+        rs = reference.simulate_predictor(small_bvh, rays, keep_outcomes=True)
+        rw = simulate_predictor(small_bvh, rays, keep_outcomes=True)
         assert [o.hit for o in rs.outcomes] == [o.hit for o in rw.outcomes]
 
-    @pytest.mark.parametrize("engine", ["scalar", "wavefront"])
+    # The oracle runs the production simulator only; the parameter
+    # names it and keeps the test id stable.
+    @pytest.mark.parametrize("engine", ["wavefront"])
     def test_fault_oracle_passes_under_both_engines(
         self, small_bvh, small_workload, engine
     ):
         report = run_differential_oracle(
-            small_bvh, small_workload.rays, scene="TR", engine=engine
+            small_bvh, small_workload.rays, scene="TR"
         )
         assert report.ok, report.summary()
 
@@ -218,11 +197,11 @@ class TestPropertyEquivalence:
         directions = rng.normal(size=(n, 3))
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
         rays = RayBatch(origins, directions)
-        occ_s = trace_occlusion_batch(small_bvh, rays, engine="scalar")
-        occ_w = trace_occlusion_batch(small_bvh, rays, engine="wavefront")
+        occ_s = reference.trace_occlusion_batch(small_bvh, rays)
+        occ_w = trace_occlusion_batch(small_bvh, rays)
         assert np.array_equal(occ_s, occ_w)
-        ts_s, tri_s = trace_closest_batch(small_bvh, rays, engine="scalar")
-        ts_w, tri_w = trace_closest_batch(small_bvh, rays, engine="wavefront")
+        ts_s, tri_s = reference.trace_closest_batch(small_bvh, rays)
+        ts_w, tri_w = trace_closest_batch(small_bvh, rays)
         # Engines agree bit-for-bit except when a ray grazes a BVH node
         # face: the slab t_near and the Moeller-Trumbore t round
         # differently at the boundary, so the best-t-bounded box test

@@ -20,30 +20,23 @@ from repro.analysis.experiments import (
 from repro.analysis.stats import geometric_mean
 from repro.analysis.tables import format_table
 from repro.core.adaptive import TournamentPredictor
-from repro.gpu import GPUConfig
-from repro.gpu.memory import MemoryHierarchy
-from repro.gpu.rt_unit import RTUnit
-from repro.gpu.simulator import split_rays_across_sms
+from repro.gpu import GPUConfig, simulate_workload
 
 
 def _run_tournament(ctx, code, config):
-    """Timing run with a TournamentPredictor per SM."""
+    """Timing run with a TournamentPredictor per SM.
+
+    Same GPU, shared L2 and DRAM as the ``ctx.baseline`` runs it is
+    divided into; only the per-SM predictors differ.
+    """
     bvh = ctx.bvh(code)
     rays = ctx.rays(code, SWEEP_WORKLOAD)
     gpu = GPUConfig(predictor=config)
-    cycles = 0
-    predicted = verified = total = 0
-    for idx in split_rays_across_sms(rays, gpu.num_sms, gpu.rt_unit.warp_size):
-        unit = RTUnit(
-            bvh, gpu, MemoryHierarchy(gpu.memory),
-            predictor=TournamentPredictor(bvh, config),
-        )
-        result = unit.run(rays.subset(idx))
-        cycles = max(cycles, result.cycles)
-        predicted += result.predicted
-        verified += result.verified
-        total += result.rays
-    return cycles, predicted / total, verified / total
+    out = simulate_workload(
+        bvh, rays, gpu,
+        predictors=[TournamentPredictor(bvh, config) for _ in range(gpu.num_sms)],
+    )
+    return out.cycles, out.predicted_rate, out.verified_rate
 
 
 def test_ext_tournament_hashing(benchmark, ctx, report):

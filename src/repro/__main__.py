@@ -477,10 +477,10 @@ def main(argv: list[str] | None = None) -> int:
         description="Run the benchmark harness (repro.bench) on pinned-seed "
         "workloads and write a BENCH_<preset>.json artifact; with --check, "
         "fail on regression against the committed baselines.  Each "
-        "production call is timed against its scalar twin: the "
-        "repro.reference loops for traversal and the predictor simulation "
-        "(records labelled 'scalar' next to 'wavefront'), the scalar RT "
-        "unit and BVH builders for the timing and build presets.",
+        "production call is timed against its scalar twin in "
+        "repro.reference (records labelled 'scalar'); production records "
+        "are labelled 'wavefront' for traversal and the predictor "
+        "simulation, 'vector' for the RT unit and the BVH build and refit.",
     )
     bench.add_argument("--quick", action="store_true",
                        help="CI smoke preset (3 scenes, <60s) instead of full")
@@ -490,7 +490,8 @@ def main(argv: list[str] | None = None) -> int:
                        default=None,
                        help="named preset (overrides --quick); 'predictor' "
                        "times only the predictor simulation on all scenes; "
-                       "'build' times BVH construction + refit per engine")
+                       "'build' times BVH construction + refit against "
+                       "their repro.reference twins")
     bench.add_argument("--scenes", nargs="+", metavar="CODE",
                        help="restrict to these scene codes")
     bench.add_argument("--out", default="benchmarks/results",

@@ -2,14 +2,15 @@
 
 The harness is the measured half of the production engines' contract:
 the differential tests prove each production call agrees with its
-scalar twin (the :mod:`repro.reference` oracles for traversal and the
-predictor simulation), and :mod:`repro.bench.harness` times the two on
-pinned seeds and emits machine-readable ``BENCH_<name>.json`` artifacts.
+scalar twin in :mod:`repro.reference` (traversal, the predictor
+simulation, BVH build and refit, and the RT-unit timing model), and
+:mod:`repro.bench.harness` times the two on pinned seeds and emits
+machine-readable ``BENCH_<name>.json`` artifacts.
 It is the only production module that imports :mod:`repro.reference`.
 CI's benchmark-smoke job replays the quick preset and fails the build on
 a >20 % regression against the committed baselines, which keep their
-presets, gates and ``"wavefront"``/``"scalar"`` record labels (see
-``docs/BENCHMARKING.md``).
+presets, gates and ``"wavefront"``/``"vector"``/``"scalar"`` record
+labels (see ``docs/BENCHMARKING.md``).
 """
 
 from repro.bench.harness import (

@@ -1,12 +1,12 @@
 """Production code timed against its scalar twin, as ``BENCH_<name>.json``.
 
-Every benchmark times a production call against its scalar twin on
-identical pinned-seed workloads.  Records name the side they timed in
-their ``engine`` field: ``"wavefront"`` is the production traversal or
-predictor simulation and ``"scalar"`` its oracle in
-:mod:`repro.reference`; the ``rt_timing`` and ``bvh_build`` families
-pair the ``"vector"`` production engine with the ``"scalar"`` engine of
-:func:`repro.gpu.simulate_workload` and :func:`repro.bvh.build_bvh`.
+Every benchmark times a production call against its scalar twin in
+:mod:`repro.reference` on identical pinned-seed workloads.  Records name
+the side they timed in their ``engine`` field: ``"scalar"`` is the twin,
+and the production side is ``"wavefront"`` for traversal and the
+predictor simulation, ``"vector"`` for the ``rt_timing`` and
+``bvh_build`` families (:func:`repro.gpu.simulate_workload`,
+:func:`repro.bvh.build_bvh` and :func:`repro.bvh.refit_bvh`).
 Three benchmarks run per scene by default:
 
 * ``occlusion_trace`` - batch any-hit tracing of the scene's AO rays
@@ -65,10 +65,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import reference, telemetry
+from repro.bvh import build_bvh, jitter_mesh, refit_bvh
 from repro.bvh.cache import cached_build_bvh, configure_artifact_cache, get_artifact_cache
-from repro.errors import TelemetryAggregationError
 from repro.core.simulate import simulate_baseline, simulate_predictor
+from repro.errors import TelemetryAggregationError
 from repro.faults.injector import UnitFaultPlan
+from repro.gpu import simulate_workload
 from repro.rays import generate_ao_workload
 from repro.resilience import (
     PartialResultsManifest,
@@ -107,7 +109,8 @@ BENCHMARKS = ("occlusion_trace", "closest_trace", "predictor_sim")
 #: and its :mod:`repro.reference` twin.
 ENGINES: Tuple[str, ...] = ("wavefront", "scalar")
 
-#: The call each benchmark times on each side.
+#: The call each benchmark times on each side, keyed by record label:
+#: the production call first, then its :mod:`repro.reference` twin.
 _CALLS = {
     "occlusion_trace": {
         "wavefront": trace_occlusion_batch,
@@ -121,10 +124,18 @@ _CALLS = {
         "wavefront": simulate_predictor,
         "scalar": reference.simulate_predictor,
     },
+    "rt_timing": {"vector": simulate_workload, "scalar": reference.simulate_workload},
+    "bvh_build": {"vector": build_bvh, "scalar": reference.build_bvh},
+    "bvh_refit": {"vector": refit_bvh, "scalar": reference.refit_bvh},
 }
 
-#: RT-unit and BVH-build engine timed for each side.
-_PAIRED_ENGINE = {"wavefront": "vector", "scalar": "scalar"}
+
+def _labels(benchmark: str, engines: Sequence[str]) -> Tuple[str, ...]:
+    """The ``_CALLS[benchmark]`` labels of the sides ``engines`` selects
+    (sides are named and ordered as in :data:`ENGINES`)."""
+    labels = dict(zip(ENGINES, _CALLS[benchmark]))
+    return tuple(labels[e] for e in engines)
+
 
 #: Allowed relative regression before the check fails (satellite spec: 20%).
 DEFAULT_TOLERANCE = 0.20
@@ -390,18 +401,18 @@ def _timing_record(
 ) -> BenchRecord:
     """One RT-unit cycle-simulation run (``rt_timing`` benchmark).
 
-    ``engine`` is an RT-unit timing engine (``vector``/``scalar``), not
-    a traversal engine.  Cycles, fetch counters and hit rates are exact
-    functions of seed + scene + config and identical across engines;
-    wall time is what the vectorized engine buys.
+    ``engine`` is the record label: ``vector`` times the production
+    :func:`~repro.gpu.simulate_workload`, ``scalar`` its per-thread
+    twin in :mod:`repro.reference`.  Cycles, fetch counters and hit
+    rates are exact functions of seed + scene + config and identical
+    across the two; wall time is what the vectorized engine buys.
     """
-    from repro.gpu.simulator import simulate_workload
-
+    simulate = _CALLS["rt_timing"][engine]
     sub = rays.subset(np.arange(min(preset.sim_rays, len(rays))))
     config = _timing_config(preset, predictor_enabled)
 
     def run():
-        return simulate_workload(bvh, sub, config, engine=engine)
+        return simulate(bvh, sub, config)
 
     wall, out = _timed(run, preset.repeats)
     n = len(sub)
@@ -434,20 +445,19 @@ def _build_records(
 ) -> List[BenchRecord]:
     """Timed BVH construction + refit for one scene (``bvh_build``).
 
-    Every method in ``preset.build_methods`` builds once per build
-    engine; the vector tree is compared array-for-array against the
-    scalar oracle's and the verdict rides in the vector record's extras
-    (``agrees_with_scalar``).  A refit pass then times both refit
-    engines on a jittered copy of the SAH tree's mesh.  ``rays`` holds
-    the triangle count, so ``rays_per_sec`` reads as build throughput
-    in triangles/second.
+    Every method in ``preset.build_methods`` builds once per side: the
+    production ``vector`` build and its ``scalar`` twin in
+    :mod:`repro.reference`.  The vector tree is compared array-for-array
+    against the scalar oracle's and the verdict rides in the vector
+    record's extras (``agrees_with_scalar``).  A refit pass then times
+    both refits on a jittered copy of the SAH tree's mesh.  ``rays``
+    holds the triangle count, so ``rays_per_sec`` reads as build
+    throughput in triangles/second.
     """
-    from repro.bvh.builder import build_bvh
-    from repro.bvh.refit import jitter_mesh, refit_bvh
     from repro.bvh.stats import compute_stats
     from repro.bvh.vector import trees_identical
 
-    build_engines = tuple(_PAIRED_ENGINE[e] for e in engines)
+    build_engines = _labels("bvh_build", engines)
     n = len(scene.mesh)
     records: List[BenchRecord] = []
     refit_base = None
@@ -455,8 +465,8 @@ def _build_records(
         trees: Dict[str, object] = {}
         method_records: Dict[str, BenchRecord] = {}
         for engine in build_engines:
-            def run(method=method, engine=engine):
-                return build_bvh(scene.mesh, method=method, engine=engine)
+            def run(method=method, build=_CALLS["bvh_build"][engine]):
+                return build(scene.mesh, method=method)
 
             wall, tree = _timed(run, preset.repeats)
             trees[engine] = tree
@@ -494,8 +504,8 @@ def _build_records(
     refitted: Dict[str, object] = {}
     refit_records: Dict[str, BenchRecord] = {}
     for engine in build_engines:
-        def run_refit(engine=engine):
-            return refit_bvh(refit_base, deformed, engine=engine)
+        def run_refit(refit=_CALLS["bvh_refit"][engine]):
+            return refit(refit_base, deformed)
 
         wall, out = _timed(run_refit, preset.repeats)
         refitted[engine] = out
@@ -580,7 +590,7 @@ def _scene_records(
                     f"{rec.wall_time_s * 1e3:8.1f} ms  {rec.rays_per_sec:>12,.0f} rays/s"
                 )
         if "rt_timing" in selected:
-            timing_engines = tuple(_PAIRED_ENGINE[e] for e in engines)
+            timing_engines = _labels("rt_timing", engines)
             variants = [False]
             if preset.timing_predictor and predictor_enabled:
                 variants.append(True)

@@ -8,7 +8,7 @@ Figure 8).  :class:`FlatBVH` mirrors that layout in structure-of-arrays
 form and exposes :meth:`FlatBVH.ancestors` for any Go Up Level.
 """
 
-from repro.bvh.builder import BinnedSAHBuilder, MedianSplitBuilder, build_bvh
+from repro.bvh.builder import build_bvh
 from repro.bvh.cache import (
     BVHArtifactCache,
     cached_build_bvh,
@@ -16,29 +16,22 @@ from repro.bvh.cache import (
     get_artifact_cache,
 )
 from repro.bvh.io import load_bvh, save_bvh
-from repro.bvh.lbvh import LBVHBuilder
 from repro.bvh.nodes import NODE_SIZE_BYTES, TRIANGLE_SIZE_BYTES, FlatBVH
-from repro.bvh.refit import REFIT_ENGINES, jitter_mesh, refit_bvh
+from repro.bvh.refit import jitter_mesh, refit_bvh
 from repro.bvh.stats import BVHStats, compute_stats
 from repro.bvh.validate import validate_bvh
 from repro.bvh.vector import (
-    BUILD_ENGINES,
     VectorBinnedSAHBuilder,
     VectorLBVHBuilder,
     VectorMedianSplitBuilder,
 )
 
 __all__ = [
-    "BUILD_ENGINES",
     "NODE_SIZE_BYTES",
-    "REFIT_ENGINES",
     "TRIANGLE_SIZE_BYTES",
     "BVHArtifactCache",
     "BVHStats",
-    "BinnedSAHBuilder",
     "FlatBVH",
-    "LBVHBuilder",
-    "MedianSplitBuilder",
     "VectorBinnedSAHBuilder",
     "VectorLBVHBuilder",
     "VectorMedianSplitBuilder",

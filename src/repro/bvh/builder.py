@@ -1,280 +1,31 @@
-"""Top-down BVH builders.
+"""BVH construction: :func:`build_bvh` over three split strategies.
 
-Two classic strategies are provided:
-
-* :class:`MedianSplitBuilder` - split the triangle set at the centroid
-  median of the longest axis.  Fast, balanced, predictable memory use
-  (the paper cites balance/predictability as a reason to choose BVHs).
-* :class:`BinnedSAHBuilder` - greedy surface-area-heuristic split over a
-  fixed number of centroid bins; the standard high-quality builder used
-  by Aila-Laine style tracers.
-
-Both emit nodes parent-before-children into a :class:`FlatBVH` and reorder
-the triangle mesh so every leaf references a contiguous range.
+``"median"`` splits at the centroid median of the longest axis (fast,
+balanced, predictable memory use - the paper cites balance and
+predictability as reasons to choose BVHs); ``"sah"`` takes the greedy
+binned surface-area-heuristic split of Aila-Laine style tracers;
+``"lbvh"`` splits the Morton-sorted triangles where the highest code
+bit differs.  Each runs as a level-synchronous frontier builder
+(:mod:`repro.bvh.vector`); the per-node builders they replaced are
+differential oracles in :mod:`repro.reference`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
-
-import numpy as np
-
 from repro.bvh.nodes import FlatBVH
-from repro.geometry.aabb import aabb_surface_area
+from repro.bvh.vector import (
+    VectorBinnedSAHBuilder,
+    VectorLBVHBuilder,
+    VectorMedianSplitBuilder,
+)
 from repro.geometry.triangle import TriangleMesh
 
-
-@dataclass
-class _BuildArrays:
-    """Mutable node arrays accumulated during construction."""
-
-    lo: List[Tuple[float, float, float]]
-    hi: List[Tuple[float, float, float]]
-    left: List[int]
-    right: List[int]
-    first_tri: List[int]
-    tri_count: List[int]
-    parent: List[int]
-
-    def add_node(self, lo, hi, parent) -> int:
-        """Append a placeholder node and return its index."""
-        self.lo.append(tuple(lo))
-        self.hi.append(tuple(hi))
-        self.left.append(-1)
-        self.right.append(-1)
-        self.first_tri.append(0)
-        self.tri_count.append(0)
-        self.parent.append(parent)
-        return len(self.lo) - 1
-
-
-class _TopDownBuilder:
-    """Shared machinery for top-down builders.
-
-    Subclasses implement :meth:`_choose_split`, returning the index at
-    which the (already ordered) triangle id slice should be partitioned,
-    or ``None`` to make a leaf.
-    """
-
-    def __init__(self, max_leaf_size: int = 4) -> None:
-        if max_leaf_size < 1:
-            raise ValueError("max_leaf_size must be >= 1")
-        self.max_leaf_size = max_leaf_size
-
-    def build(self, mesh: TriangleMesh) -> FlatBVH:
-        """Build a :class:`FlatBVH` over ``mesh``."""
-        n = len(mesh)
-        if n == 0:
-            raise ValueError("cannot build a BVH over an empty mesh")
-        tri_lo, tri_hi = mesh.bounds()
-        centroids = mesh.centroids()
-        order = np.arange(n, dtype=np.int64)
-        arrays = _BuildArrays([], [], [], [], [], [], [])
-
-        # Each work item: (node index, start, end) over `order`.
-        root = arrays.add_node(
-            tri_lo.min(axis=0), tri_hi.max(axis=0), -1
-        )
-        stack = [(root, 0, n)]
-        while stack:
-            node, start, end = stack.pop()
-            count = end - start
-            ids = order[start:end]
-            split = None
-            if count > self.max_leaf_size:
-                split = self._choose_split(ids, centroids, tri_lo, tri_hi, order, start, end)
-            if split is None:
-                arrays.first_tri[node] = start
-                arrays.tri_count[node] = count
-                continue
-            mid = split
-            left_ids = order[start:mid]
-            right_ids = order[mid:end]
-            left_node = arrays.add_node(
-                tri_lo[left_ids].min(axis=0), tri_hi[left_ids].max(axis=0), node
-            )
-            right_node = arrays.add_node(
-                tri_lo[right_ids].min(axis=0), tri_hi[right_ids].max(axis=0), node
-            )
-            arrays.left[node] = left_node
-            arrays.right[node] = right_node
-            stack.append((right_node, mid, end))
-            stack.append((left_node, start, mid))
-
-        reordered = TriangleMesh(mesh.v0[order], mesh.v1[order], mesh.v2[order])
-        return FlatBVH(
-            lo=np.asarray(arrays.lo),
-            hi=np.asarray(arrays.hi),
-            left=np.asarray(arrays.left),
-            right=np.asarray(arrays.right),
-            first_tri=np.asarray(arrays.first_tri),
-            tri_count=np.asarray(arrays.tri_count),
-            parent=np.asarray(arrays.parent),
-            mesh=reordered,
-            tri_indices=order,
-        )
-
-    def _choose_split(
-        self,
-        ids: np.ndarray,
-        centroids: np.ndarray,
-        tri_lo: np.ndarray,
-        tri_hi: np.ndarray,
-        order: np.ndarray,
-        start: int,
-        end: int,
-    ):
-        raise NotImplementedError
-
-
-class MedianSplitBuilder(_TopDownBuilder):
-    """Split at the centroid median of the longest centroid-extent axis."""
-
-    def _choose_split(self, ids, centroids, tri_lo, tri_hi, order, start, end):
-        cents = centroids[ids]
-        extent = cents.max(axis=0) - cents.min(axis=0)
-        axis = int(np.argmax(extent))
-        if extent[axis] <= 0.0:
-            # All centroids coincide: split the id list in half anyway so
-            # degenerate clusters still terminate.
-            mid = start + (end - start) // 2
-            return mid if mid > start and mid < end else None
-        local = np.argsort(cents[:, axis], kind="stable")
-        order[start:end] = ids[local]
-        mid = start + (end - start) // 2
-        return mid
-
-
-class BinnedSAHBuilder(_TopDownBuilder):
-    """Greedy binned surface-area-heuristic builder.
-
-    Evaluates ``num_bins`` candidate splits per axis using the standard
-    SAH cost ``SA_L * N_L + SA_R * N_R`` and falls back to a median split
-    when binning degenerates.  ``traversal_cost``/``intersect_cost`` steer
-    the leaf-creation decision.
-    """
-
-    def __init__(
-        self,
-        max_leaf_size: int = 4,
-        num_bins: int = 16,
-        traversal_cost: float = 1.0,
-        intersect_cost: float = 1.0,
-    ) -> None:
-        super().__init__(max_leaf_size=max_leaf_size)
-        if num_bins < 2:
-            raise ValueError("num_bins must be >= 2")
-        self.num_bins = num_bins
-        self.traversal_cost = traversal_cost
-        self.intersect_cost = intersect_cost
-
-    def _choose_split(self, ids, centroids, tri_lo, tri_hi, order, start, end):
-        cents = centroids[ids]
-        c_lo = cents.min(axis=0)
-        c_hi = cents.max(axis=0)
-        extent = c_hi - c_lo
-
-        best_cost = np.inf
-        best_axis = -1
-        best_bin = -1
-        for axis in range(3):
-            if extent[axis] <= 0.0:
-                continue
-            scale = self.num_bins / extent[axis]
-            bins = np.minimum(
-                ((cents[:, axis] - c_lo[axis]) * scale).astype(np.int64),
-                self.num_bins - 1,
-            )
-            counts = np.bincount(bins, minlength=self.num_bins)
-            # Accumulate bin bounds.
-            bin_lo = np.full((self.num_bins, 3), np.inf)
-            bin_hi = np.full((self.num_bins, 3), -np.inf)
-            np.minimum.at(bin_lo, bins, tri_lo[ids])
-            np.maximum.at(bin_hi, bins, tri_hi[ids])
-
-            # Sweep left-to-right and right-to-left for prefix areas.
-            left_counts = np.cumsum(counts)[:-1]
-            right_counts = left_counts[-1] + counts[-1] - left_counts
-            left_area = _prefix_areas(bin_lo, bin_hi)
-            right_area = _prefix_areas(bin_lo[::-1], bin_hi[::-1])[::-1]
-            with np.errstate(invalid="ignore"):
-                cost = left_area[:-1] * left_counts + right_area[1:] * right_counts
-            cost = np.where((left_counts == 0) | (right_counts == 0), np.inf, cost)
-            idx = int(np.argmin(cost))
-            if cost[idx] < best_cost:
-                best_cost = cost[idx]
-                best_axis = axis
-                best_bin = idx
-
-        count = end - start
-        if best_axis < 0:
-            # Binning degenerated (flat centroid cloud); force a median split.
-            mid = start + count // 2
-            return mid if count > self.max_leaf_size else None
-
-        # Leaf test: compare split cost against testing all triangles here.
-        parent_area = aabb_surface_area(tri_lo[ids].min(axis=0), tri_hi[ids].max(axis=0))
-        if parent_area > 0.0:
-            split_cost = self.traversal_cost + (
-                self.intersect_cost * best_cost / parent_area
-            )
-            leaf_cost = self.intersect_cost * count
-            if split_cost >= leaf_cost and count <= 2 * self.max_leaf_size:
-                return None
-
-        scale = self.num_bins / extent[best_axis]
-        bins = np.minimum(
-            ((cents[:, best_axis] - c_lo[best_axis]) * scale).astype(np.int64),
-            self.num_bins - 1,
-        )
-        go_left = bins <= best_bin
-        left_ids = ids[go_left]
-        right_ids = ids[~go_left]
-        if len(left_ids) == 0 or len(right_ids) == 0:
-            mid = start + count // 2
-            local = np.argsort(cents[:, best_axis], kind="stable")
-            order[start:end] = ids[local]
-            return mid
-        order[start : start + len(left_ids)] = left_ids
-        order[start + len(left_ids) : end] = right_ids
-        return start + len(left_ids)
-
-
-def _prefix_areas(bin_lo: np.ndarray, bin_hi: np.ndarray) -> np.ndarray:
-    """Surface areas of the running unions of bins, front to back."""
-    run_lo = np.minimum.accumulate(bin_lo, axis=0)
-    run_hi = np.maximum.accumulate(bin_hi, axis=0)
-    extent = run_hi - run_lo
-    empty = np.any(extent < 0.0, axis=1)
-    ex, ey, ez = extent[:, 0], extent[:, 1], extent[:, 2]
-    area = 2.0 * (ex * ey + ey * ez + ez * ex)
-    return np.where(empty, 0.0, area)
-
-
-def _make_builder(method: str, engine: str, max_leaf_size: int, **kwargs):
-    """Instantiate the builder for ``(method, engine)``."""
-    if engine == "vector":
-        from repro.bvh import vector
-
-        classes = {
-            "sah": vector.VectorBinnedSAHBuilder,
-            "median": vector.VectorMedianSplitBuilder,
-            "lbvh": vector.VectorLBVHBuilder,
-        }
-    elif engine == "scalar":
-        from repro.bvh.lbvh import LBVHBuilder
-
-        classes = {
-            "sah": BinnedSAHBuilder,
-            "median": MedianSplitBuilder,
-            "lbvh": LBVHBuilder,
-        }
-    else:
-        raise ValueError(f"unknown BVH build engine: {engine!r}")
-    if method not in classes:
-        raise ValueError(f"unknown BVH build method: {method!r}")
-    return classes[method](max_leaf_size=max_leaf_size, **kwargs)
+#: The frontier builder behind each :func:`build_bvh` method.
+_BUILDERS = {
+    "sah": VectorBinnedSAHBuilder,
+    "median": VectorMedianSplitBuilder,
+    "lbvh": VectorLBVHBuilder,
+}
 
 
 def build_bvh(
@@ -282,7 +33,6 @@ def build_bvh(
     method: str = "sah",
     max_leaf_size: int = 4,
     validate: bool = False,
-    engine: str = "vector",
     **kwargs,
 ) -> FlatBVH:
     """Build a BVH over ``mesh`` using a named strategy.
@@ -295,12 +45,6 @@ def build_bvh(
             (:func:`repro.bvh.validate.validate_bvh`) on the result -
             worth the O(n) pass before long experiments or when the
             input mesh is untrusted.
-        engine: ``"vector"`` (default) runs the level-synchronous
-            frontier builders in :mod:`repro.bvh.vector`; ``"scalar"``
-            runs the per-node reference builders.  Both engines produce
-            array-identical trees (asserted by the differential suite
-            and the ``bvh_build`` benchmark gate), so the choice is
-            purely a speed/debuggability trade.
         **kwargs: forwarded to the selected builder.
 
     Raises:
@@ -311,18 +55,19 @@ def build_bvh(
     from repro.telemetry.publish import publish_bvh
 
     with telemetry.span(
-        "bvh.build", method=method, engine=engine, triangles=len(mesh)
+        "bvh.build", method=method, engine="vector", triangles=len(mesh)
     ) as sp:
-        builder = _make_builder(method, engine, max_leaf_size, **kwargs)
+        if method not in _BUILDERS:
+            raise ValueError(f"unknown BVH build method: {method!r}")
+        builder = _BUILDERS[method](max_leaf_size=max_leaf_size, **kwargs)
         bvh = builder.build(mesh)
         sp.add(nodes=bvh.num_nodes)
     publish_bvh(bvh, method=method)
     if telemetry.enabled():
-        levels = getattr(builder, "levels_built", 0)
-        if levels:
-            telemetry.inc_counter(
-                "bvh.build_levels", levels, method=method, engine=engine
-            )
+        telemetry.inc_counter(
+            "bvh.build_levels", builder.levels_built, method=method,
+            engine="vector",
+        )
     if validate:
         from repro.bvh.validate import validate_bvh
 

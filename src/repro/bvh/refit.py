@@ -8,16 +8,13 @@ instead of breaking.  ``refit_bvh`` updates every node's bounds
 bottom-up for a deformed copy of the original mesh, keeping indices,
 parents and leaf ranges identical.
 
-Two engines are provided behind ``refit_bvh(..., engine=...)``:
-
-* ``"vector"`` (default) - level-synchronous: all leaves fold their
-  triangle ranges in one gather + ``reduceat``, then interior bounds
-  propagate one depth per pass over the precomputed
-  :meth:`~repro.bvh.nodes.FlatBVH.levels` schedule, so the whole refit
-  is O(depth) numpy kernels.
-* ``"scalar"`` - the original reverse per-node loop, kept as the
-  differential oracle (``tests/test_refit_interframe.py`` asserts exact
-  bound equality between the two).
+The refit is level-synchronous: all leaves fold their triangle ranges
+in one gather + ``reduceat``, then interior bounds propagate one depth
+per pass over the precomputed :meth:`~repro.bvh.nodes.FlatBVH.levels`
+schedule, so the whole refit is O(depth) numpy kernels.  The reverse
+per-node loop it replaced is kept in :mod:`repro.reference` as the
+differential oracle (``tests/test_refit_interframe.py`` asserts exact
+bound equality between the two).
 """
 
 from __future__ import annotations
@@ -27,39 +24,33 @@ import numpy as np
 from repro.bvh.nodes import FlatBVH
 from repro.geometry.triangle import TriangleMesh
 
-#: Engines accepted by :func:`refit_bvh` (first is the default).
-REFIT_ENGINES = ("vector", "scalar")
 
-
-def refit_bvh(
-    bvh: FlatBVH, mesh: TriangleMesh, engine: str = "vector"
-) -> FlatBVH:
+def refit_bvh(bvh: FlatBVH, mesh: TriangleMesh) -> FlatBVH:
     """Return a copy of ``bvh`` refitted to a deformed ``mesh``.
 
     ``mesh`` must contain the same triangles in the same (reordered)
     order as ``bvh.mesh``; only vertex positions may differ.  The
     returned tree shares topology (indices, parents, leaf ranges) with
     the input, so predictor tables trained on the old tree remain
-    index-compatible.  Both engines produce bit-identical bounds.
+    index-compatible.
 
     Raises:
-        ValueError: if the mesh's triangle count differs, or ``engine``
-            is unknown.
+        ValueError: if the mesh's triangle count differs.
     """
+    return _refit(bvh, mesh, _refit_vector, engine="vector")
+
+
+def _refit(bvh: FlatBVH, mesh: TriangleMesh, bounds, engine: str) -> FlatBVH:
+    """:func:`refit_bvh` with node bounds from ``bounds`` (the
+    :mod:`repro.reference` twin passes its per-node loop here)."""
     if len(mesh) != bvh.num_triangles:
         raise ValueError(
             f"mesh has {len(mesh)} triangles, BVH expects {bvh.num_triangles}"
         )
-    if engine not in REFIT_ENGINES:
-        raise ValueError(f"unknown refit engine: {engine!r}")
 
     tri_lo = np.minimum(np.minimum(mesh.v0, mesh.v1), mesh.v2)
     tri_hi = np.maximum(np.maximum(mesh.v0, mesh.v1), mesh.v2)
-
-    if engine == "vector":
-        lo, hi = _refit_vector(bvh, tri_lo, tri_hi)
-    else:
-        lo, hi = _refit_scalar(bvh, tri_lo, tri_hi)
+    lo, hi = bounds(bvh, tri_lo, tri_hi)
 
     from repro import telemetry
 
@@ -79,26 +70,6 @@ def refit_bvh(
         mesh=mesh,
         tri_indices=bvh.tri_indices,
     )
-
-
-def _refit_scalar(bvh: FlatBVH, tri_lo: np.ndarray, tri_hi: np.ndarray):
-    """Reverse per-node reference loop (the differential oracle)."""
-    lo = bvh.lo.copy()
-    hi = bvh.hi.copy()
-    # Children are always emitted after their parent, so a reverse pass
-    # sees every node's children (or triangles) before the node itself.
-    for node in range(bvh.num_nodes - 1, -1, -1):
-        left = bvh.left[node]
-        if left < 0:
-            start = int(bvh.first_tri[node])
-            stop = start + int(bvh.tri_count[node])
-            lo[node] = tri_lo[start:stop].min(axis=0)
-            hi[node] = tri_hi[start:stop].max(axis=0)
-        else:
-            right = bvh.right[node]
-            lo[node] = np.minimum(lo[left], lo[right])
-            hi[node] = np.maximum(hi[left], hi[right])
-    return lo, hi
 
 
 def _refit_vector(bvh: FlatBVH, tri_lo: np.ndarray, tri_hi: np.ndarray):
@@ -141,4 +112,4 @@ def jitter_mesh(
     return TriangleMesh(mesh.v0 + offsets, mesh.v1 + offsets, mesh.v2 + offsets)
 
 
-__all__ = ["REFIT_ENGINES", "jitter_mesh", "refit_bvh"]
+__all__ = ["jitter_mesh", "refit_bvh"]

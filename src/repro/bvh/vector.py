@@ -1,7 +1,7 @@
 """Level-synchronous vectorized BVH construction.
 
-The scalar builders in :mod:`repro.bvh.builder` process one node per
-Python iteration; this module processes the *entire frontier* of open
+The per-node builders in :mod:`repro.reference.bvh` process one node
+per Python iteration; this module processes the *entire frontier* of open
 nodes at one depth per pass, so the number of kernel launches is bounded
 by tree depth rather than node count - the same ray-stream discipline
 :mod:`repro.trace.wavefront` and :mod:`repro.gpu.vec_rt_unit` apply to
@@ -41,10 +41,6 @@ import numpy as np
 from repro.bvh.nodes import FlatBVH
 from repro.geometry.morton import morton_codes
 from repro.geometry.triangle import TriangleMesh
-
-#: Engines accepted by :func:`repro.bvh.build_bvh` (first is the default).
-BUILD_ENGINES = ("vector", "scalar")
-
 
 def concat_ranges(
     starts: np.ndarray, ends: np.ndarray
@@ -333,7 +329,7 @@ def _dfs_preorder_renumber(left: np.ndarray, right: np.ndarray,
 
 
 class VectorMedianSplitBuilder(_VectorFrontierBuilder):
-    """Level-synchronous twin of :class:`~repro.bvh.builder.MedianSplitBuilder`."""
+    """Level-synchronous twin of :class:`~repro.reference.bvh.MedianSplitBuilder`."""
 
     def _plan_level(self, ids, cents, tri_lo, tri_hi, seg, seg_off,
                     starts, counts):
@@ -355,7 +351,7 @@ class VectorMedianSplitBuilder(_VectorFrontierBuilder):
 
 
 class VectorBinnedSAHBuilder(_VectorFrontierBuilder):
-    """Level-synchronous twin of :class:`~repro.bvh.builder.BinnedSAHBuilder`.
+    """Level-synchronous twin of :class:`~repro.reference.bvh.BinnedSAHBuilder`.
 
     Evaluates every ``(segment, axis, bin)`` split candidate of the
     frontier in one cost tensor; the flat C-order ``argmin`` reproduces
@@ -487,7 +483,7 @@ class VectorBinnedSAHBuilder(_VectorFrontierBuilder):
 
 
 class VectorLBVHBuilder(_VectorFrontierBuilder):
-    """Level-synchronous twin of :class:`~repro.bvh.lbvh.LBVHBuilder`.
+    """Level-synchronous twin of :class:`~repro.reference.bvh.LBVHBuilder`.
 
     Keys every segment by raw uint64 Morton codes (never cast to float:
     codes reach ``3 * bits`` bits and would lose exactness past 2**52)
@@ -536,7 +532,8 @@ class VectorLBVHBuilder(_VectorFrontierBuilder):
 def trees_identical(a, b) -> bool:
     """True iff two :class:`~repro.bvh.nodes.FlatBVH` trees are
     array-identical - every node array, the reordered mesh, and the
-    triangle permutation.  This is the engine-equivalence contract the
+    triangle permutation.  This is the contract between the frontier
+    builders and their :mod:`repro.reference` twins that the
     differential suite and the ``bvh_build`` benchmark gate check.
     """
     return (
@@ -555,7 +552,6 @@ def trees_identical(a, b) -> bool:
 
 
 __all__ = [
-    "BUILD_ENGINES",
     "VectorBinnedSAHBuilder",
     "VectorLBVHBuilder",
     "VectorMedianSplitBuilder",

@@ -274,8 +274,8 @@ class FaultyPredictor:
     corruption racing real lookups.  All other attribute access is
     delegated to the wrapped predictor, so the proxy drops into
     :func:`repro.core.simulate.simulate_predictor` (via its
-    ``predictor=`` argument) and both RT-unit engines unchanged: every
-    engine probes the table once per ray through ``predict``.
+    ``predictor=`` argument) and :class:`~repro.gpu.VectorRTUnit`
+    unchanged: each probes the table once per ray through ``predict``.
     """
 
     def __init__(self, predictor: RayPredictor, injector: FaultInjector) -> None:

@@ -21,9 +21,9 @@ from repro.gpu.cache import Cache, CacheConfig, CacheStats
 from repro.gpu.config import DRAMConfig, GPUConfig, MemoryConfig, RTUnitConfig
 from repro.gpu.dram import DRAM, DRAMStats
 from repro.gpu.memory import MemoryHierarchy
-from repro.gpu.rt_unit import RTUnit, RTUnitResult
+from repro.gpu.rt_unit import RTUnitResult
 from repro.gpu.simulator import SimOutput, simulate_workload
-from repro.gpu.vec_rt_unit import RT_ENGINES, VectorRTUnit, make_rt_unit
+from repro.gpu.vec_rt_unit import VectorRTUnit
 
 __all__ = [
     "Cache",
@@ -35,12 +35,9 @@ __all__ = [
     "GPUConfig",
     "MemoryConfig",
     "MemoryHierarchy",
-    "RT_ENGINES",
-    "RTUnit",
     "RTUnitConfig",
     "RTUnitResult",
     "SimOutput",
     "VectorRTUnit",
-    "make_rt_unit",
     "simulate_workload",
 ]

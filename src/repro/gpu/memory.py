@@ -59,8 +59,8 @@ class MemoryHierarchy:
         self.l1 = Cache(config.l1)
         self.l2 = l2 if l2 is not None else Cache(config.l2)
         self.dram = dram if dram is not None else DRAM(config.dram)
-        # Hit latencies cached as ints: `access_line` is the hottest
-        # scalar path in both timing engines.
+        # Hit latencies cached as ints: `access_line_time` is the
+        # timing model's hottest per-line path.
         self._l1_latency = config.l1.latency
         self._l2_latency = config.l2.latency
         self._l1_ports = config.l1_ports
@@ -128,8 +128,8 @@ class MemoryHierarchy:
         """Access one cache line, classifying where it hit.
 
         Convenience wrapper over :meth:`access_line_time` for callers
-        that want per-access hit flags; the timing engines use the
-        flag-free fast path directly.
+        that want per-access hit flags; the RT units use the flag-free
+        fast path directly.
         """
         l1_hits = self.l1.stats.hits
         l2_hits = self.l2.stats.hits

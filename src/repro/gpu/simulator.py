@@ -27,7 +27,7 @@ from repro.gpu.config import GPUConfig
 from repro.gpu.dram import DRAM
 from repro.gpu.memory import MemoryHierarchy
 from repro.gpu.rt_unit import RTUnitResult
-from repro.gpu.vec_rt_unit import RT_ENGINES, make_rt_unit
+from repro.gpu.vec_rt_unit import VectorRTUnit
 from repro.telemetry import distributed
 from repro.telemetry.publish import (
     publish_cache_stats,
@@ -176,7 +176,7 @@ def make_predictors(bvh: FlatBVH, config: GPUConfig) -> List[RayPredictor]:
 
 
 def _simulate_one_sm(
-    args: Tuple[FlatBVH, GPUConfig, RayBatch, int, str, bool, Optional[dict]],
+    args: Tuple[FlatBVH, GPUConfig, RayBatch, int, bool, Optional[dict]],
 ) -> Tuple[int, RTUnitResult, MemoryHierarchy, Optional[dict]]:
     """One SM's run in a ``sm_jobs`` worker process.
 
@@ -188,13 +188,13 @@ def _simulate_one_sm(
     published parent-side from the returned memory object, exactly like
     the serial loop, so nothing is double counted.
     """
-    bvh, config, sm_rays, sm, engine, telemetry_on, ambient = args
+    bvh, config, sm_rays, sm, telemetry_on, ambient = args
     distributed.init_worker(telemetry_on, ambient)
     memory = MemoryHierarchy(config.memory)
     predictor = (
         RayPredictor(bvh, config.predictor) if config.predictor is not None else None
     )
-    unit = make_rt_unit(engine, bvh, config, memory, predictor=predictor)
+    unit = VectorRTUnit(bvh, config, memory, predictor=predictor)
     with telemetry.label_context(sm=sm):
         result = unit.run(sm_rays)
     return sm, result, memory, distributed.capture_snapshot(unit=f"sm{sm}")
@@ -205,7 +205,6 @@ def simulate_workload(
     rays: RayBatch,
     config: Optional[GPUConfig] = None,
     predictors: Optional[List[RayPredictor]] = None,
-    engine: str = "vector",
     sm_jobs: int = 1,
 ) -> SimOutput:
     """Simulate tracing ``rays`` on the configured GPU.
@@ -218,9 +217,6 @@ def simulate_workload(
         predictors: optional pre-warmed per-SM predictors (from
             :func:`make_predictors`) to reuse between frames; by default
             each call starts with cold tables.
-        engine: timing engine - ``"vector"`` (default, the batched SoA
-            stepper) or ``"scalar"`` (the per-thread differential
-            oracle).  Both produce identical cycles and counters.
         sm_jobs: shard per-SM runs across up to this many worker
             processes.  Requires ``config.shared_l2=False`` (private
             L2/DRAM per SM, so SM runs are independent) and cold
@@ -232,8 +228,6 @@ def simulate_workload(
         detailed results.
     """
     config = config or GPUConfig()
-    if engine not in RT_ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {RT_ENGINES}")
     if predictors is not None and len(predictors) != config.num_sms:
         raise ValueError(
             f"expected {config.num_sms} predictors, got {len(predictors)}"
@@ -258,12 +252,12 @@ def simulate_workload(
     with telemetry.span(
         "gpu.simulate", rays=len(rays), sms=config.num_sms,
         predictor=config.predictor is not None,
-        engine=engine, sm_jobs=sm_jobs,
+        engine="vector", sm_jobs=sm_jobs,
     ) as sp:
         if sm_jobs > 1:
-            per_sm = _simulate_sharded(bvh, rays, config, assignments, engine, sm_jobs)
+            per_sm = _simulate_sharded(bvh, rays, config, assignments, sm_jobs)
         else:
-            per_sm = _simulate_serial(bvh, rays, config, predictors, assignments, engine)
+            per_sm = _simulate_serial(bvh, rays, config, predictors, assignments)
         cycles = max((r.cycles for r in per_sm), default=0)
         sp.add(cycles=cycles)
     return SimOutput(cycles=cycles, per_sm=per_sm)
@@ -275,9 +269,12 @@ def _simulate_serial(
     config: GPUConfig,
     predictors: Optional[List[RayPredictor]],
     assignments: List[np.ndarray],
-    engine: str,
+    unit_class=VectorRTUnit,
 ) -> List[RTUnitResult]:
-    """SMs one after another, sharing L2/DRAM when configured to."""
+    """SMs one after another, sharing L2/DRAM when configured to.
+
+    ``unit_class`` is :mod:`repro.reference`'s hook for its stepper.
+    """
     shared_l2 = Cache(config.memory.l2) if config.shared_l2 else None
     shared_dram = DRAM(config.memory.dram) if config.shared_l2 else None
 
@@ -293,7 +290,7 @@ def _simulate_serial(
             predictor = predictors[sm]
         elif config.predictor is not None:
             predictor = RayPredictor(bvh, config.predictor)
-        unit = make_rt_unit(engine, bvh, config, memory, predictor=predictor)
+        unit = unit_class(bvh, config, memory, predictor=predictor)
         with telemetry.label_context(sm=sm):
             per_sm.append(unit.run(rays.subset(sm_rays)))
         publish_cache_stats(memory.l1.stats, level="l1", sm=sm)
@@ -313,14 +310,13 @@ def _simulate_sharded(
     rays: RayBatch,
     config: GPUConfig,
     assignments: List[np.ndarray],
-    engine: str,
     sm_jobs: int,
 ) -> List[RTUnitResult]:
     """Private-L2 SM runs fanned out across worker processes."""
     telemetry_on = telemetry.enabled()
     ambient = telemetry.current_labels() if telemetry_on else None
     tasks = [
-        (bvh, config, rays.subset(sm_rays), sm, engine, telemetry_on, ambient)
+        (bvh, config, rays.subset(sm_rays), sm, telemetry_on, ambient)
         for sm, sm_rays in enumerate(assignments)
     ]
     per_sm: List[Optional[RTUnitResult]] = [None] * len(tasks)

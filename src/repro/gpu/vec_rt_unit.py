@@ -1,7 +1,7 @@
 """Vectorized (SoA) implementation of the RT-unit timing model.
 
-:class:`VectorRTUnit` is a drop-in replacement for
-:class:`repro.gpu.rt_unit.RTUnit` that traces each ray once and replays
+:class:`VectorRTUnit` replaces the per-thread stepper
+:class:`repro.reference.RTUnit`, tracing each ray once and replaying
 it.  Timing never changes which nodes a ray visits: the ray, the tree
 and, for a predicted ray, the speculative stack installed at admission
 fix that sequence.  So a batched DFS - one exact-order slab kernel for
@@ -31,7 +31,7 @@ Trace then replay
 
 Cycle-for-cycle equivalence
 ---------------------------
-The scalar stepper remains the differential oracle; this engine is
+That stepper remains the differential oracle; this engine is
 *cycle-count- and counter-identical* to it (``tests/test_vec_rt_unit.py``).
 The event loop (heap of ``(ready_time, age)``, admission gate, partial-
 warp collector, watchdog) is the stepper's at warp granularity, and
@@ -80,7 +80,7 @@ from repro.geometry.intersect import ray_triangle_intersect_batch
 from repro.geometry.ray import RayBatch
 from repro.gpu.config import GPUConfig
 from repro.gpu.memory import MemoryHierarchy
-from repro.gpu.rt_unit import _RESTART_SENTINEL, RTUnit, RTUnitResult, _StepOutcome
+from repro.gpu.rt_unit import _RESTART_SENTINEL, RTUnitResult, _StepOutcome
 from repro.telemetry.publish import (
     LaneHistogram,
     publish_rt_unit_result,
@@ -99,10 +99,6 @@ _SORT_DEDUP_LINES = 256
 #: amortize the kernels' per-call cost, few enough to bound their
 #: temporaries.
 _ROOT_CHUNK = 512
-
-#: Selectable RT-unit timing engines (`vector` is the default).
-RT_ENGINES = ("vector", "scalar")
-
 
 def _slab_exact(origins, inv_dirs, t_min, t_max, lo, hi):
     """Slab test with the scalar kernel's exact operation order.
@@ -193,7 +189,7 @@ class _VecWarp:
 
 
 class VectorRTUnit:
-    """One SM's RT unit, vectorized; equivalent to :class:`RTUnit`."""
+    """One SM's RT unit, vectorized; equivalent to the reference stepper."""
 
     def __init__(
         self,
@@ -238,7 +234,7 @@ class VectorRTUnit:
         publish_table_stats(table, since=table_base, engine="vector")
         return result
 
-    # Event loop (mirrors RTUnit._run at warp granularity)
+    # Event loop (mirrors the reference RTUnit._run at warp granularity)
     def _run(self, rays: RayBatch) -> RTUnitResult:
         st = _VecState(rays)
         if self.predictor is not None:
@@ -758,25 +754,4 @@ class VectorRTUnit:
                     predictor.confirm(h, predictor.trained_node_for(tri))
 
 
-def make_rt_unit(
-    engine: str,
-    bvh: FlatBVH,
-    config: GPUConfig,
-    memory: MemoryHierarchy,
-    predictor: Optional[RayPredictor] = None,
-):
-    """Construct an RT-unit timing engine by name.
-
-    ``"vector"`` is the SoA default; ``"scalar"`` is the per-thread
-    reference stepper kept as the differential oracle.
-    """
-    if engine == "vector":
-        return VectorRTUnit(bvh, config, memory, predictor=predictor)
-    if engine == "scalar":
-        return RTUnit(bvh, config, memory, predictor=predictor)
-    raise ValueError(
-        f"unknown RT-unit engine {engine!r}; expected one of {RT_ENGINES}"
-    )
-
-
-__all__ = ["RT_ENGINES", "VectorRTUnit", "make_rt_unit"]
+__all__ = ["VectorRTUnit"]

@@ -1,9 +1,11 @@
 """Scalar reference implementations, kept as differential oracles.
 
-Production has one batch traversal (the wavefront engine behind
-:func:`repro.trace.trace_occlusion_batch`) and one functional predictor
-simulation (:func:`repro.core.simulate.simulate_predictor`).  This
-module keeps the per-ray loops they replaced, unchanged, as something
+Production has one engine per stage: the wavefront batch traversal
+(:func:`repro.trace.trace_occlusion_batch`), the windowed functional
+predictor simulation (:func:`repro.core.simulate.simulate_predictor`),
+the level-synchronous BVH builders and refit (:mod:`repro.bvh`) and the
+trace-then-replay RT unit (:func:`repro.gpu.simulate_workload`).  This
+package keeps the code they replaced, unchanged, as something
 independent to check them against:
 
 * :func:`trace_occlusion_batch` / :func:`trace_closest_batch` - one
@@ -13,12 +15,16 @@ independent to check them against:
   (look up, verify, fall back, ray by ray; training delayed to the end
   of each ``in_flight`` window).  Per-ray occlusion matches production;
   predicted and verified counts may differ slightly.
+* :func:`build_bvh` / :func:`refit_bvh` - the per-node builders and the
+  reverse refit walk; trees array-identical, refits bit-identical.
+* :class:`RTUnit` / :func:`simulate_workload` - the per-thread RT-unit
+  stepper; the same :class:`~repro.gpu.rt_unit.RTUnitResult`.
 
 Everything here publishes telemetry under ``engine="scalar"`` and keeps
 its lazily filled baseline under the ``"scalar"`` key of
 :mod:`repro.core.baseline`, apart from production's.  Only the tests and
 :mod:`repro.bench.harness`, which times each production call against its
-twin here, import this module.
+twin here, import this package.
 """
 
 from __future__ import annotations
@@ -38,6 +44,8 @@ from repro.core.simulate import (
 )
 from repro.errors import TraversalError
 from repro.geometry.ray import Ray, RayBatch
+from repro.reference.bvh import build_bvh, refit_bvh
+from repro.reference.rt_unit import RTUnit, simulate_workload
 from repro.telemetry.publish import (
     FRACTION_BUCKETS,
     publish_simulation_result,
@@ -243,7 +251,11 @@ def simulate_predictor(
 
 
 __all__ = [
+    "RTUnit",
+    "build_bvh",
+    "refit_bvh",
     "simulate_predictor",
+    "simulate_workload",
     "trace_closest_batch",
     "trace_occlusion_batch",
 ]

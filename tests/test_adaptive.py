@@ -5,9 +5,8 @@ import pytest
 from repro.core import PredictorConfig
 from repro.core.adaptive import TournamentPredictor
 from repro.core.simulate import simulate_predictor
-from repro.gpu import GPUConfig
+from repro.gpu import GPUConfig, VectorRTUnit
 from repro.gpu.memory import MemoryHierarchy
-from repro.gpu.rt_unit import RTUnit
 from repro.trace import trace_occlusion_batch
 
 PC = PredictorConfig(origin_bits=3, direction_bits=2, go_up_level=2)
@@ -112,7 +111,7 @@ class TestSimulatorsAcceptIt:
     def test_timing_simulation_results_correct(self, small_bvh, small_workload):
         reference = trace_occlusion_batch(small_bvh, small_workload.rays)
         config = GPUConfig(num_sms=1, predictor=PC)
-        unit = RTUnit(
+        unit = VectorRTUnit(
             small_bvh, config, MemoryHierarchy(config.memory),
             predictor=TournamentPredictor(small_bvh, PC),
         )

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bvh import (
-    MedianSplitBuilder,
-    build_bvh,
-    compute_stats,
-    validate_bvh,
-)
+from repro.bvh import build_bvh, compute_stats, validate_bvh
 from repro.bvh.nodes import NODE_SIZE_BYTES, TRIANGLE_SIZE_BYTES
 from repro.bvh.validate import BVHValidationError
 from repro.geometry.triangle import TriangleMesh
@@ -66,9 +61,9 @@ class TestBuilders:
         with pytest.raises(ValueError):
             build_bvh(mesh, method="bogus")
 
-    def test_invalid_leaf_size_raises(self):
+    def test_invalid_leaf_size_raises(self, mesh):
         with pytest.raises(ValueError):
-            MedianSplitBuilder(max_leaf_size=0)
+            build_bvh(mesh, method="median", max_leaf_size=0)
 
     def test_sah_better_or_equal_quality_than_median(self, mesh):
         sah = compute_stats(build_bvh(mesh, method="sah"))

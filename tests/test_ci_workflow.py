@@ -8,6 +8,7 @@ environments without it.
 """
 
 import os
+import re
 
 import pytest
 
@@ -16,12 +17,8 @@ try:
 except ImportError:  # pragma: no cover - PyYAML is present in dev envs
     yaml = None
 
-WORKFLOW = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    ".github",
-    "workflows",
-    "ci.yml",
-)
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKFLOW = os.path.join(REPO_ROOT, ".github", "workflows", "ci.yml")
 
 
 @pytest.fixture(scope="module")
@@ -90,16 +87,25 @@ class TestArtifactCache:
         # A store entry's bytes are a function of the serializer AND
         # the builder that produced the tree, so the key must
         # invalidate when either changes: io.py carries FORMAT_VERSION,
-        # builder.py/lbvh.py the scalar oracles, vector.py the default
-        # frontier engine.
+        # builder.py picks the builder and vector.py holds the frontier
+        # builders (the scalar oracles in repro.reference never write
+        # to the store).
         key = cache_steps[0]["with"]["key"]
         for module in (
             "src/repro/bvh/io.py",
             "src/repro/bvh/builder.py",
-            "src/repro/bvh/lbvh.py",
             "src/repro/bvh/vector.py",
         ):
             assert module in key, f"{job} cache key must hash {module}"
+
+    def test_hashed_paths_exist(self, workflow_text):
+        # hashFiles() silently skips a path that matches nothing, so a
+        # moved or deleted module would drop out of a cache key unseen.
+        calls = re.findall(r"hashFiles\(([^)]*)\)", workflow_text)
+        assert calls
+        for args in calls:
+            for path in re.findall(r"'([^']+)'", args):
+                assert os.path.exists(os.path.join(REPO_ROOT, path)), path
 
     def test_build_smoke_skips_bvh_cache(self, workflow):
         # The build job times BVH construction itself; restoring a

@@ -108,6 +108,8 @@ class TestSingleTraversalEngine:
         for path in root.rglob("*.py"):
             rel = path.relative_to(root.parent)
             package = list(rel.parent.parts)
+            if package[:2] == ["repro", "reference"]:
+                continue  # the package importing its own modules
             for node in ast.walk(ast.parse(path.read_text(), str(path))):
                 if isinstance(node, ast.Import):
                     names = [alias.name for alias in node.names]
@@ -127,3 +129,40 @@ class TestSingleTraversalEngine:
                 ):
                     importers.add(rel.as_posix())
         assert importers == {"repro/bench/harness.py"}
+
+
+class TestOneEnginePerStage:
+    """BVH build, refit and RT-unit timing have one engine each, too.
+
+    Their scalar twins sit beside the traversal oracles in
+    :mod:`repro.reference`, under the production names; the AST scan
+    above keeps that package out of production.
+    """
+
+    CALLS = [
+        ("repro.bvh", "build_bvh"),
+        ("repro.bvh", "refit_bvh"),
+        ("repro.bvh", "cached_build_bvh"),
+        ("repro.bvh", "BVHArtifactCache.get_or_build"),
+        ("repro.gpu", "simulate_workload"),
+    ]
+
+    @pytest.mark.parametrize("module,name", CALLS)
+    def test_calls_take_no_engine(self, module, name):
+        func = importlib.import_module(module)
+        for attr in name.split("."):
+            func = getattr(func, attr)
+        assert "engine" not in inspect.signature(func).parameters
+
+    GONE = {
+        "repro.bvh": ("BUILD_ENGINES", "REFIT_ENGINES", "BinnedSAHBuilder",
+                      "MedianSplitBuilder", "LBVHBuilder"),
+        "repro.gpu": ("RT_ENGINES", "RTUnit", "make_rt_unit"),
+    }
+
+    @pytest.mark.parametrize("package", GONE)
+    def test_packages_export_no_second_engine(self, package):
+        module = importlib.import_module(package)
+        for name in self.GONE[package]:
+            assert not hasattr(module, name), f"{package}.{name}"
+            assert name not in module.__all__

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import reference as scalar_reference
 from repro.bvh import build_bvh, jitter_mesh, refit_bvh, validate_bvh
 from repro.core import PredictorConfig, RayPredictor
 from repro.gpu import GPUConfig, simulate_workload
@@ -56,23 +57,19 @@ class TestRefitEngines:
     def test_vector_refit_bit_identical_to_scalar(self, small_scene, method):
         bvh = build_bvh(small_scene.mesh, method=method)
         moved = jitter_mesh(bvh.mesh, magnitude=0.07, seed=5)
-        vec = refit_bvh(bvh, moved, engine="vector")
-        sca = refit_bvh(bvh, moved, engine="scalar")
+        vec = refit_bvh(bvh, moved)
+        sca = scalar_reference.refit_bvh(bvh, moved)
         # Min/max folds are exactly associative, so the two schedules
         # must agree to the bit, not within a tolerance.
         assert np.array_equal(vec.lo, sca.lo)
         assert np.array_equal(vec.hi, sca.hi)
-
-    def test_unknown_engine_raises(self, small_bvh):
-        with pytest.raises(ValueError, match="refit engine"):
-            refit_bvh(small_bvh, small_bvh.mesh, engine="cuda")
 
     def test_deformed_mesh_keeps_indices_stable(self, small_bvh):
         # The inter-frame contract: predictor tables store node indices,
         # so a refit over a deformed mesh must leave every index-valued
         # array untouched - only bounds may move.
         moved = jitter_mesh(small_bvh.mesh, magnitude=0.2, seed=11)
-        refitted = refit_bvh(small_bvh, moved, engine="vector")
+        refitted = refit_bvh(small_bvh, moved)
         for attr in ("left", "right", "first_tri", "tri_count",
                      "parent", "tri_indices"):
             assert np.array_equal(

@@ -4,7 +4,7 @@ import pytest
 
 from repro import reference as scalar_reference
 from repro.core import PredictorConfig
-from repro.gpu import GPUConfig, MemoryHierarchy, RTUnit, simulate_workload
+from repro.gpu import GPUConfig, MemoryHierarchy, VectorRTUnit, simulate_workload
 from repro.gpu.config import CacheConfig, MemoryConfig, RTUnitConfig
 from repro.gpu.simulator import split_rays_across_sms
 from repro.trace import TraversalStats, trace_occlusion_batch
@@ -15,7 +15,7 @@ PC = PredictorConfig(origin_bits=3, direction_bits=2, go_up_level=2)
 def run_unit(bvh, rays, predictor_config=None, **gpu_overrides):
     config = GPUConfig(num_sms=1, predictor=predictor_config, **gpu_overrides)
     memory = MemoryHierarchy(config.memory)
-    unit = RTUnit(bvh, config, memory)
+    unit = VectorRTUnit(bvh, config, memory)
     return unit.run(rays)
 
 

@@ -1,5 +1,8 @@
 """Unit tests for the predictor table (Section 4.1)."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro import telemetry
@@ -61,6 +64,17 @@ class TestBasics:
         table.clear()
         assert table.lookup(1) is None
         assert table.occupancy() == 0.0
+
+    def test_clear_preserves_stats(self):
+        table = make(entries=8, ways=2, nodes=2, bits=6)
+        table.update(3, 5)
+        table.lookup(3)
+        stats = replace(table.stats)
+        table.clear()
+        # Clearing invalidates entries (a new frame), not the counters.
+        assert table.stats == stats
+        assert table.occupied_slots() == []
+        assert table.lookup(3) is None
 
 
 class TestAssociativity:
@@ -133,6 +147,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="k must be"):
             PredictorTable(node_policy="lru-k", node_policy_kwargs={"k": 0})
 
+    def test_rejects_bad_shapes(self):
+        for kwargs in (
+            dict(num_entries=0),
+            dict(num_entries=6, ways=4),
+            dict(num_entries=12, ways=2),  # 6 sets: not a power of two
+            dict(node_policy="mru"),
+        ):
+            with pytest.raises(ValueError):
+                PredictorTable(**kwargs)
+
 
 class TestSizeAccounting:
     def test_paper_default_is_5_5kb(self):
@@ -141,6 +165,11 @@ class TestSizeAccounting:
         table = PredictorTable(num_entries=1024, ways=4, nodes_per_entry=1, hash_bits=15)
         assert table.size_bits() == 1024 * 43
         assert 5.3 < table.size_kib() < 5.5
+
+    def test_default_shape_is_5_375_kib(self):
+        table = make(entries=1024, ways=4, nodes=1, bits=15)
+        assert table.size_bits() == 1024 * 43
+        assert table.size_kib() == pytest.approx(5.375)
 
     def test_size_scales_with_nodes(self):
         one = make(nodes=1).size_bits()
@@ -187,6 +216,38 @@ class TestFaultSurface:
         assert [table.entry_tag(0, w) for w in (0, 1)] == [1, 2]
         table.lookup(1)
         assert [table.entry_tag(0, w) for w in (0, 1)] == [2, 1]
+
+    @pytest.mark.parametrize("ways", (1, 2, 4, 8))
+    def test_corrupt_lands_on_one_logical_slot(self, ways):
+        """Corruption returns the old value and lands on one logical slot."""
+        table = make(entries=8, ways=ways, nodes=2, bits=6)
+
+        def entries():
+            """``{(set, way): (tag, nodes)}`` over every occupied slot."""
+            return {
+                sw: (table.entry_tag(*sw), table.entry_nodes(*sw))
+                for sw in table.occupied_slots()
+            }
+
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            table.update(int(rng.integers(24)) * 37 % 256, int(rng.integers(12)))
+        slots = table.occupied_slots()
+        assert slots
+        for _ in range(8):
+            expect = entries()
+            s, w = slots[int(rng.integers(len(slots)))]
+            tag, nodes = expect[s, w]
+            slot = int(rng.integers(len(nodes)))
+            value = int(rng.integers(1 << 10))
+            assert table.corrupt_node(s, w, slot, value) == nodes[slot]
+            new_tag = int(rng.integers(1 << 8))
+            assert table.corrupt_tag(s, w, new_tag) == tag
+            nodes[slot] = value
+            expect[s, w] = (new_tag & 0x3F, nodes)
+            # Nothing else moved: no other entry, slot or LRU position.
+            assert table.occupied_slots() == slots
+            assert entries() == expect
 
 
 class TestTagAliases:

@@ -2,11 +2,12 @@
 
 The vectorized engine (:mod:`repro.gpu.vec_rt_unit`) is a performance
 rewrite, not a remodel: it must produce the *same* :class:`RTUnitResult`
-as the scalar stepper — cycle counts, every fetch/test counter, and the
-cache/DRAM statistics — for any configuration.  These tests pin that
-contract on the shared test scene across config variants, plus a
-Hypothesis property over small warp shapes, and on a registry scene at
-the Figure 12 shape, where the predictor verifies and mispredicts.
+as the scalar stepper kept in :mod:`repro.reference` — cycle counts,
+every fetch/test counter, and the cache/DRAM statistics — for any
+configuration.  These tests pin that contract on the shared test scene
+across config variants, plus a Hypothesis property over small warp
+shapes, and on a registry scene at the Figure 12 shape, where the
+predictor verifies and mispredicts.
 """
 
 import numpy as np
@@ -14,30 +15,33 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro import build_bvh, generate_ao_workload, get_scene, morton_sort_rays
+from repro import (
+    build_bvh,
+    generate_ao_workload,
+    get_scene,
+    morton_sort_rays,
+    reference,
+)
 from repro.analysis.experiments import scaled_gpu_config, scaled_predictor_config
 from repro.bvh.nodes import FlatBVH
 from repro.core import PredictorConfig, RayPredictor
 from repro.errors import TraversalError
 from repro.faults import FaultConfig, FaultInjector, FaultyPredictor
-from repro.gpu import (
-    GPUConfig,
-    MemoryHierarchy,
-    RT_ENGINES,
-    make_rt_unit,
-    simulate_workload,
-)
+from repro.gpu import GPUConfig, MemoryHierarchy, VectorRTUnit, simulate_workload
 from repro.gpu.config import CacheConfig, MemoryConfig, RTUnitConfig
 from repro.gpu.rt_unit import _RESTART_SENTINEL
 
 PC = PredictorConfig(origin_bits=3, direction_bits=2, go_up_level=2)
+
+#: The RT unit each engine label builds: production and its oracle.
+UNITS = {"vector": VectorRTUnit, "scalar": reference.RTUnit}
 
 
 def run_engine(engine, bvh, rays, predictor_config=None, predictor=None,
                **gpu_overrides):
     config = GPUConfig(num_sms=1, predictor=predictor_config, **gpu_overrides)
     memory = MemoryHierarchy(config.memory)
-    unit = make_rt_unit(engine, bvh, config, memory, predictor=predictor)
+    unit = UNITS[engine](bvh, config, memory, predictor=predictor)
     return unit.run(rays)
 
 
@@ -256,8 +260,8 @@ class TestPaperRegime:
         config = scaled_gpu_config(scaled_predictor_config() if predictor else None)
         assert config.num_sms == 2 and config.shared_l2
         assert config.rt_unit.warp_size == 32
-        vector = simulate_workload(bvh, batches[order], config, engine="vector")
-        scalar = simulate_workload(bvh, batches[order], config, engine="scalar")
+        vector = simulate_workload(bvh, batches[order], config)
+        scalar = reference.simulate_workload(bvh, batches[order], config)
         assert vector.per_sm == scalar.per_sm
         assert vector.cycles == cycles
         if predictor:
@@ -268,7 +272,7 @@ class TestPaperRegime:
 class TestDeterminism:
     """Same seed + config ⇒ bit-identical runs, per engine and across."""
 
-    @pytest.mark.parametrize("engine", RT_ENGINES)
+    @pytest.mark.parametrize("engine", UNITS)
     def test_repeat_runs_identical(self, small_bvh, small_workload, engine):
         a = run_engine(engine, small_bvh, small_workload.rays, PC)
         b = run_engine(engine, small_bvh, small_workload.rays, PC)
@@ -276,12 +280,8 @@ class TestDeterminism:
 
     def test_simulate_workload_engines_agree(self, small_bvh, small_workload):
         config = GPUConfig(num_sms=2, predictor=PC)
-        vec = simulate_workload(
-            small_bvh, small_workload.rays, config, engine="vector"
-        )
-        sca = simulate_workload(
-            small_bvh, small_workload.rays, config, engine="scalar"
-        )
+        vec = simulate_workload(small_bvh, small_workload.rays, config)
+        sca = reference.simulate_workload(small_bvh, small_workload.rays, config)
         assert vec.per_sm == sca.per_sm
         assert vec.cycles == sca.cycles
         assert vec.dram_row_hits == sca.dram_row_hits
@@ -301,11 +301,4 @@ class TestSharding:
             simulate_workload(
                 small_bvh, small_workload.rays,
                 GPUConfig(num_sms=2, shared_l2=True), sm_jobs=2,
-            )
-
-    def test_unknown_engine_rejected(self, small_bvh, small_workload):
-        with pytest.raises(ValueError):
-            simulate_workload(
-                small_bvh, small_workload.rays, GPUConfig(num_sms=1),
-                engine="simd",
             )

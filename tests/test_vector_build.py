@@ -1,10 +1,11 @@
 """Differential tests for the level-synchronous vector BVH builders.
 
 The contract under test: for every method and every input,
-``build_bvh(..., engine="vector")`` produces a :class:`FlatBVH` that is
-*array-identical* to the scalar oracle's - same node numbering, same
-bounds to the bit, same triangle permutation.  The scalar builders are
-the specification; the vector builders are an optimization that must be
+:func:`repro.bvh.build_bvh` produces a :class:`FlatBVH` that is
+*array-identical* to the scalar oracle's
+(:func:`repro.reference.build_bvh`) - same node numbering, same bounds
+to the bit, same triangle permutation.  The scalar builders are the
+specification; the vector builders are an optimization that must be
 observationally invisible.
 """
 
@@ -15,15 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import telemetry
-from repro.bvh import (
-    BUILD_ENGINES,
-    REFIT_ENGINES,
-    build_bvh,
-    jitter_mesh,
-    refit_bvh,
-    validate_bvh,
-)
+from repro import reference, telemetry
+from repro.bvh import build_bvh, jitter_mesh, refit_bvh, validate_bvh
 from repro.bvh.vector import trees_identical
 from repro.geometry.triangle import TriangleMesh
 from repro.scenes import SCENE_CODES, get_scene
@@ -43,8 +37,8 @@ def random_mesh(n: int, seed: int, spread: float = 4.0) -> TriangleMesh:
 
 
 def assert_identical(mesh: TriangleMesh, method: str, **kwargs) -> None:
-    vec = build_bvh(mesh, method=method, engine="vector", **kwargs)
-    sca = build_bvh(mesh, method=method, engine="scalar", **kwargs)
+    vec = build_bvh(mesh, method=method, **kwargs)
+    sca = reference.build_bvh(mesh, method=method, **kwargs)
     assert trees_identical(vec, sca), (
         f"vector {method} tree diverged from the scalar oracle "
         f"(n={len(mesh)}, kwargs={kwargs})"
@@ -62,7 +56,7 @@ class TestSceneDifferential:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_vector_tree_validates(self, small_scene, method):
-        bvh = build_bvh(small_scene.mesh, method=method, engine="vector")
+        bvh = build_bvh(small_scene.mesh, method=method)
         validate_bvh(bvh)
 
 
@@ -85,8 +79,8 @@ class TestPropertyDifferential:
     def test_refit_engines_identical(self, n, seed, method):
         bvh = build_bvh(random_mesh(n, seed), method=method)
         moved = jitter_mesh(bvh.mesh, magnitude=0.1, seed=seed % 97)
-        vec = refit_bvh(bvh, moved, engine="vector")
-        sca = refit_bvh(bvh, moved, engine="scalar")
+        vec = refit_bvh(bvh, moved)
+        sca = reference.refit_bvh(bvh, moved)
         assert np.array_equal(vec.lo, sca.lo)
         assert np.array_equal(vec.hi, sca.hi)
 
@@ -147,15 +141,6 @@ class TestEdgeCases:
 
 
 class TestEngineSelection:
-    def test_engine_tuple_order(self):
-        # First entry is the default build_bvh engine.
-        assert BUILD_ENGINES == ("vector", "scalar")
-        assert REFIT_ENGINES == ("vector", "scalar")
-
-    def test_unknown_engine_raises(self, tiny_mesh):
-        with pytest.raises(ValueError, match="build engine"):
-            build_bvh(tiny_mesh, engine="gpu")
-
     def test_unknown_method_raises(self, tiny_mesh):
         with pytest.raises(ValueError, match="build method"):
             build_bvh(tiny_mesh, method="kdtree")
@@ -165,7 +150,7 @@ class TestEngineSelection:
             np.empty((0, 3)), np.empty((0, 3)), np.empty((0, 3))
         )
         with pytest.raises(ValueError, match="empty mesh"):
-            build_bvh(empty, engine="vector")
+            build_bvh(empty)
 
 
 class TestLevelSchedules:
@@ -201,7 +186,7 @@ class TestBuildTelemetry:
     def test_build_levels_counter(self, tiny_mesh):
         with telemetry.enabled_scope():
             telemetry.reset_telemetry()
-            build_bvh(tiny_mesh, method="median", engine="vector")
+            build_bvh(tiny_mesh, method="median")
             reg = telemetry.get_registry()
             assert reg.total("bvh.build_levels") > 0
             assert reg.value(
@@ -213,13 +198,13 @@ class TestBuildTelemetry:
         # invent one for them.
         with telemetry.enabled_scope():
             telemetry.reset_telemetry()
-            build_bvh(tiny_mesh, method="median", engine="scalar")
+            reference.build_bvh(tiny_mesh, method="median")
             assert telemetry.get_registry().total("bvh.build_levels") == 0
 
     def test_refit_nodes_counter(self, small_bvh):
         with telemetry.enabled_scope():
             telemetry.reset_telemetry()
-            refit_bvh(small_bvh, small_bvh.mesh, engine="vector")
+            refit_bvh(small_bvh, small_bvh.mesh)
             reg = telemetry.get_registry()
             assert reg.value(
                 "bvh.refit_nodes", engine="vector"
@@ -227,5 +212,5 @@ class TestBuildTelemetry:
 
     def test_counters_silent_when_disabled(self, tiny_mesh):
         assert not telemetry.enabled()
-        build_bvh(tiny_mesh, engine="vector")
+        build_bvh(tiny_mesh)
         assert telemetry.get_registry().total("bvh.build_levels") == 0

@@ -1,23 +1,19 @@
 #!/usr/bin/env python3
 """Standalone entry point for the benchmark harness.
 
-The harness times each production call against its scalar twin (the
-:mod:`repro.reference` oracles for traversal and the predictor
-simulation); presets, gates and committed baselines are shared with
+The harness runs production calls serially on pinned-seed presets and,
+with ``--check``, gates them exactly against the committed baselines in
+``benchmarks/baselines``; presets, gates and baselines are shared with
 ``python -m repro bench``.
 
 Thin wrapper over :mod:`repro.bench.harness` so the harness can be run
 straight from a checkout without installing the package::
 
-    PYTHONPATH=src python benchmarks/harness.py --quick --check
+    PYTHONPATH=src python benchmarks/harness.py --preset quick --check
 
 This is exactly ``python -m repro bench`` (the CLI subcommand and this
-script share the same implementation), so the resilience flags work here
-too: ``--resume``, ``--supervise``, ``--max-retries``, ``--unit-timeout``,
-``--memory-budget``, ``--no-degrade``, and the chaos-testing flags
-(``--chaos-rate``, ``--force-fail``).  See ``docs/BENCHMARKING.md`` for
-the artifact schema and the CI regression gate, and ``docs/ROBUSTNESS.md``
-for the supervisor and degradation-ladder semantics.
+script share the same implementation).  See ``docs/BENCHMARKING.md``
+for the presets, the artifact schema and the gate.
 """
 
 from __future__ import annotations

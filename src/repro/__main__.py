@@ -5,22 +5,23 @@ Commands:
     quick SCENE       baseline-vs-predictor headline numbers for a scene
     limit SCENE       run the Figure 2 limit study on a scene
     faults SCENE      differential fault-injection oracle for a scene
-    bench             production code timed against its scalar twin,
-                      BENCH_*.json artifacts
+    bench             production code on pinned seeds, BENCH_*.json
+                      artifacts; --check gates them exactly
     simulate          resilient multi-scene predictor sweep, SIM_*.json
     telemetry         instrumented run, telemetry.json + summary
     report            stitch results/*.txt into REPORT.md; --ledger builds
                       a run ledger over BENCH_*/SIM_*.json artifacts and
                       --compare diffs two runs (regression gate)
 
-Resilience (``bench`` and ``simulate``): ``--resume`` continues a sweep
-from its checkpoint without re-running completed scenes; ``--supervise``
-/ ``--max-retries`` / ``--unit-timeout`` / ``--memory-budget`` run each
+Resilience (``simulate``): ``--resume`` continues a sweep from its
+checkpoint without re-running completed scenes; ``--supervise`` /
+``--max-retries`` / ``--unit-timeout`` / ``--memory-budget`` run each
 scene under the run supervisor (retry with backoff, then the
-wavefront -> predictor-off -> skip degradation ladder);
-``--no-degrade`` fails the sweep instead of degrading; ``--chaos-rate``
-/ ``--force-fail`` inject synthetic unit faults for chaos testing.
-See docs/ROBUSTNESS.md.
+wavefront -> predictor-off -> skip degradation ladder); ``--no-degrade``
+fails the sweep instead of degrading; ``--chaos-rate`` /
+``--force-fail`` inject synthetic unit faults for chaos testing.  ``bench``
+has none of these: a gate fails, it never degrades.  See
+docs/ROBUSTNESS.md.
 
 The global ``--telemetry`` flag (or ``REPRO_TELEMETRY=1``) switches on
 metric/span collection for any command; the ``telemetry`` subcommand
@@ -145,9 +146,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 def _resilience_from_args(args: argparse.Namespace, default_checkpoint: str):
     """Build (ResilienceOptions | None, UnitFaultPlan | None) from CLI flags.
 
-    Supervision turns on when any resilience flag is present; a plain
-    ``repro bench`` keeps the legacy fail-fast path so existing callers
-    see identical behaviour.
+    Supervision turns on when any resilience flag is present.
     """
     from repro.faults import UnitFaultPlan
     from repro.resilience import ResilienceOptions
@@ -220,55 +219,24 @@ def _add_resilience_args(parser: argparse.ArgumentParser) -> None:
                        "attempts (COUNT omitted = always); repeatable")
 
 
-def _add_parallel_args(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group(
-        "parallelism", "process-level sweep sharding and artifact caching"
-    )
-    group.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker processes sharding the scene units "
-                       "(results are deterministic: the artifact matches "
-                       "--jobs 1 except for timing fields)")
-    group.add_argument("--artifact-cache", default=None, metavar="DIR",
-                       dest="artifact_cache",
-                       help="content-addressed BVH cache directory "
-                       "(also via REPRO_ARTIFACT_CACHE); repeated sweeps "
-                       "and --jobs workers skip redundant SAH builds")
+def _add_artifact_cache_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--artifact-cache", default=None, metavar="DIR",
+                        dest="artifact_cache",
+                        help="content-addressed BVH cache directory "
+                        "(also via REPRO_ARTIFACT_CACHE); repeated runs "
+                        "skip redundant SAH builds")
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     import os
 
-    from repro.bench import PRESETS, QUICK_PRESET, run_benchmarks, write_payload
-    from repro.bench.harness import FULL_PRESET, check_against_baselines, summarize
+    from repro.bench import PRESETS, run_benchmarks, write_payload
+    from repro.bench.harness import check_against_baselines, summarize
     from repro.bvh.cache import configure_artifact_cache
 
-    if args.preset:
-        preset = PRESETS[args.preset]
-        if args.quick and preset.name != "build":
-            # CI smoke: keep the preset's pinned workload (so --check
-            # compares the same record set against the committed
-            # baseline) but time a single run per benchmark.  The build
-            # preset keeps its best-of repeats: its timed units finish
-            # in milliseconds, so single-repeat ratios are too noisy
-            # for the gated speedup floors, and the whole sweep is
-            # already well under a minute.
-            from dataclasses import replace
-
-            preset = replace(preset, repeats=1)
-    else:
-        preset = QUICK_PRESET if args.quick else FULL_PRESET
     configure_artifact_cache(args.artifact_cache)
-    default_checkpoint = os.path.join(
-        args.out, f"BENCH_{preset.name}.checkpoint.json"
-    )
-    options, fault_plan = _resilience_from_args(args, default_checkpoint)
     payload = run_benchmarks(
-        preset,
-        scenes=args.scenes,
-        progress=print,
-        resilience=options,
-        fault_plan=fault_plan,
-        jobs=args.jobs,
+        PRESETS[args.preset], scenes=args.scenes, progress=print
     )
     print(summarize(payload))
     path = write_payload(payload, args.out)
@@ -276,9 +244,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.trace_out:
         import json
 
-        from repro.telemetry import distributed
-
-        events = distributed.stitched_chrome_trace()
+        events = telemetry.get_tracer().chrome_trace()
         directory = os.path.dirname(args.trace_out)
         if directory:
             os.makedirs(directory, exist_ok=True)
@@ -287,14 +253,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             handle.write("\n")
         print(f"wrote {args.trace_out} (open in chrome://tracing or Perfetto)")
     if args.check:
-        problems = check_against_baselines(
-            payload, args.baselines, tolerance=args.tolerance
-        )
+        problems = check_against_baselines(payload, args.baselines)
         if problems:
             for problem in problems:
                 print(f"REGRESSION: {problem}", file=sys.stderr)
             return 1
-        print(f"regression check passed (tolerance {args.tolerance:.0%})")
+        print("check passed: every baseline record reappeared unchanged")
     return 0
 
 
@@ -429,8 +393,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Parse arguments and dispatch to a subcommand."""
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser, every subcommand included."""
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     parser.add_argument("--detail", type=float, default=1.0,
                         help="scene triangle-budget multiplier")
@@ -472,26 +436,22 @@ def main(argv: list[str] | None = None) -> int:
 
     bench = sub.add_parser(
         "bench",
-        help="time production code against its scalar twin, emit "
-        "BENCH_*.json",
-        description="Run the benchmark harness (repro.bench) on pinned-seed "
-        "workloads and write a BENCH_<preset>.json artifact; with --check, "
-        "fail on regression against the committed baselines.  Each "
-        "production call is timed against its scalar twin in "
-        "repro.reference (records labelled 'scalar'); production records "
-        "are labelled 'wavefront' for traversal and the predictor "
-        "simulation, 'vector' for the RT unit and the BVH build and refit.",
+        help="run production code on pinned seeds, emit BENCH_*.json",
+        description="Run the benchmark harness (repro.bench) serially on a "
+        "pinned-seed preset and write a BENCH_<preset>.json artifact; with "
+        "--check, exit 1 unless every record of the committed baseline "
+        "reappears with equal rays, fetch counters and extras, and every "
+        "predictor record verifies rays, saves cycles and saves memory.  "
+        "Wall time is recorded, never gated.",
     )
-    bench.add_argument("--quick", action="store_true",
-                       help="CI smoke preset (3 scenes, <60s) instead of full")
-    bench.add_argument("--preset",
-                       choices=("quick", "full", "predictor", "timing",
-                                "build"),
-                       default=None,
-                       help="named preset (overrides --quick); 'predictor' "
-                       "times only the predictor simulation on all scenes; "
-                       "'build' times BVH construction + refit against "
-                       "their repro.reference twins")
+    bench.add_argument("--preset", choices=("quick", "full", "predictor",
+                                            "build"),
+                       default="full",
+                       help="'quick' and 'full' time traversal; 'predictor' "
+                       "runs the RT-unit timing model without and with the "
+                       "predictor plus the functional simulation on the "
+                       "Figure 12 shape; 'build' times BVH construction and "
+                       "refit (default: full)")
     bench.add_argument("--scenes", nargs="+", metavar="CODE",
                        help="restrict to these scene codes")
     bench.add_argument("--out", default="benchmarks/results",
@@ -499,9 +459,8 @@ def main(argv: list[str] | None = None) -> int:
     bench.add_argument("--baselines", default="benchmarks/baselines",
                        help="directory holding committed baseline artifacts")
     bench.add_argument("--check", action="store_true",
-                       help="fail (exit 1) on >tolerance regression vs baseline")
-    bench.add_argument("--tolerance", type=float, default=0.2,
-                       help="allowed relative regression (default 0.2)")
+                       help="exit 1 on any change against the baseline or a "
+                       "predictor record outside the paper's regime")
     # SUPPRESS keeps the global --telemetry value when the per-command
     # flag is absent (subparser defaults would otherwise clobber it).
     bench.add_argument("--telemetry", action="store_true",
@@ -509,11 +468,9 @@ def main(argv: list[str] | None = None) -> int:
                        help="collect metrics during the run and embed a "
                        "telemetry section in the BENCH artifact")
     bench.add_argument("--trace-out", default=None, dest="trace_out",
-                       help="write the stitched Chrome trace (parent + all "
-                       "--jobs workers) to this JSON file; requires "
-                       "--telemetry")
-    _add_parallel_args(bench)
-    _add_resilience_args(bench)
+                       help="write the run's Chrome trace to this JSON file; "
+                       "requires --telemetry")
+    _add_artifact_cache_arg(bench)
 
     simulate = sub.add_parser(
         "simulate",
@@ -536,7 +493,11 @@ def main(argv: list[str] | None = None) -> int:
                           help="delayed-update window for the predictor")
     simulate.add_argument("--out", default="results",
                           help="directory for the SIM_*.json artifact")
-    _add_parallel_args(simulate)
+    simulate.add_argument("--jobs", type=int, default=1, metavar="N",
+                          help="worker processes sharding the scene units "
+                          "(results are deterministic: the artifact matches "
+                          "--jobs 1)")
+    _add_artifact_cache_arg(simulate)
     _add_resilience_args(simulate)
 
     tele = sub.add_parser(
@@ -585,10 +546,15 @@ def main(argv: list[str] | None = None) -> int:
                         help="diff two artifacts: counter deltas plus the "
                         "regression gate (exit 1 on regression)")
     report.add_argument("--tolerance", type=float, default=0.2,
-                        help="allowed relative regression for --compare "
-                        "(default 0.2)")
+                        help="allowed relative rate drift when --compare "
+                        "diffs SIM artifacts (default 0.2); BENCH artifacts "
+                        "compare exactly")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    """Parse arguments and dispatch to a subcommand."""
+    args = build_parser().parse_args(argv)
     if args.telemetry:
         telemetry.enable()
     handlers = {

@@ -1,50 +1,42 @@
-"""Benchmark harness: production code timed against its scalar twin.
+"""Benchmark harness: production calls on pinned seeds, gated exactly.
 
-The harness is the measured half of the production engines' contract:
-the differential tests prove each production call agrees with its
-scalar twin in :mod:`repro.reference` (traversal, the predictor
-simulation, BVH build and refit, and the RT-unit timing model), and
-:mod:`repro.bench.harness` times the two on pinned seeds and emits
-machine-readable ``BENCH_<name>.json`` artifacts.
-It is the only production module that imports :mod:`repro.reference`.
-CI's benchmark-smoke job replays the quick preset and fails the build on
-a >20 % regression against the committed baselines, which keep their
-presets, gates and ``"wavefront"``/``"vector"``/``"scalar"`` record
-labels (see ``docs/BENCHMARKING.md``).
+:mod:`repro.bench.harness` runs the production calls of each pipeline
+stage serially on pinned-seed workloads and emits machine-readable
+``BENCH_<name>.json`` artifacts (schema ``repro-bench/7``).  CI's
+``repro bench --preset P --check`` steps fail when a record of the
+committed baseline in ``benchmarks/baselines`` does not reappear with
+equal deterministic fields, or when a predictor record leaves the
+paper's regime (see ``docs/BENCHMARKING.md``).  The differential
+contracts against the scalar oracles in :mod:`repro.reference` live in
+the test suite.
 """
 
 from repro.bench.harness import (
-    ACCEPTED_SCHEMAS,
     BENCH_SCHEMA,
     BUILD_PRESET,
     FULL_PRESET,
     PREDICTOR_PRESET,
     PRESETS,
     QUICK_PRESET,
-    TIMING_PRESET,
     BenchPreset,
     BenchRecord,
     compare_payloads,
     load_payload,
     run_benchmarks,
-    sweep_fingerprint,
     write_payload,
 )
 
 __all__ = [
-    "ACCEPTED_SCHEMAS",
     "BENCH_SCHEMA",
     "BUILD_PRESET",
     "FULL_PRESET",
     "PREDICTOR_PRESET",
     "PRESETS",
     "QUICK_PRESET",
-    "TIMING_PRESET",
     "BenchPreset",
     "BenchRecord",
     "compare_payloads",
     "load_payload",
     "run_benchmarks",
-    "sweep_fingerprint",
     "write_payload",
 ]

@@ -1,8 +1,8 @@
 """Content-addressed on-disk cache of built BVHs.
 
 A sweep rebuilds the same BVH for every process that touches a scene:
-``repro bench --jobs N`` workers, resumed sweeps, and repeated ablation
-runs all pay the SAH build again even though its inputs have not
+``repro simulate --jobs N`` workers, resumed sweeps, and repeated
+ablation runs all pay the SAH build again even though its inputs have not
 changed.  This cache keys a built tree by a digest of everything that
 determines it - the mesh content, the builder configuration, and the
 on-disk :data:`~repro.bvh.io.FORMAT_VERSION` - so a repeated build is a

@@ -258,20 +258,6 @@ class SweepFailedError(ReproError):
         self.failed_units = list(failed_units) if failed_units is not None else []
 
 
-class TelemetryAggregationError(ReproError, ValueError):
-    """A sharded run would silently drop worker-side telemetry.
-
-    Raised when telemetry is enabled, the sweep is sharded across
-    worker processes, and cross-process aggregation has been switched
-    off (``aggregate_telemetry=False``): the only honest outcomes are
-    "merge the worker snapshots" or "refuse to run" - losing the
-    metrics quietly is how the pre-distributed harness misled people
-    (see ``docs/OBSERVABILITY.md``).
-    """
-
-    exit_code = EXIT_USAGE
-
-
 def exit_code_for(exc: BaseException) -> int:
     """Map an exception to the CLI exit code documented above."""
     if isinstance(exc, ReproError):

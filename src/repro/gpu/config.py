@@ -146,12 +146,6 @@ class GPUConfig:
     memory: MemoryConfig = field(default_factory=MemoryConfig)
     predictor: Optional[PredictorConfig] = None
     collector_timeout: int = 16
-    #: True (default, the paper's Table 2 topology): all SMs share one
-    #: L2 and DRAM, which serializes the simulation across SMs.  False
-    #: gives each SM a private L2/DRAM, making per-SM runs independent
-    #: so ``simulate_workload(..., sm_jobs=N)`` can shard them across
-    #: processes bit-identically to the serial private-L2 run.
-    shared_l2: bool = True
     #: Hard cycle cap per SM run; ``None`` disables it.  When the
     #: simulated clock passes this value the run aborts with a
     #: :class:`repro.errors.SimulationStallError` carrying diagnostics,

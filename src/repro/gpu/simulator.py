@@ -12,9 +12,8 @@ and take the slowest SM's cycle count as the execution time.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from repro.gpu.dram import DRAM
 from repro.gpu.memory import MemoryHierarchy
 from repro.gpu.rt_unit import RTUnitResult
 from repro.gpu.vec_rt_unit import VectorRTUnit
-from repro.telemetry import distributed
 from repro.telemetry.publish import (
     publish_cache_stats,
     publish_dram_stats,
@@ -175,37 +173,11 @@ def make_predictors(bvh: FlatBVH, config: GPUConfig) -> List[RayPredictor]:
     return [RayPredictor(bvh, config.predictor) for _ in range(config.num_sms)]
 
 
-def _simulate_one_sm(
-    args: Tuple[FlatBVH, GPUConfig, RayBatch, int, bool, Optional[dict]],
-) -> Tuple[int, RTUnitResult, MemoryHierarchy, Optional[dict]]:
-    """One SM's run in a ``sm_jobs`` worker process.
-
-    Only valid for private-L2 configurations: the worker builds a fresh
-    memory hierarchy and (cold) predictor, so its result is bit-identical
-    to the same SM's turn in the serial private-L2 loop.  The worker's
-    telemetry snapshot (RT-unit spans and counters recorded inside
-    ``unit.run``) rides back with the result; cache/DRAM stats are still
-    published parent-side from the returned memory object, exactly like
-    the serial loop, so nothing is double counted.
-    """
-    bvh, config, sm_rays, sm, telemetry_on, ambient = args
-    distributed.init_worker(telemetry_on, ambient)
-    memory = MemoryHierarchy(config.memory)
-    predictor = (
-        RayPredictor(bvh, config.predictor) if config.predictor is not None else None
-    )
-    unit = VectorRTUnit(bvh, config, memory, predictor=predictor)
-    with telemetry.label_context(sm=sm):
-        result = unit.run(sm_rays)
-    return sm, result, memory, distributed.capture_snapshot(unit=f"sm{sm}")
-
-
 def simulate_workload(
     bvh: FlatBVH,
     rays: RayBatch,
     config: Optional[GPUConfig] = None,
     predictors: Optional[List[RayPredictor]] = None,
-    sm_jobs: int = 1,
 ) -> SimOutput:
     """Simulate tracing ``rays`` on the configured GPU.
 
@@ -217,11 +189,6 @@ def simulate_workload(
         predictors: optional pre-warmed per-SM predictors (from
             :func:`make_predictors`) to reuse between frames; by default
             each call starts with cold tables.
-        sm_jobs: shard per-SM runs across up to this many worker
-            processes.  Requires ``config.shared_l2=False`` (private
-            L2/DRAM per SM, so SM runs are independent) and cold
-            predictors; the sharded result is bit-identical to the
-            serial private-L2 run.
 
     Returns:
         :class:`SimOutput` with total cycles (max over SMs) and per-SM
@@ -232,32 +199,14 @@ def simulate_workload(
         raise ValueError(
             f"expected {config.num_sms} predictors, got {len(predictors)}"
         )
-    if sm_jobs < 1:
-        raise ValueError("sm_jobs must be >= 1")
-    sm_jobs = min(sm_jobs, config.num_sms)
-    if sm_jobs > 1:
-        if config.shared_l2:
-            raise ValueError(
-                "sm_jobs > 1 requires shared_l2=False: with a shared L2/DRAM "
-                "the SM runs serialize through common memory state and "
-                "cannot shard across processes"
-            )
-        if predictors is not None:
-            raise ValueError(
-                "sm_jobs > 1 cannot reuse pre-warmed predictors: worker "
-                "processes cannot reflect table mutations back to the caller"
-            )
 
     assignments = split_rays_across_sms(rays, config.num_sms, config.rt_unit.warp_size)
     with telemetry.span(
         "gpu.simulate", rays=len(rays), sms=config.num_sms,
         predictor=config.predictor is not None,
-        engine="vector", sm_jobs=sm_jobs,
+        engine="vector",
     ) as sp:
-        if sm_jobs > 1:
-            per_sm = _simulate_sharded(bvh, rays, config, assignments, sm_jobs)
-        else:
-            per_sm = _simulate_serial(bvh, rays, config, predictors, assignments)
+        per_sm = _simulate_serial(bvh, rays, config, predictors, assignments)
         cycles = max((r.cycles for r in per_sm), default=0)
         sp.add(cycles=cycles)
     return SimOutput(cycles=cycles, per_sm=per_sm)
@@ -271,20 +220,17 @@ def _simulate_serial(
     assignments: List[np.ndarray],
     unit_class=VectorRTUnit,
 ) -> List[RTUnitResult]:
-    """SMs one after another, sharing L2/DRAM when configured to.
+    """SMs one after another against one shared L2 and DRAM.
 
     ``unit_class`` is :mod:`repro.reference`'s hook for its stepper.
     """
-    shared_l2 = Cache(config.memory.l2) if config.shared_l2 else None
-    shared_dram = DRAM(config.memory.dram) if config.shared_l2 else None
+    l2 = Cache(config.memory.l2)
+    dram = DRAM(config.memory.dram)
 
     per_sm: List[RTUnitResult] = []
     for sm, sm_rays in enumerate(assignments):
-        if config.shared_l2:
-            memory = MemoryHierarchy(config.memory, l2=shared_l2, dram=shared_dram)
-            shared_dram.reset_timing()
-        else:
-            memory = MemoryHierarchy(config.memory)
+        memory = MemoryHierarchy(config.memory, l2=l2, dram=dram)
+        dram.reset_timing()
         predictor = None
         if predictors is not None:
             predictor = predictors[sm]
@@ -295,39 +241,7 @@ def _simulate_serial(
             per_sm.append(unit.run(rays.subset(sm_rays)))
         publish_cache_stats(memory.l1.stats, level="l1", sm=sm)
         publish_reuse_distances(memory, sm=sm)
-        if not config.shared_l2:
-            publish_cache_stats(memory.l2.stats, level="l2", sm=sm)
-            publish_dram_stats(memory.dram.stats, config.memory.dram.num_banks, sm=sm)
 
-    if config.shared_l2:
-        publish_cache_stats(shared_l2.stats, level="l2")
-        publish_dram_stats(shared_dram.stats, config.memory.dram.num_banks)
+    publish_cache_stats(l2.stats, level="l2")
+    publish_dram_stats(dram.stats, config.memory.dram.num_banks)
     return per_sm
-
-
-def _simulate_sharded(
-    bvh: FlatBVH,
-    rays: RayBatch,
-    config: GPUConfig,
-    assignments: List[np.ndarray],
-    sm_jobs: int,
-) -> List[RTUnitResult]:
-    """Private-L2 SM runs fanned out across worker processes."""
-    telemetry_on = telemetry.enabled()
-    ambient = telemetry.current_labels() if telemetry_on else None
-    tasks = [
-        (bvh, config, rays.subset(sm_rays), sm, telemetry_on, ambient)
-        for sm, sm_rays in enumerate(assignments)
-    ]
-    per_sm: List[Optional[RTUnitResult]] = [None] * len(tasks)
-    with ProcessPoolExecutor(max_workers=sm_jobs) as pool:
-        # pool.map yields in SM order, so snapshot absorption is
-        # deterministic regardless of which worker finished first.
-        for sm, result, memory, snapshot in pool.map(_simulate_one_sm, tasks):
-            per_sm[sm] = result
-            distributed.absorb_snapshot(snapshot)
-            publish_cache_stats(memory.l1.stats, level="l1", sm=sm)
-            publish_cache_stats(memory.l2.stats, level="l2", sm=sm)
-            publish_dram_stats(memory.dram.stats, config.memory.dram.num_banks, sm=sm)
-            publish_reuse_distances(memory, sm=sm)
-    return per_sm  # type: ignore[return-value]

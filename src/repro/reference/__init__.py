@@ -22,9 +22,8 @@ independent to check them against:
 
 Everything here publishes telemetry under ``engine="scalar"`` and keeps
 its lazily filled baseline under the ``"scalar"`` key of
-:mod:`repro.core.baseline`, apart from production's.  Only the tests and
-:mod:`repro.bench.harness`, which times each production call against its
-twin here, import this package.
+:mod:`repro.core.baseline`, apart from production's.  Only the tests
+import this package.
 """
 
 from __future__ import annotations

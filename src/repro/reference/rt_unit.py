@@ -603,7 +603,7 @@ def simulate_workload(
     assignments = split_rays_across_sms(rays, config.num_sms, config.rt_unit.warp_size)
     with telemetry.span(
         "gpu.simulate", rays=len(rays), sms=config.num_sms,
-        predictor=config.predictor is not None, engine="scalar", sm_jobs=1,
+        predictor=config.predictor is not None, engine="scalar",
     ) as sp:
         per_sm = _simulate_serial(bvh, rays, config, None, assignments, RTUnit)
         cycles = max((r.cycles for r in per_sm), default=0)

@@ -1,6 +1,6 @@
 """Crash-consistent checkpointing of sweep progress.
 
-A sweep (``repro bench``, ``repro simulate``) is a sequence of *units*
+A sweep (``repro simulate``) is a sequence of *units*
 (one scene each).  The checkpoint records every completed unit's payload
 so a run killed mid-sweep resumes with ``--resume`` and re-runs only the
 units that never finished.
@@ -12,8 +12,8 @@ flushed and fsynced, then atomically swapped into place with
 complete checkpoint or the new complete checkpoint on disk - never a
 torn file.
 
-Resume safety: the checkpoint embeds a schema tag, the bench artifact
-schema it was written against, and a *fingerprint* of the sweep
+Resume safety: the checkpoint embeds a schema tag, the artifact schema
+it was written against, and a *fingerprint* of the sweep
 configuration (preset/scene/seed knobs).  :meth:`SweepCheckpoint.load`
 refuses (with a structured :class:`~repro.errors.CheckpointError`) to
 resume a checkpoint whose fingerprint does not match the current run -
@@ -60,7 +60,7 @@ class SweepCheckpoint:
 
     Usage::
 
-        ckpt = SweepCheckpoint(path, fingerprint, bench_schema="repro-bench/3")
+        ckpt = SweepCheckpoint(path, fingerprint, bench_schema="repro-sim-sweep/1")
         ckpt.load(resume=args.resume)
         for unit in units:
             if ckpt.has(unit):

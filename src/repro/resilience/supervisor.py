@@ -1,6 +1,6 @@
 """The run supervisor: deadlines, budgets, retries, and the ladder.
 
-Every unit of sweep work (one scene of a bench or simulate sweep) runs
+Every unit of sweep work (one scene of a simulate sweep) runs
 under :class:`RunSupervisor`, which
 
 1. enforces a **wall-clock deadline** (the unit runs in a worker thread;

@@ -1,6 +1,6 @@
 """Resilient multi-scene predictor-simulation sweeps (``repro simulate``).
 
-``repro bench`` times production code; this sweep runs the *functional*
+``repro bench`` gates production code; this sweep runs the *functional*
 predictor simulation (:func:`repro.core.simulate.simulate_predictor`)
 across scenes and reports the paper's headline rates (predicted /
 verified / memory savings) per scene.  Every scene is a supervised unit
@@ -81,9 +81,9 @@ def _scene_result(preset: SimulatePreset, code: str, rung: str) -> dict:
 def sim_fingerprint(preset: SimulatePreset) -> dict:
     """The configuration identity a checkpoint pins a sweep to.
 
-    Mirrors :func:`repro.bench.harness.sweep_fingerprint`: when the BVH
-    artifact cache is active, its identity joins the fingerprint so
-    cached and uncached runs can never be mixed by ``--resume``.
+    When the BVH artifact cache is active, its identity joins the
+    fingerprint so cached and uncached runs can never be mixed by
+    ``--resume``.
     """
     fingerprint = {"kind": "simulate", "preset": asdict(preset)}
     cache = get_artifact_cache()

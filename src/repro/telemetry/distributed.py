@@ -1,8 +1,7 @@
 """Cross-process telemetry: ship worker state home, merge it losslessly.
 
-The sharded execution paths (``repro bench --jobs N``,
-``repro simulate --jobs N``, ``simulate_workload(sm_jobs=N)``) run each
-unit inside a ``ProcessPoolExecutor`` worker.  Telemetry state is
+The sharded sweep (``repro simulate --jobs N``) runs each scene unit
+inside a ``ProcessPoolExecutor`` worker.  Telemetry state is
 process-global, so before this module existed every counter increment,
 histogram observation, and span recorded inside a worker died with the
 worker - the parent's artifact silently showed only parent-side work.
@@ -14,9 +13,8 @@ The fix is a snapshot/absorb pair riding the existing result path:
   runs its unit, then returns :func:`capture_snapshot` alongside its
   normal result payload;
 * the parent calls :func:`absorb_snapshot` on each returned snapshot,
-  in a deterministic order (scene order on the plain path, completion
-  order with per-unit labels on the resilient path), merging counters
-  by label-preserving addition, histograms by raw-bucket union
+  in scene order, merging counters by label-preserving addition,
+  histograms by raw-bucket union
   (:meth:`~repro.telemetry.metrics.Histogram.add_raw`), and gauges by
   last-write-wins - the same semantics a serial run would produce;
 * :func:`stitched_chrome_trace` renders the parent's events plus every

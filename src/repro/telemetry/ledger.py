@@ -8,7 +8,7 @@ schema-versioned (``repro-ledger/1``) summary - one entry per artifact
 with its headline per-scene figures and telemetry counter totals -
 :func:`render_trends` turns it into per-scene trend tables, and
 :func:`compare_runs` diffs two runs (counter deltas plus the
-:func:`repro.bench.harness.compare_payloads` regression gate).
+:func:`repro.bench.harness.compare_payloads` record gate).
 
 ``repro report --ledger`` / ``--compare`` is the CLI veneer
 (see docs/OBSERVABILITY.md).
@@ -56,6 +56,10 @@ def _counter_totals(payload: dict) -> Dict[str, float]:
     return totals
 
 
+#: Bench timing records and the ledger column their cycles fill.
+_CYCLE_KEYS = {"rt_timing": "cycles", "rt_timing_predictor": "cycles_predictor"}
+
+
 def _scene_rows(payload: dict) -> Dict[str, Dict[str, object]]:
     """Headline per-scene figures of one artifact (kind-specific)."""
     rows: Dict[str, Dict[str, object]] = {}
@@ -68,15 +72,21 @@ def _scene_rows(payload: dict) -> Dict[str, Dict[str, object]]:
                 "memory_savings": row.get("memory_savings"),
             }
         return rows
-    derived = payload.get("derived", {})
-    for code, row in derived.get("predictor_throughput", {}).items():
-        entry = rows.setdefault(code, {})
-        entry.update(row.get("rates", {}))
-    for code, row in derived.get("rt_timing", {}).items():
-        entry = rows.setdefault(code, {})
-        for key in ("cycles", "cycles_predictor", "cycle_speedup_predictor"):
-            if key in row:
-                entry[key] = row[key]
+    for record in payload.get("results", []):
+        extra = record["extra"]
+        if record["benchmark"] == "predictor_sim":
+            rows.setdefault(record["scene"], {}).update(
+                (key, extra[key])
+                for key in ("predicted_rate", "verified_rate", "memory_savings")
+            )
+        elif record["benchmark"] in _CYCLE_KEYS:
+            key = _CYCLE_KEYS[record["benchmark"]]
+            rows.setdefault(record["scene"], {})[key] = extra["cycles"]
+    for entry in rows.values():
+        if entry.get("cycles") and entry.get("cycles_predictor"):
+            entry["cycle_speedup_predictor"] = round(
+                entry["cycles"] / entry["cycles_predictor"], 4
+            )
     return rows
 
 
@@ -263,9 +273,10 @@ def compare_runs(
 ) -> List[str]:
     """Regression check between two runs of the same kind.
 
-    Bench artifacts go through the full
+    Bench artifacts go through the exact
     :func:`repro.bench.harness.compare_payloads` gate (old run as the
-    baseline).  Simulate artifacts gate on per-scene rate drift.
+    baseline; ``tolerance`` does not apply).  Simulate artifacts gate on
+    per-scene rate drift.
     """
     old_schema = old.get("schema", "")
     new_schema = new.get("schema", "")
@@ -278,7 +289,7 @@ def compare_runs(
     if old_kind == "bench":
         from repro.bench.harness import compare_payloads
 
-        return compare_payloads(new, old, tolerance=tolerance)
+        return compare_payloads(new, old)
 
     problems: List[str] = []
     old_rows = {row["scene"]: row for row in old.get("results", [])}

@@ -23,8 +23,8 @@ production: :func:`~repro.trace.traversal.trace_occlusion_batch` and
 Equivalence contract
 --------------------
 Hit *results* are bit-identical to the scalar per-ray loops kept in
-:mod:`repro.reference` (the differential tests and ``repro bench``
-compare the two): both evaluate the same IEEE-754 double-precision slab and Moeller-Trumbore
+:mod:`repro.reference` (the differential tests compare the two): both
+evaluate the same IEEE-754 double-precision slab and Moeller-Trumbore
 arithmetic against the same ``[t_min, t_max]`` intervals, and whether a
 ray intersects any in-range triangle (occlusion) or what its minimum hit
 parameter is (closest hit) does not depend on traversal order.

@@ -1,14 +1,16 @@
-"""Benchmark harness tests: artifact schema, I/O, and the regression gate."""
+"""Benchmark harness tests: artifact schema, I/O, and the exact gate."""
 
 import copy
 import json
 import os
+from dataclasses import asdict
 
 import pytest
 
+from repro import get_scene
 from repro.bench import (
-    ACCEPTED_SCHEMAS,
     BENCH_SCHEMA,
+    PRESETS,
     QUICK_PRESET,
     BenchPreset,
     compare_payloads,
@@ -16,10 +18,15 @@ from repro.bench import (
     run_benchmarks,
     write_payload,
 )
-from repro.bench.harness import check_against_baselines, summarize
+from repro.bench.harness import (
+    GATED_FIELDS,
+    check_against_baselines,
+    regime_problems,
+    summarize,
+)
+from repro.bvh import build_bvh, compute_stats
 
-#: One tiny scene, tiny image: keeps the end-to-end test fast while still
-#: exercising every benchmark and both engines.
+#: One tiny scene, tiny image: keeps the end-to-end test fast.
 TEST_PRESET = BenchPreset(
     name="testrun",
     scenes=("SB",),
@@ -28,9 +35,37 @@ TEST_PRESET = BenchPreset(
     spp=1,
     seed=1,
     detail=0.25,
-    sim_rays=32,
-    repeats=1,
 )
+
+#: The predictor families on the same tiny workload (too small to be in
+#: the paper's regime; the regime checks run on the committed baseline).
+PREDICTOR_TEST_PRESET = BenchPreset(
+    name="predtest",
+    scenes=("SB",),
+    width=6,
+    height=6,
+    spp=1,
+    seed=1,
+    detail=0.25,
+    benchmarks=("rt_timing", "predictor_sim"),
+)
+
+BASELINE_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "benchmarks",
+    "baselines",
+)
+
+
+def baseline(name):
+    return load_payload(os.path.join(BASELINE_DIR, f"BENCH_{name}.json"))
+
+
+def record(payload, family, scene="SB"):
+    return next(
+        r for r in payload["results"]
+        if r["benchmark"] == family and r["scene"] == scene
+    )
 
 
 @pytest.fixture(scope="module")
@@ -40,34 +75,29 @@ def payload():
 
 class TestArtifact:
     def test_schema_and_shape(self, payload):
-        assert payload["schema"] == BENCH_SCHEMA
+        assert payload["schema"] == BENCH_SCHEMA == "repro-bench/7"
         assert payload["name"] == "testrun"
         assert payload["scenes"] == ["SB"]
-        # 3 benchmarks x 1 scene x 2 engines.
-        assert len(payload["results"]) == 6
-        for record in payload["results"]:
-            assert record["engine"] in ("scalar", "wavefront")
-            assert record["rays"] > 0
-            assert record["wall_time_s"] >= 0
-            assert record["node_fetches"] >= 0
-
-    def test_speedups_derived_for_all_benchmarks(self, payload):
-        speed = payload["derived"]["speedup_wavefront_over_scalar"]
-        assert set(speed) == {"occlusion_trace", "closest_trace", "predictor_sim"}
-        for per_scene in speed.values():
-            assert set(per_scene) == {"SB"}
-            assert per_scene["SB"] > 0
+        assert payload["preset"] == asdict(TEST_PRESET)
+        assert set(payload) == {"schema", "name", "preset", "scenes", "results"}
+        # 2 traversal benchmarks x 1 scene, production only.
+        assert [r["benchmark"] for r in payload["results"]] == [
+            "occlusion_trace", "closest_trace",
+        ]
+        for rec in payload["results"]:
+            assert set(rec) == {
+                "benchmark", "scene", "rays", "wall_time_s", "rays_per_sec",
+                "node_fetches", "tri_fetches", "extra",
+            }
+            assert rec["rays"] > 0
+            assert rec["wall_time_s"] >= 0
+            assert rec["node_fetches"] > 0
 
     def test_counters_deterministic_across_runs(self, payload):
-        def key(r):
-            return (r["benchmark"], r["scene"], r["engine"])
-
         second = run_benchmarks(TEST_PRESET)
-        first = {key(r): r for r in payload["results"]}
-        for record in second["results"]:
-            base = first[key(record)]
-            assert record["node_fetches"] == base["node_fetches"]
-            assert record["tri_fetches"] == base["tri_fetches"]
+        for first, again in zip(payload["results"], second["results"]):
+            for name in GATED_FIELDS:
+                assert first[name] == again[name]
 
     def test_json_round_trip(self, payload, tmp_path):
         path = write_payload(payload, str(tmp_path))
@@ -80,14 +110,11 @@ class TestArtifact:
         with pytest.raises(ValueError, match="unsupported benchmark schema"):
             load_payload(path)
 
-    def test_load_accepts_previous_schema(self, payload, tmp_path):
-        # Baselines written as repro-bench/1 (before the telemetry
-        # section existed) must stay readable by the regression gate.
-        assert "repro-bench/1" in ACCEPTED_SCHEMAS
-        old = dict(payload, schema="repro-bench/1")
-        old.pop("telemetry", None)
-        path = write_payload(old, str(tmp_path))
-        assert load_payload(path)["schema"] == "repro-bench/1"
+    def test_load_rejects_older_schema(self, payload, tmp_path):
+        for schema in ("repro-bench/1", "repro-bench/6"):
+            path = write_payload(dict(payload, schema=schema), str(tmp_path))
+            with pytest.raises(ValueError, match="re-baseline"):
+                load_payload(path)
 
     def test_no_telemetry_section_when_disabled(self, payload):
         # The module fixture runs with telemetry off; the artifact must
@@ -109,45 +136,61 @@ class TestArtifact:
         )
         assert section["spans"]
 
-    def test_summarize_mentions_speedups(self, payload):
-        text = summarize(payload)
-        assert "occlusion_trace" in text
-        assert "testrun" in text
+    def test_summarize_mentions_speedups(self):
+        text = summarize(baseline("predictor"))
+        assert "cycles 14847 -> 13126 (1.131x speedup)" in text
+        assert "verified 31.8%" in text
+
+    def test_predictor_families_record_cycles_and_rates(self):
+        pred = run_benchmarks(PREDICTOR_TEST_PRESET)
+        assert [r["benchmark"] for r in pred["results"]] == [
+            "rt_timing", "rt_timing_predictor", "predictor_sim",
+        ]
+        rays = {r["rays"] for r in pred["results"]}
+        assert rays == {36}  # every ray, no prefix cap
+        assert "verified_rate" not in record(pred, "rt_timing")["extra"]
+        assert record(pred, "rt_timing_predictor")["extra"]["cycles"] > 0
+        assert set(record(pred, "predictor_sim")["extra"]) == {
+            "verified_rate", "memory_savings", "predicted_rate",
+            "baseline_node_fetches",
+        }
+        assert compare_payloads(pred, pred) == []
 
 
 class TestRegressionGate:
     def test_identical_payloads_pass(self, payload):
         assert compare_payloads(payload, payload) == []
 
-    def test_speedup_regression_fails(self, payload):
-        current = copy.deepcopy(payload)
-        speed = current["derived"]["speedup_wavefront_over_scalar"]
-        speed["occlusion_trace"]["SB"] = (
-            payload["derived"]["speedup_wavefront_over_scalar"]["occlusion_trace"]["SB"]
-            * 0.5
-        )
-        problems = compare_payloads(current, payload, tolerance=0.2)
-        assert any("speedup regressed" in p for p in problems)
-
-    def test_small_drift_within_tolerance_passes(self, payload):
-        current = copy.deepcopy(payload)
-        speed = current["derived"]["speedup_wavefront_over_scalar"]
-        speed["closest_trace"]["SB"] *= 0.95
-        assert compare_payloads(current, payload, tolerance=0.2) == []
-
     def test_counter_drift_fails(self, payload):
+        # Exact: a single extra fetch fails.
         current = copy.deepcopy(payload)
-        current["results"][0]["node_fetches"] = (
-            payload["results"][0]["node_fetches"] * 2 + 100
-        )
-        problems = compare_payloads(current, payload, tolerance=0.2)
-        assert any("drifted" in p for p in problems)
+        current["results"][0]["node_fetches"] += 1
+        problems = compare_payloads(current, payload)
+        assert problems == [
+            f"occlusion_trace/SB: node_fetches changed "
+            f"{payload['results'][0]['node_fetches']} -> "
+            f"{current['results'][0]['node_fetches']}"
+        ]
+
+    @pytest.mark.parametrize("name", ["rays", "tri_fetches"])
+    def test_other_counters_gate_exactly(self, payload, name):
+        current = copy.deepcopy(payload)
+        current["results"][1][name] -= 1
+        problems = compare_payloads(current, payload)
+        assert any(f"closest_trace/SB: {name} changed" in p for p in problems)
 
     def test_missing_record_fails(self, payload):
         current = copy.deepcopy(payload)
         current["results"] = current["results"][1:]
         problems = compare_payloads(current, payload)
-        assert any("missing" in p for p in problems)
+        assert problems == ["occlusion_trace/SB: record missing from current run"]
+
+    def test_wall_time_is_not_gated(self, payload):
+        current = copy.deepcopy(payload)
+        for rec in current["results"]:
+            rec["wall_time_s"] *= 10
+            rec["rays_per_sec"] /= 10
+        assert compare_payloads(current, payload) == []
 
     def test_missing_baseline_reported(self, payload, tmp_path):
         problems = check_against_baselines(payload, str(tmp_path))
@@ -157,9 +200,13 @@ class TestRegressionGate:
         write_payload(payload, str(tmp_path))
         assert check_against_baselines(payload, str(tmp_path)) == []
 
+    def test_check_rejects_older_baseline_schema(self, payload, tmp_path):
+        write_payload(dict(payload, schema="repro-bench/6"), str(tmp_path))
+        with pytest.raises(ValueError, match="unsupported benchmark schema"):
+            check_against_baselines(payload, str(tmp_path))
 
-#: Build-benchmark variant of the test preset: one scene, every method,
-#: both build engines, plus the refit pass.
+
+#: Build-benchmark variant of the test preset: every method plus refit.
 BUILD_TEST_PRESET = BenchPreset(
     name="buildtest",
     scenes=("SB",),
@@ -168,8 +215,6 @@ BUILD_TEST_PRESET = BenchPreset(
     spp=1,
     seed=1,
     detail=0.25,
-    sim_rays=0,
-    repeats=1,
     benchmarks=("bvh_build",),
 )
 
@@ -181,146 +226,157 @@ def build_payload():
 
 class TestBuildArtifact:
     def test_record_matrix(self, build_payload):
-        # 3 methods x 2 engines + refit x 2 engines.
+        # 3 methods + refit, production only.
         records = build_payload["results"]
-        assert len(records) == 8
-        benchmarks = {r["benchmark"] for r in records}
-        assert benchmarks == {
-            "bvh_build_sah", "bvh_build_median", "bvh_build_lbvh",
-            "bvh_refit",
-        }
-        for record in records:
-            assert record["engine"] in ("vector", "scalar")
-            assert record["rays"] > 0  # triangle count
-            assert record["node_fetches"] == 0
-
-    def test_vector_records_carry_agreement_verdict(self, build_payload):
-        for record in build_payload["results"]:
-            if record["engine"] == "vector":
-                assert record["extra"]["agrees_with_scalar"] == 1.0
-            else:
-                assert "agrees_with_scalar" not in record["extra"]
-
-    def test_derived_section_shape(self, build_payload):
-        section = build_payload["derived"]["bvh_build"]["SB"]
-        assert section["engines_agree"] is True
-        assert section["refit_speedup_vector_over_scalar"] > 0
-        methods = section["methods"]
-        assert set(methods) == {"sah", "median", "lbvh"}
-        for row in methods.values():
-            assert row["nodes"] > 0
-            assert row["max_depth"] > 0
-            assert row["speedup_vector_over_scalar"] > 0
+        assert [r["benchmark"] for r in records] == [
+            "bvh_build_sah", "bvh_build_median", "bvh_build_lbvh", "bvh_refit",
+        ]
+        for rec in records:
+            assert rec["rays"] > 0  # triangle count
+            assert rec["node_fetches"] == 0
 
     def test_tree_shape_matches_records(self, build_payload):
-        # The derived section must be reconstructable from the records:
-        # per method, nodes/depth/cost come from the vector record.
-        section = build_payload["derived"]["bvh_build"]["SB"]
-        by_key = {
-            (r["benchmark"], r["engine"]): r for r in build_payload["results"]
-        }
-        for method, row in section["methods"].items():
-            rec = by_key[(f"bvh_build_{method}", "vector")]
-            assert row["nodes"] == int(rec["extra"]["nodes"])
-            assert row["max_depth"] == int(rec["extra"]["max_depth"])
-            assert row["sah_cost"] == rec["extra"]["sah_cost"]
+        mesh = get_scene("SB", detail=BUILD_TEST_PRESET.detail).mesh
+        for method in BUILD_TEST_PRESET.build_methods:
+            tree = build_bvh(mesh, method=method)
+            stats = compute_stats(tree)
+            extra = record(build_payload, f"bvh_build_{method}")["extra"]
+            assert extra == {
+                "nodes": float(tree.num_nodes),
+                "max_depth": float(stats.max_depth),
+                "sah_cost": round(stats.sah_cost, 6),
+                "levels": float(len(tree.levels())),
+            }
 
     def test_summarize_mentions_build(self, build_payload):
         text = summarize(build_payload)
-        assert "bvh_build SB" in text
-        assert "agree=True" in text
-
-    def test_scalar_rung_drops_vector_engine(self):
-        # Timing only the scalar side times the scalar builders only:
-        # no agreement verdict, no speedup.
-        payload = run_benchmarks(BUILD_TEST_PRESET, engines=("scalar",))
-        engines = {r["engine"] for r in payload["results"]}
-        assert engines == {"scalar"}
-        section = payload["derived"]["bvh_build"]["SB"]
-        assert "engines_agree" not in section
-        assert "speedup_vector_over_scalar" not in section["methods"]["sah"]
+        assert "bvh_build_sah" in text
+        assert "SAH" in text
 
 
 class TestBuildRegressionGate:
     def test_identical_payloads_pass(self, build_payload):
         assert compare_payloads(build_payload, build_payload) == []
 
-    def test_engine_disagreement_fails(self, build_payload):
-        current = copy.deepcopy(build_payload)
-        current["derived"]["bvh_build"]["SB"]["engines_agree"] = False
-        problems = compare_payloads(current, build_payload)
-        assert any("no longer match the scalar oracle" in p for p in problems)
-
     def test_tree_shape_drift_fails(self, build_payload):
         current = copy.deepcopy(build_payload)
-        row = current["derived"]["bvh_build"]["SB"]["methods"]["sah"]
-        row["nodes"] += 2
+        record(current, "bvh_build_sah")["extra"]["nodes"] += 2
         problems = compare_payloads(current, build_payload)
-        assert any("nodes changed" in p for p in problems)
+        assert any("bvh_build_sah/SB: nodes changed" in p for p in problems)
 
     def test_sah_cost_gates_exactly(self, build_payload):
         current = copy.deepcopy(build_payload)
-        row = current["derived"]["bvh_build"]["SB"]["methods"]["sah"]
-        row["sah_cost"] += 1e-6
+        record(current, "bvh_build_sah")["extra"]["sah_cost"] += 1e-6
         problems = compare_payloads(current, build_payload)
         assert any("sah_cost changed" in p for p in problems)
 
-    def test_build_speedup_floor(self, build_payload):
-        current = copy.deepcopy(build_payload)
-        row = current["derived"]["bvh_build"]["SB"]["methods"]["sah"]
-        row["speedup_vector_over_scalar"] = 0.01
-        problems = compare_payloads(current, build_payload)
-        assert any("vector speedup regressed" in p for p in problems)
-
-    def test_refit_speedup_floor(self, build_payload):
-        current = copy.deepcopy(build_payload)
-        current["derived"]["bvh_build"]["SB"][
-            "refit_speedup_vector_over_scalar"] = 0.01
-        problems = compare_payloads(current, build_payload)
-        assert any("refit speedup regressed" in p for p in problems)
-
     def test_missing_scene_fails(self, build_payload):
         current = copy.deepcopy(build_payload)
-        del current["derived"]["bvh_build"]["SB"]
+        current["results"] = []
         problems = compare_payloads(current, build_payload)
-        assert any("scene missing" in p for p in problems)
+        assert len(problems) == 4
+        assert all("record missing" in p for p in problems)
 
 
-BASELINE_DIR = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "benchmarks",
-    "baselines",
-)
+class TestPredictorGate:
+    """``--check`` on the predictor preset, tampered from its baseline."""
+
+    def test_changed_cycles_fail(self):
+        base = baseline("predictor")
+        current = copy.deepcopy(base)
+        record(current, "rt_timing_predictor", "LR")["extra"]["cycles"] += 1
+        assert compare_payloads(current, base) == [
+            "rt_timing_predictor/LR: cycles changed 5598.0 -> 5599.0"
+        ]
+
+    @pytest.mark.parametrize(
+        "family, name",
+        [("predictor_sim", "verified_rate"), ("predictor_sim", "memory_savings"),
+         ("rt_timing", "l2_hit_rate"), ("rt_timing_predictor", "predicted_rate")],
+    )
+    def test_changed_rate_fails(self, family, name):
+        base = baseline("predictor")
+        current = copy.deepcopy(base)
+        record(current, family, "CK")["extra"][name] += 1e-6
+        problems = compare_payloads(current, base)
+        assert problems == [
+            f"{family}/CK: {name} changed "
+            f"{record(base, family, 'CK')['extra'][name]} -> "
+            f"{record(current, family, 'CK')['extra'][name]}"
+        ]
+
+    def test_dropped_extra_fails(self):
+        base = baseline("predictor")
+        current = copy.deepcopy(base)
+        del record(current, "predictor_sim", "SP")["extra"]["predicted_rate"]
+        problems = compare_payloads(current, base)
+        assert problems and "predicted_rate changed" in problems[0]
+
+    def test_committed_baseline_in_regime(self):
+        assert regime_problems(baseline("predictor")) == []
+
+    @pytest.mark.parametrize("family", ["rt_timing_predictor", "predictor_sim"])
+    def test_zero_verified_fails(self, family):
+        current = baseline("predictor")
+        record(current, family, "CK")["extra"]["verified_rate"] = 0.0
+        assert regime_problems(current) == [f"{family}/CK: no ray verified"]
+
+    @pytest.mark.parametrize("cycles", [9360.0, 9999.0])
+    def test_predictor_cycles_not_below_baseline_fail(self, cycles):
+        current = baseline("predictor")
+        record(current, "rt_timing_predictor", "CK")["extra"]["cycles"] = cycles
+        problems = regime_problems(current)
+        assert problems == [
+            f"rt_timing_predictor/CK: {int(cycles)} cycles, not below the "
+            "9360 without the predictor"
+        ]
+
+    @pytest.mark.parametrize("savings", [0.0, -0.01])
+    def test_memory_savings_not_positive_fail(self, savings):
+        current = baseline("predictor")
+        record(current, "predictor_sim", "SP")["extra"]["memory_savings"] = savings
+        assert regime_problems(current) == [
+            f"predictor_sim/SP: memory savings {savings} <= 0"
+        ]
+
+    def test_check_reports_regime_and_record_problems(self, tmp_path):
+        base = baseline("predictor")
+        write_payload(base, str(tmp_path))
+        current = copy.deepcopy(base)
+        record(current, "predictor_sim", "LR")["extra"]["verified_rate"] = 0.0
+        problems = check_against_baselines(current, str(tmp_path))
+        assert problems[0] == "predictor_sim/LR: no ray verified"
+        assert problems[1].startswith("predictor_sim/LR: verified_rate changed")
 
 
 class TestCommittedBaselines:
     """The artifacts CI gates on must stay loadable and well-formed."""
 
-    @pytest.mark.parametrize("name", ["quick", "wavefront"])
+    @pytest.mark.parametrize("name", ["quick", "full", "predictor", "build"])
     def test_baseline_loads(self, name):
-        payload = load_payload(os.path.join(BASELINE_DIR, f"BENCH_{name}.json"))
-        assert payload["schema"] in ACCEPTED_SCHEMAS
+        payload = baseline(name)
+        assert payload["schema"] == BENCH_SCHEMA
         assert payload["results"]
 
+    @pytest.mark.parametrize("name", ["full", "predictor", "build"])
+    def test_baseline_matches_preset(self, name):
+        payload = baseline(name)
+        assert payload["preset"] == json.loads(json.dumps(asdict(PRESETS[name])))
+        assert payload["scenes"] == list(PRESETS[name].scenes)
+
     def test_quick_baseline_matches_preset(self):
-        payload = load_payload(os.path.join(BASELINE_DIR, "BENCH_quick.json"))
-        assert payload["preset"]["scenes"] == list(QUICK_PRESET.scenes)
-        assert payload["preset"]["seed"] == QUICK_PRESET.seed
+        payload = baseline("quick")
+        assert payload["preset"] == json.loads(json.dumps(asdict(QUICK_PRESET)))
+        assert payload["scenes"] == list(QUICK_PRESET.scenes)
 
-    def test_full_baseline_meets_paper_target(self):
-        # ISSUE acceptance criterion: >=5x rays/sec over the scalar
-        # engine for batch occlusion tracing on the SP scene.
-        payload = load_payload(os.path.join(BASELINE_DIR, "BENCH_wavefront.json"))
-        speed = payload["derived"]["speedup_wavefront_over_scalar"]
-        assert speed["occlusion_trace"]["SP"] >= 5.0
-
-    def test_build_baseline_meets_speedup_target(self):
-        # ISSUE acceptance criterion: the committed build baseline shows
-        # >=3x vector-over-scalar construction speedup on the largest
-        # scene (BI), with the engines agreeing on every scene.
-        payload = load_payload(os.path.join(BASELINE_DIR, "BENCH_build.json"))
-        section = payload["derived"]["bvh_build"]
-        assert section["BI"]["methods"]["sah"][
-            "speedup_vector_over_scalar"] >= 3.0
-        for code, row in section.items():
-            assert row["engines_agree"] is True, code
+    def test_predictor_baseline_pins_figure12_cycles(self):
+        payload = baseline("predictor")
+        cycles = {
+            (r["benchmark"], r["scene"]): int(r["extra"]["cycles"])
+            for r in payload["results"] if "cycles" in r["extra"]
+        }
+        assert cycles == {
+            ("rt_timing", "SP"): 14847, ("rt_timing_predictor", "SP"): 13126,
+            ("rt_timing", "LR"): 6805, ("rt_timing_predictor", "LR"): 5598,
+            ("rt_timing", "CK"): 9360, ("rt_timing_predictor", "CK"): 7470,
+        }

@@ -1,14 +1,16 @@
 """The CI workflow stays in sync with what the repo actually provides.
 
 These tests pin the contract between ``.github/workflows/ci.yml`` and
-the codebase: job names, the tested Python range, and the benchmark
-gate invocation.  They parse the YAML with PyYAML when it is available
-and fall back to structural text checks otherwise, so the suite runs in
-environments without it.
+the codebase: job names, the tested Python range, hashed paths, the
+benchmark gate invocations and their committed baselines, and that
+every ``python -m repro`` command line still parses.  They parse the
+YAML with PyYAML when it is available and fall back to structural text
+checks otherwise, so the suite runs in environments without it.
 """
 
 import os
 import re
+import shlex
 
 import pytest
 
@@ -56,6 +58,23 @@ class TestWorkflowStructure:
 
     def test_hypothesis_examples_capped(self, workflow):
         assert "HYPOTHESIS_MAX_EXAMPLES" in workflow.get("env", {})
+
+    def test_repro_command_lines_parse(self, workflow):
+        # A flag deleted from the CLI but left in CI fails here, not on
+        # the runner.
+        from repro.__main__ import build_parser
+
+        commands = []
+        for job in workflow["jobs"].values():
+            for step in job["steps"]:
+                script = step.get("run", "").replace("\\\n", " ")
+                commands += [
+                    line.strip() for line in script.splitlines()
+                    if line.strip().startswith("python -m repro ")
+                ]
+        assert len(commands) >= 6
+        for command in commands:
+            build_parser().parse_args(shlex.split(command)[3:])
 
     def test_concurrency_cancels_superseded_runs(self, workflow):
         group = workflow.get("concurrency", {})
@@ -124,19 +143,17 @@ class TestBenchmarkGate:
             step.get("run", "")
             for step in workflow["jobs"]["benchmark-smoke"]["steps"]
         ]
-        quick = [r for r in runs if "repro bench --quick" in r]
+        quick = [r for r in runs if "repro bench --preset quick" in r]
         assert quick, "benchmark-smoke must run the quick preset"
         assert any("--check" in r for r in quick)
-        # The quick run exercises the process-sharded sweep path.
-        assert any("--jobs 2" in r for r in quick)
 
     def test_smoke_job_gates_predictor_throughput(self, workflow):
         runs = [
             step.get("run", "")
-            for step in workflow["jobs"]["benchmark-smoke"]["steps"]
+            for step in workflow["jobs"]["timing-smoke"]["steps"]
         ]
         gate = [r for r in runs if "repro bench --preset predictor" in r]
-        assert gate, "benchmark-smoke must gate the predictor pipeline"
+        assert gate, "timing-smoke must gate the predictor preset"
         assert any("--check" in r for r in gate)
 
     def test_smoke_job_runs_pipeline_sweep(self, workflow):
@@ -165,14 +182,18 @@ class TestBenchmarkGate:
         ]
         assert any(r.strip().startswith("ruff check") for r in runs)
 
-    def test_committed_baseline_exists_for_gate(self):
-        # The --check invocation is meaningless without the artifact it
-        # compares against.
-        baseline = os.path.join(
-            os.path.dirname(WORKFLOW), "..", "..",
-            "benchmarks", "baselines", "BENCH_quick.json",
+    def test_committed_baseline_exists_for_gate(self, workflow_text):
+        # A --check invocation is meaningless without the artifact it
+        # compares against: every gated preset needs its baseline.
+        presets = re.findall(
+            r"repro bench --preset (\w+) --check", workflow_text
         )
-        assert os.path.exists(baseline)
+        assert sorted(presets) == ["build", "predictor", "quick"]
+        for preset in presets:
+            baseline = os.path.join(
+                REPO_ROOT, "benchmarks", "baselines", f"BENCH_{preset}.json"
+            )
+            assert os.path.exists(baseline), baseline
 
     def test_text_mentions_tier1_invocation(self, workflow_text):
         assert "python -m pytest -x -q" in workflow_text
@@ -217,17 +238,6 @@ class TestChaosGate:
 
 
 class TestTimingGate:
-    def test_smoke_job_runs_timing_preset_check(self, workflow):
-        runs = [
-            step.get("run", "")
-            for step in workflow["jobs"]["timing-smoke"]["steps"]
-        ]
-        gate = [r for r in runs if "repro bench --preset timing" in r]
-        assert gate, "timing-smoke must run the timing preset"
-        # --quick keeps the pinned workload but times a single repeat;
-        # --check fails the build on cycle/counter drift.
-        assert any("--quick" in r and "--check" in r for r in gate)
-
     def test_smoke_job_runs_pipeline_bench(self, workflow):
         steps = workflow["jobs"]["timing-smoke"]["steps"]
         bench = [
@@ -246,19 +256,12 @@ class TestTimingGate:
         ]
         assert any(".[dev]" in r for r in installs), "pytest is a dev extra"
 
-    def test_committed_timing_baseline_exists_for_gate(self):
-        baseline = os.path.join(
-            os.path.dirname(WORKFLOW), "..", "..",
-            "benchmarks", "baselines", "BENCH_timing.json",
-        )
-        assert os.path.exists(baseline)
-
     def test_uploads_artifact(self, workflow):
         paths = [
             step.get("with", {}).get("path", "")
             for step in workflow["jobs"]["timing-smoke"]["steps"]
         ]
-        assert any("BENCH_timing.json" in p for p in paths)
+        assert any("BENCH_predictor.json" in p for p in paths)
 
 
 class TestBuildGate:
@@ -269,10 +272,8 @@ class TestBuildGate:
         ]
         gate = [r for r in runs if "repro bench --preset build" in r]
         assert gate, "build-smoke must run the build preset"
-        # --quick keeps the pinned scenes but times a single repeat;
-        # --check fails the build on tree-shape drift or an
-        # engines-agree violation.
-        assert any("--quick" in r and "--check" in r for r in gate)
+        # --check fails the build on any tree-shape change.
+        assert any("--check" in r for r in gate)
 
     def test_committed_build_baseline_exists_for_gate(self):
         baseline = os.path.join(
@@ -297,19 +298,18 @@ class TestTelemetryGate:
         ]
         assert any("repro telemetry --quick --check" in r for r in runs)
 
-    def test_smoke_job_runs_sharded_telemetry_bench(self, workflow):
+    def test_smoke_job_runs_sharded_telemetry_simulate(self, workflow):
         # The distributed-aggregation path only exercises in CI if the
-        # bench run is actually sharded with telemetry on.
+        # simulate sweep is actually sharded with telemetry on.
         runs = [
             step.get("run", "")
             for step in workflow["jobs"]["telemetry-smoke"]["steps"]
         ]
         sharded = [
             r for r in runs
-            if "repro bench" in r and "--jobs 2" in r and "--telemetry" in r
+            if "repro --telemetry simulate" in r and "--jobs 2" in r
         ]
-        assert sharded, "telemetry-smoke must run a sharded --telemetry bench"
-        assert any("--trace-out" in r for r in sharded)
+        assert sharded, "telemetry-smoke must run a sharded --telemetry simulate"
 
     def test_smoke_job_asserts_merged_section(self, workflow):
         # Exit 0 is not enough: the job must check the merged telemetry
@@ -327,5 +327,4 @@ class TestTelemetryGate:
             for step in workflow["jobs"]["telemetry-smoke"]["steps"]
         ]
         assert any("telemetry.json" in p for p in paths)
-        # The stitched Chrome trace ships as a build artifact too.
-        assert any("trace.json" in p for p in paths)
+        assert any("SIM_simulate.json" in p for p in paths)

@@ -209,6 +209,38 @@ class TestExitCodeContract:
         assert excinfo.value.code == EXIT_USAGE
         assert "--engine" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [
+        ["--jobs", "2"], ["--tolerance", "0.2"], ["--resume"], ["--quick"],
+    ], ids=["jobs", "tolerance", "resume", "quick"])
+    def test_removed_bench_flags_exit_2(self, flag, tmp_path, capsys):
+        # repro bench runs serially and gates exactly: no sharding, no
+        # supervision, no tolerance, one preset selector.
+        from repro.errors import EXIT_USAGE
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--preset", "quick", "--scenes", "SB",
+                  "--out", str(tmp_path), *flag])
+        assert excinfo.value.code == EXIT_USAGE
+        assert flag[0] in capsys.readouterr().err
+
+    def test_bench_check_fails_on_changed_record(self, tmp_path, capsys):
+        out, base = tmp_path / "out", tmp_path / "base"
+        argv = ["bench", "--preset", "quick", "--scenes", "SB",
+                "--out", str(out), "--baselines", str(base), "--check"]
+        # No committed baseline: the gate fails rather than passing.
+        assert main(argv) == 1
+        assert "no committed baseline" in capsys.readouterr().err
+        base.mkdir()
+        artifact = json.loads((out / "BENCH_quick.json").read_text())
+        (base / "BENCH_quick.json").write_text(json.dumps(artifact))
+        assert main(argv) == 0
+        artifact["results"][0]["node_fetches"] += 1
+        (base / "BENCH_quick.json").write_text(json.dumps(artifact))
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "REGRESSION: occlusion_trace/SB: node_fetches changed" in err
+
     def test_unknown_scene_exits_4(self):
         from repro.errors import EXIT_INPUT
 

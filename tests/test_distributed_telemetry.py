@@ -3,10 +3,10 @@
 Pins the contracts docs/OBSERVABILITY.md documents for cross-process
 aggregation: worker snapshots merge into the parent registry with
 label-preserving counter addition and raw-bucket histogram union; a
-sharded ``--jobs 2`` sweep's merged metrics match the serial run's;
-telemetry on/off never changes benchmark results; the disabled off
-path activates zero hooks; and the run ledger / two-run comparison
-built on those artifacts flags injected regressions.
+sharded ``repro simulate --jobs 2`` sweep's merged metrics match the
+serial run's; telemetry on/off never changes sweep results; the
+disabled off path activates zero hooks; and the run ledger / two-run
+comparison built on those artifacts flags injected regressions.
 """
 
 import json
@@ -15,7 +15,6 @@ import pytest
 
 from repro import telemetry
 from repro.bench.harness import BenchPreset, run_benchmarks, write_payload
-from repro.errors import TelemetryAggregationError
 from repro.resilience.sweep import SimulatePreset, run_simulation_sweep
 from repro.telemetry import distributed
 from repro.telemetry.ledger import (
@@ -30,19 +29,19 @@ from repro.telemetry.ledger import (
 from repro.telemetry.metrics import MetricError, Registry
 from repro.telemetry.profiling import SamplingProfiler
 
-#: Two tiny scenes so sharding across 2 workers is non-trivial.
-PAR_PRESET = BenchPreset(
+#: Every bench family on one tiny scene.
+BENCH_PRESET = BenchPreset(
     name="disttest",
-    scenes=("SB", "CK"),
+    scenes=("SB",),
     width=6,
     height=6,
     spp=1,
     seed=1,
     detail=0.25,
-    sim_rays=32,
-    repeats=1,
+    benchmarks=("occlusion_trace", "rt_timing", "predictor_sim"),
 )
 
+#: Two tiny scenes so sharding across 2 workers is non-trivial.
 SIM_PRESET = SimulatePreset(
     name="disttest",
     scenes=("SB", "CK"),
@@ -54,10 +53,7 @@ SIM_PRESET = SimulatePreset(
 )
 
 #: Wall-clock-derived fields that legitimately differ between runs.
-TIMING_KEYS = frozenset(
-    {"wall_time_s", "rays_per_sec", "speedup_wavefront_over_scalar",
-     "total_backoff_s"}
-)
+TIMING_KEYS = frozenset({"total_backoff_s"})
 
 
 def strip_timing(obj):
@@ -206,18 +202,18 @@ class TestMergeSemantics:
 class TestShardedSweeps:
     def test_sharded_metrics_match_serial(self):
         telemetry.enable(reset=True)
-        serial = run_benchmarks(PAR_PRESET, jobs=1)
+        serial = run_simulation_sweep(SIM_PRESET, jobs=1)
         telemetry.enable(reset=True)
-        sharded = run_benchmarks(PAR_PRESET, jobs=2)
+        sharded = run_simulation_sweep(SIM_PRESET, jobs=2)
         assert serial["telemetry"]["metrics"] == sharded["telemetry"]["metrics"]
         # The sharded run's telemetry came from worker processes.
         workers = sharded["telemetry"]["workers"]
         assert {w["unit"] for w in workers} == {"SB", "CK"}
 
     def test_results_bit_identical_telemetry_on_off(self):
-        off = run_benchmarks(PAR_PRESET, jobs=2)
+        off = run_simulation_sweep(SIM_PRESET, jobs=2)
         telemetry.enable(reset=True)
-        on = run_benchmarks(PAR_PRESET, jobs=2)
+        on = run_simulation_sweep(SIM_PRESET, jobs=2)
         assert "telemetry" not in off
         on = dict(on)
         on.pop("telemetry")
@@ -225,7 +221,7 @@ class TestShardedSweeps:
 
     def test_stitched_trace_covers_worker_pids(self):
         telemetry.enable(reset=True)
-        run_benchmarks(PAR_PRESET, jobs=2)
+        run_simulation_sweep(SIM_PRESET, jobs=2)
         events = distributed.stitched_chrome_trace()
         pids = {e["pid"] for e in events}
         worker_pids = {s["pid"] for s in telemetry.worker_snapshots()}
@@ -234,16 +230,6 @@ class TestShardedSweeps:
         # Every worker row leads with a process_name metadata record.
         meta = [e for e in events if e.get("ph") == "M"]
         assert {e["pid"] for e in meta} == pids
-
-    def test_disabled_aggregation_fails_loudly_when_sharded(self):
-        telemetry.enable(reset=True)
-        with pytest.raises(TelemetryAggregationError):
-            run_benchmarks(PAR_PRESET, jobs=2, aggregate_telemetry=False)
-
-    def test_disabled_aggregation_fine_when_serial_or_untelemetered(self):
-        run_benchmarks(PAR_PRESET, jobs=2, aggregate_telemetry=False)
-        telemetry.enable(reset=True)
-        run_benchmarks(PAR_PRESET, jobs=1, aggregate_telemetry=False)
 
     def test_simulate_sharded_metrics_match_serial(self):
         telemetry.enable(reset=True)
@@ -260,13 +246,13 @@ class TestOffPathOverhead:
     def test_disabled_run_activates_zero_hooks(self):
         """With telemetry off, the new introspection hooks never fire."""
         assert not telemetry.enabled()
-        run_benchmarks(PAR_PRESET, jobs=1)
+        run_benchmarks(BENCH_PRESET)
         run_simulation_sweep(SIM_PRESET, jobs=1)
         assert telemetry.hook_activations() == 0
 
     def test_enabled_run_activates_hooks(self):
         telemetry.enable(reset=True)
-        run_benchmarks(PAR_PRESET, jobs=1)
+        run_benchmarks(BENCH_PRESET)
         assert telemetry.hook_activations() > 0
 
 
@@ -288,8 +274,8 @@ class TestProfilerHardening:
 class TestLedger:
     def _write_artifacts(self, tmp_path):
         telemetry.enable(reset=True)
-        payload = run_benchmarks(PAR_PRESET, jobs=2)
-        write_payload(payload, str(tmp_path))
+        payload = run_simulation_sweep(SIM_PRESET, jobs=2)
+        (tmp_path / "SIM_disttest.json").write_text(json.dumps(payload))
         return payload
 
     def test_build_and_render(self, tmp_path):
@@ -297,7 +283,7 @@ class TestLedger:
         ledger = build_ledger([str(tmp_path)])
         assert ledger["schema"] == "repro-ledger/1"
         (entry,) = ledger["entries"]
-        assert entry["kind"] == "bench"
+        assert entry["kind"] == "simulate"
         assert entry["has_telemetry"]
         assert len(entry["worker_pids"]) >= 1
         assert entry["counters"]["predictor.rays"] > 0
@@ -315,6 +301,35 @@ class TestLedger:
         assert set(entry["scene_rows"]) == {"SB", "CK"}
         assert "verified_rate" in entry["scene_rows"]["SB"]
 
+    def test_entry_from_bench_artifact(self, tmp_path):
+        payload = run_benchmarks(BENCH_PRESET)
+        entry = ledger_entry(write_payload(payload, str(tmp_path)))
+        assert entry["kind"] == "bench"
+        row = entry["scene_rows"]["SB"]
+        cycles = {
+            r["benchmark"]: r["extra"]["cycles"]
+            for r in payload["results"] if "cycles" in r["extra"]
+        }
+        sim = next(
+            r for r in payload["results"] if r["benchmark"] == "predictor_sim"
+        )
+        assert row == {
+            "cycles": cycles["rt_timing"],
+            "cycles_predictor": cycles["rt_timing_predictor"],
+            "cycle_speedup_predictor": round(
+                cycles["rt_timing"] / cycles["rt_timing_predictor"], 4
+            ),
+            "predicted_rate": sim["extra"]["predicted_rate"],
+            "verified_rate": sim["extra"]["verified_rate"],
+            "memory_savings": sim["extra"]["memory_savings"],
+        }
+        # Bench artifacts compare through the exact record gate.
+        changed = json.loads(json.dumps(payload))
+        changed["results"][0]["node_fetches"] += 1
+        assert compare_runs(payload, payload) == []
+        (problem,) = compare_runs(payload, changed)
+        assert "occlusion_trace/SB: node_fetches changed" in problem
+
     def test_counter_deltas_and_regression_gate(self, tmp_path):
         payload = self._write_artifacts(tmp_path)
         # Identical runs: no counter deltas, gate passes.
@@ -322,16 +337,12 @@ class TestLedger:
         rows = counter_deltas(payload, payload)
         assert rows and all(old == new for _, _, old, new in rows)
         assert "no differences" in render_counter_deltas(rows)
-        # Injected regression: halve every speedup, bump a counter.
+        # Injected regression: drop a scene's row, bump a counter.
         regressed = json.loads(json.dumps(payload))
-        speed = regressed["derived"]["speedup_wavefront_over_scalar"]
-        for scenes in speed.values():
-            for code in scenes:
-                scenes[code] *= 0.5
+        del regressed["results"][0]
         regressed["telemetry"]["metrics"]["counters"][0]["value"] += 11
         problems = compare_runs(payload, regressed)
-        assert problems
-        assert any("regressed" in p for p in problems)
+        assert problems == ["simulate/SB: scene missing from new run"]
         changed = [
             r for r in counter_deltas(payload, regressed) if r[2] != r[3]
         ]

@@ -1,23 +1,17 @@
 """Process-sharded sweeps: determinism, resume composition, fingerprints.
 
-``--jobs N`` must be a pure throughput knob: every unit is a pure
-function of the pinned preset, so a sharded sweep's artifact has to
-match the serial artifact except for wall-clock timing fields.  These
-tests pin that contract, plus the interaction with checkpoints (a
+``repro simulate --jobs N`` must be a pure throughput knob: every unit
+is a pure function of the pinned preset, so a sharded sweep's artifact
+has to match the serial artifact except for wall-clock timing fields.
+These tests pin that contract, plus the interaction with checkpoints (a
 mid-sweep kill resumes under ``--jobs``) and the artifact-cache
 fingerprint (cached and uncached runs refuse to mix).
 """
 
-import copy
 import json
 
 import pytest
 
-from repro.bench.harness import (
-    BenchPreset,
-    run_benchmarks,
-    sweep_fingerprint,
-)
 from repro.bvh.cache import configure_artifact_cache
 from repro.errors import CheckpointError
 from repro.resilience import ResilienceOptions, SweepCheckpoint
@@ -28,18 +22,6 @@ from repro.resilience.sweep import (
 )
 
 #: Two tiny scenes so sharding across 2 workers is non-trivial.
-PAR_PRESET = BenchPreset(
-    name="partest",
-    scenes=("SB", "CK"),
-    width=6,
-    height=6,
-    spp=1,
-    seed=1,
-    detail=0.25,
-    sim_rays=32,
-    repeats=1,
-)
-
 SIM_PRESET = SimulatePreset(
     name="partest",
     scenes=("SB", "CK"),
@@ -51,10 +33,7 @@ SIM_PRESET = SimulatePreset(
 )
 
 #: Fields that legitimately differ between runs (wall-clock derived).
-TIMING_KEYS = frozenset(
-    {"wall_time_s", "rays_per_sec", "speedup_wavefront_over_scalar",
-     "total_backoff_s"}
-)
+TIMING_KEYS = frozenset({"total_backoff_s"})
 
 
 def strip_timing(obj):
@@ -77,39 +56,11 @@ def no_leaked_cache():
     configure_artifact_cache(None)
 
 
-class TestBenchSharding:
-    def test_plain_sweep_matches_serial_modulo_timing(self):
-        serial = run_benchmarks(PAR_PRESET, jobs=1)
-        sharded = run_benchmarks(PAR_PRESET, jobs=2)
-        assert strip_timing(serial) == strip_timing(sharded)
-
-    def test_record_order_is_scene_order(self):
-        payload = run_benchmarks(PAR_PRESET, jobs=2)
-        scenes = [r["scene"] for r in payload["results"]]
-        # SB's records all precede CK's regardless of completion order.
-        assert scenes == sorted(scenes, key=("SB", "CK").index)
-
-    def test_supervised_sweep_matches_serial_modulo_timing(self, tmp_path):
-        opts_a = ResilienceOptions(
-            checkpoint_path=str(tmp_path / "a.ckpt.json")
-        )
-        opts_b = ResilienceOptions(
-            checkpoint_path=str(tmp_path / "b.ckpt.json")
-        )
-        serial = run_benchmarks(PAR_PRESET, resilience=opts_a, jobs=1)
-        sharded = run_benchmarks(PAR_PRESET, resilience=opts_b, jobs=2)
-        a, b = strip_timing(serial), strip_timing(sharded)
-        # Checkpoint paths differ by construction; everything else match.
-        a["resilience"]["checkpoint"].pop("path")
-        b["resilience"]["checkpoint"].pop("path")
-        assert a == b
-
-
 class TestResumeComposition:
     def test_jobs_resume_reruns_only_missing_units(self, tmp_path):
         ckpt_path = str(tmp_path / "sweep.ckpt.json")
         options = ResilienceOptions(checkpoint_path=ckpt_path)
-        full = run_benchmarks(PAR_PRESET, resilience=options, jobs=1)
+        full = run_simulation_sweep(SIM_PRESET, options=options, jobs=1)
 
         # Emulate a mid-sweep kill: drop CK from the persisted state.
         with open(ckpt_path) as handle:
@@ -119,37 +70,25 @@ class TestResumeComposition:
         with open(ckpt_path, "w") as handle:
             json.dump(state, handle)
 
-        resumed = run_benchmarks(
-            PAR_PRESET,
-            resilience=ResilienceOptions(
-                checkpoint_path=ckpt_path, resume=True
-            ),
+        resumed = run_simulation_sweep(
+            SIM_PRESET,
+            options=ResilienceOptions(checkpoint_path=ckpt_path, resume=True),
             jobs=2,
         )
-        # SB came from the checkpoint, CK was re-run; the payload's
-        # record set matches the uninterrupted sweep.
+        # SB came from the checkpoint, CK was re-run; the rows match the
+        # uninterrupted sweep's.
         statuses = {
             entry["unit"]: entry["status"]
             for entry in resumed["resilience"]["manifest"]["units"]
         }
         assert statuses == {"SB": "resumed", "CK": "ok"}
-        assert [r["scene"] for r in resumed["results"]] == [
-            r["scene"] for r in full["results"]
-        ]
-        # SB's records are byte-identical to the first run (checkpoint
-        # replay); CK's match modulo timing (it actually re-ran).
-        sb_full = [r for r in full["results"] if r["scene"] == "SB"]
-        sb_resumed = [r for r in resumed["results"] if r["scene"] == "SB"]
-        assert sb_full == sb_resumed
-        assert strip_timing(full["results"]) == strip_timing(
-            resumed["results"]
-        )
+        assert resumed["results"] == full["results"]
 
     def test_parent_checkpoints_sharded_units(self, tmp_path):
         ckpt_path = str(tmp_path / "sweep.ckpt.json")
-        run_benchmarks(
-            PAR_PRESET,
-            resilience=ResilienceOptions(checkpoint_path=ckpt_path),
+        run_simulation_sweep(
+            SIM_PRESET,
+            options=ResilienceOptions(checkpoint_path=ckpt_path),
             jobs=2,
         )
         with open(ckpt_path) as handle:
@@ -165,18 +104,35 @@ class TestSimulateSharding:
         assert serial["results"] == sharded["results"]
         assert serial["results"], "sweep produced no rows"
 
+    def test_payload_matches_serial_modulo_timing(self):
+        serial = run_simulation_sweep(SIM_PRESET, jobs=1)
+        sharded = run_simulation_sweep(SIM_PRESET, jobs=2)
+        assert strip_timing(serial) == strip_timing(sharded)
+
+    def test_row_order_is_scene_order(self):
+        payload = run_simulation_sweep(SIM_PRESET, jobs=2)
+        # SB's row precedes CK's regardless of completion order.
+        assert [r["scene"] for r in payload["results"]] == ["SB", "CK"]
+
+    def test_checkpointed_sweep_matches_serial_modulo_timing(self, tmp_path):
+        serial = run_simulation_sweep(
+            SIM_PRESET,
+            options=ResilienceOptions(checkpoint_path=str(tmp_path / "a.json")),
+            jobs=1,
+        )
+        sharded = run_simulation_sweep(
+            SIM_PRESET,
+            options=ResilienceOptions(checkpoint_path=str(tmp_path / "b.json")),
+            jobs=2,
+        )
+        a, b = strip_timing(serial), strip_timing(sharded)
+        # Checkpoint paths differ by construction; everything else matches.
+        a["resilience"]["checkpoint"].pop("path")
+        b["resilience"]["checkpoint"].pop("path")
+        assert a == b
+
 
 class TestCacheFingerprint:
-    def test_bench_fingerprint_tracks_cache_identity(self, tmp_path):
-        bare = sweep_fingerprint(PAR_PRESET, PAR_PRESET.scenes, ("scalar",))
-        assert "artifact_cache" not in bare
-        configure_artifact_cache(str(tmp_path))
-        cached = sweep_fingerprint(PAR_PRESET, PAR_PRESET.scenes, ("scalar",))
-        assert cached["artifact_cache"]["enabled"] is True
-        stripped = copy.deepcopy(cached)
-        del stripped["artifact_cache"]
-        assert stripped == bare
-
     def test_sim_fingerprint_tracks_cache_identity(self, tmp_path):
         bare = sim_fingerprint(SIM_PRESET)
         configure_artifact_cache(str(tmp_path))

@@ -66,7 +66,7 @@ class TestSingleTraversalEngine:
     """Production code has one traversal engine and no switch to pick it.
 
     The scalar oracles live in :mod:`repro.reference`, which only the
-    benchmark harness may import (tests import it freely).
+    tests import.
     """
 
     CALLS = [
@@ -100,7 +100,7 @@ class TestSingleTraversalEngine:
             assert not hasattr(repro.trace, name), name
             assert name not in repro.trace.__all__
 
-    def test_reference_imported_only_by_bench_harness(self):
+    def test_reference_imported_only_by_tests(self):
         import repro
 
         root = pathlib.Path(repro.__file__).parent
@@ -128,7 +128,7 @@ class TestSingleTraversalEngine:
                     for n in names
                 ):
                     importers.add(rel.as_posix())
-        assert importers == {"repro/bench/harness.py"}
+        assert importers == set()
 
 
 class TestOneEnginePerStage:
@@ -166,3 +166,25 @@ class TestOneEnginePerStage:
         for name in self.GONE[package]:
             assert not hasattr(module, name), f"{package}.{name}"
             assert name not in module.__all__
+
+
+class TestSerialSimulation:
+    """No process sharding below the sweep level, no private L2s."""
+
+    def test_simulate_workload_has_no_sm_jobs(self):
+        from repro.gpu import simulate_workload
+
+        assert "sm_jobs" not in inspect.signature(simulate_workload).parameters
+
+    def test_gpu_config_has_no_shared_l2(self):
+        from repro.gpu import GPUConfig
+
+        assert "shared_l2" not in {f.name for f in dataclasses.fields(GPUConfig)}
+
+    def test_bench_runs_serially(self):
+        from repro.bench import BenchPreset, run_benchmarks
+
+        assert list(inspect.signature(run_benchmarks).parameters) == [
+            "preset", "scenes", "progress",
+        ]
+        assert len(dataclasses.fields(BenchPreset)) == 10

@@ -2,8 +2,9 @@
 
 Covers the three tentpole pieces — crash-consistent checkpointing, the
 run supervisor (retry/backoff/deadline/budget), and the degradation
-ladder — plus their integration with the bench harness, the simulate
-sweep, and the chaos machinery (``UnitFaultPlan``).
+ladder — plus their integration with the simulate sweep and the chaos
+machinery (``UnitFaultPlan``), and the bench harness's refusal to
+degrade.
 """
 
 import json
@@ -16,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.bench import run_benchmarks, sweep_fingerprint
+from repro.bench import run_benchmarks
 from repro.bench.harness import BenchPreset
 from repro.errors import (
     CheckpointError,
@@ -52,8 +53,8 @@ from repro.resilience.sweep import (
     summarize_sweep,
 )
 
-#: Tiny bench preset for integration tests (two scenes so resume has
-#: something to skip and something to run).
+#: Tiny bench preset: two scenes, so a failure in the second one
+#: follows a completed first one.
 TINY_BENCH = BenchPreset(
     name="resilience-test",
     scenes=("SB", "SP"),
@@ -62,8 +63,6 @@ TINY_BENCH = BenchPreset(
     spp=1,
     seed=1,
     detail=0.25,
-    sim_rays=32,
-    repeats=1,
 )
 
 TINY_SIM = SimulatePreset(
@@ -587,106 +586,26 @@ class TestUnitFaultPlan:
 # Bench harness integration
 # ----------------------------------------------------------------------
 class TestBenchResilience:
-    def test_forced_failure_yields_complete_manifest(self, tmp_path):
-        plan = UnitFaultPlan(force_fail={"SP": -1})
-        payload = run_benchmarks(
-            TINY_BENCH,
-            resilience=fast_options(max_retries=0),
-            fault_plan=plan,
-        )
-        manifest = payload["resilience"]["manifest"]
-        units = {e["unit"]: e for e in manifest["units"]}
-        assert manifest["complete"]
-        assert units["SB"]["status"] == "ok"
-        assert units["SP"]["status"] == "skipped"
-        # Records exist for the healthy scene only.
-        scenes_with_records = {r["scene"] for r in payload["results"]}
-        assert scenes_with_records == {"SB"}
-        assert payload["resilience"]["chaos"]["injected"] > 0
-
-    def test_predictor_off_rung_times_production_only(self):
-        # SB's top rung fails once; its predictor_off rung then times the
-        # production calls alone, with the predictor disabled.
-        payload = run_benchmarks(
-            TINY_BENCH,
-            resilience=fast_options(max_retries=0),
-            fault_plan=UnitFaultPlan(force_fail={"SB": 1}),
-        )
-        units = {e["unit"]: e for e in payload["resilience"]["manifest"]["units"]}
-        assert units["SB"]["status"] == "degraded"
-        assert units["SB"]["rung"] == "predictor_off"
-        sb = [r for r in payload["results"] if r["scene"] == "SB"]
-        assert sb and {r["engine"] for r in sb} == {"wavefront"}
-        sim = [r for r in sb if r["benchmark"] == "predictor_sim"]
-        assert [r["extra"]["predictor_disabled"] for r in sim] == [1.0]
-        sp = {r["engine"] for r in payload["results"] if r["scene"] == "SP"}
-        assert sp == {"wavefront", "scalar"}
-
-    def test_kill_and_resume_skips_completed_scenes(self, tmp_path, monkeypatch):
-        import repro.bench.harness as harness
-
-        ckpt_path = str(tmp_path / "bench.ckpt.json")
-        calls = []
-        real = harness._scene_records
-
-        def counting(preset, code, engines, say, predictor_enabled=True):
-            calls.append(code)
-            return real(preset, code, engines, say, predictor_enabled)
-
-        monkeypatch.setattr(harness, "_scene_records", counting)
-
-        # "Kill" the sweep mid-run: SP fails every attempt with
-        # degradation off, so the run dies after SB checkpointed.
-        with pytest.raises(SweepFailedError):
-            run_benchmarks(
-                TINY_BENCH,
-                resilience=fast_options(
-                    checkpoint_path=ckpt_path, max_retries=0, degrade=False
-                ),
-                fault_plan=UnitFaultPlan(force_fail={"SP": -1}),
-            )
-        assert calls == ["SB"]
-        assert os.path.exists(ckpt_path)
-
-        # Resume without the fault: SB must NOT re-run.
-        calls.clear()
-        payload = run_benchmarks(
-            TINY_BENCH,
-            resilience=fast_options(checkpoint_path=ckpt_path, resume=True),
-        )
-        assert calls == ["SP"]
-        units = {e["unit"]: e for e in payload["resilience"]["manifest"]["units"]}
-        assert units["SB"]["status"] == "resumed"
-        assert units["SP"]["status"] == "ok"
-        # The resumed records round-trip into the payload.
-        assert {r["scene"] for r in payload["results"]} == {"SB", "SP"}
-        assert payload["resilience"]["checkpoint"]["hits"] == 1
-
-    def test_resume_refuses_other_fingerprint(self, tmp_path):
-        ckpt_path = str(tmp_path / "bench.ckpt.json")
-        run_benchmarks(
-            TINY_BENCH, resilience=fast_options(checkpoint_path=ckpt_path)
-        )
-        from dataclasses import replace
-
-        other = replace(TINY_BENCH, scenes=("SB",))
-        with pytest.raises(CheckpointError):
-            run_benchmarks(
-                other,
-                resilience=fast_options(
-                    checkpoint_path=ckpt_path, resume=True
-                ),
-            )
+    """``repro bench`` is a gate: a failing scene fails the run."""
 
     def test_legacy_path_unchanged_without_resilience(self):
         payload = run_benchmarks(TINY_BENCH)
         assert "resilience" not in payload
+        assert {r["scene"] for r in payload["results"]} == {"SB", "SP"}
 
-    def test_fingerprint_covers_preset_scenes_engines(self):
-        fp = sweep_fingerprint(TINY_BENCH, ["SB"], ("scalar",))
-        assert fp["kind"] == "bench"
-        assert fp["scenes"] == ["SB"]
-        assert fp["preset"]["name"] == TINY_BENCH.name
+    def test_failure_propagates_instead_of_degrading(self, monkeypatch):
+        import repro.bench.harness as harness
+
+        real = harness._workload_records
+
+        def failing(preset, code, scene):
+            if code == "SP":
+                raise TraversalError("injected")
+            return real(preset, code, scene)
+
+        monkeypatch.setattr(harness, "_workload_records", failing)
+        with pytest.raises(TraversalError, match="injected"):
+            run_benchmarks(TINY_BENCH)
 
 
 # ----------------------------------------------------------------------
@@ -745,23 +664,24 @@ class TestSimulateSweep:
 # Artifact schema
 # ----------------------------------------------------------------------
 class TestSchemaBump:
-    def test_bench_schema_is_v6_and_backward_compatible(self):
-        from repro.bench import ACCEPTED_SCHEMAS, BENCH_SCHEMA
+    def test_bench_schema_is_v7_only(self, tmp_path):
+        import repro.bench
+        from repro.bench import BENCH_SCHEMA, load_payload
 
-        assert BENCH_SCHEMA == "repro-bench/6"
-        assert "repro-bench/1" in ACCEPTED_SCHEMAS
-        assert "repro-bench/2" in ACCEPTED_SCHEMAS
-        assert "repro-bench/3" in ACCEPTED_SCHEMAS
-        assert "repro-bench/4" in ACCEPTED_SCHEMAS
-        assert "repro-bench/5" in ACCEPTED_SCHEMAS
+        assert BENCH_SCHEMA == "repro-bench/7"
+        assert not hasattr(repro.bench, "ACCEPTED_SCHEMAS")
+        path = tmp_path / "BENCH_old.json"
+        path.write_text(json.dumps({"schema": "repro-bench/6", "results": []}))
+        with pytest.raises(ValueError, match="unsupported benchmark schema"):
+            load_payload(str(path))
 
     def test_resilient_payload_json_serializable(self):
-        payload = run_benchmarks(
-            TINY_BENCH,
-            resilience=fast_options(),
+        payload = run_simulation_sweep(
+            TINY_SIM,
+            options=fast_options(),
             fault_plan=UnitFaultPlan(rate=0.0),
         )
-        assert payload["schema"] == "repro-bench/6"
+        assert payload["schema"] == "repro-sim-sweep/1"
         json.dumps(payload)
         section = payload["resilience"]
         assert section["enabled"] is True

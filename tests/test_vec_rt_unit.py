@@ -6,8 +6,9 @@ as the scalar stepper kept in :mod:`repro.reference` — cycle counts,
 every fetch/test counter, and the cache/DRAM statistics — for any
 configuration.  These tests pin that contract on the shared test scene
 across config variants, plus a Hypothesis property over small warp
-shapes, and on a registry scene at the Figure 12 shape, where the
-predictor verifies and mispredicts.
+shapes, on a registry scene at the Figure 12 shape, where the
+predictor verifies and mispredicts, and on all seven registry scenes at
+a wide-SIMT shape (one 1024-thread warp per SM, iteration barrier).
 """
 
 import numpy as np
@@ -30,6 +31,7 @@ from repro.faults import FaultConfig, FaultInjector, FaultyPredictor
 from repro.gpu import GPUConfig, MemoryHierarchy, VectorRTUnit, simulate_workload
 from repro.gpu.config import CacheConfig, MemoryConfig, RTUnitConfig
 from repro.gpu.rt_unit import _RESTART_SENTINEL
+from repro.scenes import SCENE_CODES
 
 PC = PredictorConfig(origin_bits=3, direction_bits=2, go_up_level=2)
 
@@ -258,7 +260,7 @@ class TestPaperRegime:
     def test_engines_agree(self, lr, order, predictor, cycles):
         bvh, batches = lr
         config = scaled_gpu_config(scaled_predictor_config() if predictor else None)
-        assert config.num_sms == 2 and config.shared_l2
+        assert config.num_sms == 2
         assert config.rt_unit.warp_size == 32
         vector = simulate_workload(bvh, batches[order], config)
         scalar = reference.simulate_workload(bvh, batches[order], config)
@@ -287,18 +289,36 @@ class TestDeterminism:
         assert vec.dram_row_hits == sca.dram_row_hits
 
 
-class TestSharding:
-    def test_sharded_matches_serial_private_l2(self, small_bvh, small_workload):
-        config = GPUConfig(num_sms=2, shared_l2=False)
-        serial = simulate_workload(small_bvh, small_workload.rays, config)
-        sharded = simulate_workload(
-            small_bvh, small_workload.rays, config, sm_jobs=2
-        )
-        assert serial.per_sm == sharded.per_sm
+#: Wide-SIMT shape: 2 SMs, one 1024-thread warp each, iteration barrier.
+WIDE_SIMT = dict(
+    num_sms=2,
+    rt_unit=RTUnitConfig(warp_size=1024, max_warps=1, warp_barrier=True),
+)
 
-    def test_sharding_rejects_shared_l2(self, small_bvh, small_workload):
-        with pytest.raises(ValueError):
-            simulate_workload(
-                small_bvh, small_workload.rays,
-                GPUConfig(num_sms=2, shared_l2=True), sm_jobs=2,
-            )
+
+@pytest.fixture(scope="module")
+def registry_workloads():
+    """The first 2048 AO rays of each registry scene (detail 0.6, 32x32x2)."""
+    out = {}
+    for code in SCENE_CODES:
+        scene = get_scene(code, detail=0.6)
+        bvh = build_bvh(scene.mesh)
+        rays = generate_ao_workload(
+            scene, bvh, width=32, height=32, spp=2, seed=1
+        ).rays
+        out[code] = (bvh, rays.subset(np.arange(min(2048, len(rays)))))
+    return out
+
+
+class TestRegistryScenes:
+    @pytest.mark.parametrize("predictor", [False, True], ids=["base", "pred"])
+    @pytest.mark.parametrize("code", SCENE_CODES)
+    def test_per_sm_results_equal(self, registry_workloads, code, predictor):
+        bvh, rays = registry_workloads[code]
+        config = GPUConfig(
+            predictor=PredictorConfig() if predictor else None, **WIDE_SIMT
+        )
+        vector = simulate_workload(bvh, rays, config)
+        scalar = reference.simulate_workload(bvh, rays, config)
+        assert vector.per_sm == scalar.per_sm
+        assert vector.rays == len(rays)

@@ -54,6 +54,18 @@ class TestSceneDifferential:
         mesh = get_scene(code, detail=0.3).mesh
         assert_identical(mesh, method)
 
+    @pytest.mark.parametrize("code", SCENE_CODES)
+    def test_scene_refit_bit_identical(self, code):
+        # The build preset's refit: the SAH tree at detail 1, its mesh
+        # jittered by 0.05 with seed 1.
+        bvh = build_bvh(get_scene(code, detail=1.0).mesh)
+        moved = jitter_mesh(bvh.mesh, 0.05, seed=1)
+        vec = refit_bvh(bvh, moved)
+        sca = reference.refit_bvh(bvh, moved)
+        assert np.array_equal(vec.lo, sca.lo)
+        assert np.array_equal(vec.hi, sca.hi)
+        assert not np.array_equal(vec.lo, bvh.lo)
+
     @pytest.mark.parametrize("method", METHODS)
     def test_vector_tree_validates(self, small_scene, method):
         bvh = build_bvh(small_scene.mesh, method=method)

@@ -13,9 +13,11 @@ at once:
 * segment geometry (centroid/tri bounds) is gathered once and reduced
   with ``np.minimum.reduceat``/``np.maximum.reduceat`` at segment
   offsets;
-* binned SAH evaluates every ``(segment, axis, bin)`` candidate through
-  one ``np.bincount`` over ``segment * num_bins + bin`` keys plus one
-  stable argsort per axis for the segmented bin bounds;
+* binned SAH evaluates every ``(segment, axis, bin)`` candidate with,
+  per axis, one ``np.bincount`` over ``bin * k + segment`` cells, the
+  scalar builder's own ``np.minimum.at``/``np.maximum.at`` fold for the
+  bin bounds (one coordinate at a time, in triangle order) and a
+  bin-by-bin prefix-union sweep over all ``k`` segments at once;
 * partitioning is a single stable ``np.lexsort`` on
   ``(segment, go-right)`` keys (centroid or Morton keys for the
   median/LBVH paths), so each segment is permuted exactly as the scalar
@@ -69,18 +71,26 @@ def _segment_surface_areas(extent: np.ndarray) -> np.ndarray:
     return 2.0 * (ex * ey + ey * ez + ez * ex)
 
 
-def _prefix_areas_2d(bin_lo: np.ndarray, bin_hi: np.ndarray) -> np.ndarray:
-    """Running-union surface areas per segment, front to back.
+def _running_union_areas(bin_lo: np.ndarray,
+                         bin_hi: np.ndarray) -> np.ndarray:
+    """Surface areas of the running unions of bins, front to back.
 
-    ``bin_lo``/``bin_hi`` are ``(k, num_bins, 3)``; empty prefixes (all
-    bins so far empty) come out as 0.0 exactly like the scalar
+    ``bin_lo``/``bin_hi`` are coordinate-major, ``(3, num_bins, k)``,
+    and the union runs along axis 1.  Each step is the scalar
+    ``_prefix_areas``'s ``accumulate`` step ``run[b] = min(run[b-1],
+    bin[b])``, taken for all ``k`` segments at once.  Empty prefixes
+    (all bins so far empty) come out as 0.0 exactly like the scalar
     ``_prefix_areas``.
     """
-    run_lo = np.minimum.accumulate(bin_lo, axis=1)
-    run_hi = np.maximum.accumulate(bin_hi, axis=1)
-    extent = run_hi - run_lo
-    empty = np.any(extent < 0.0, axis=2)
-    ex, ey, ez = extent[..., 0], extent[..., 1], extent[..., 2]
+    run_lo = np.empty_like(bin_lo)
+    run_hi = np.empty_like(bin_hi)
+    run_lo[:, 0] = bin_lo[:, 0]
+    run_hi[:, 0] = bin_hi[:, 0]
+    for b in range(1, bin_lo.shape[1]):
+        np.minimum(run_lo[:, b - 1], bin_lo[:, b], out=run_lo[:, b])
+        np.maximum(run_hi[:, b - 1], bin_hi[:, b], out=run_hi[:, b])
+    ex, ey, ez = np.subtract(run_hi, run_lo, out=run_hi)
+    empty = (ex < 0.0) | (ey < 0.0) | (ez < 0.0)
     area = 2.0 * (ex * ey + ey * ez + ez * ex)
     return np.where(empty, 0.0, area)
 
@@ -221,8 +231,12 @@ class _VectorFrontierBuilder:
             child_off = np.stack(
                 (seg_off2, seg_off2 + mids_rel), axis=1
             ).reshape(-1)
-            child_lo = np.minimum.reduceat(tri_lo[ids2], child_off, axis=0)
-            child_hi = np.maximum.reduceat(tri_hi[ids2], child_off, axis=0)
+            child_lo = np.minimum.reduceat(
+                np.take(tri_lo, ids2, axis=0), child_off, axis=0
+            )
+            child_hi = np.maximum.reduceat(
+                np.take(tri_hi, ids2, axis=0), child_off, axis=0
+            )
 
             lo_chunks.append(child_lo)
             hi_chunks.append(child_hi)
@@ -262,7 +276,11 @@ class _VectorFrontierBuilder:
             old_parent >= 0, new_idx[np.maximum(old_parent, 0)], -1
         )
 
-        reordered = TriangleMesh(mesh.v0[order], mesh.v1[order], mesh.v2[order])
+        reordered = TriangleMesh(
+            np.take(mesh.v0, order, axis=0),
+            np.take(mesh.v1, order, axis=0),
+            np.take(mesh.v2, order, axis=0),
+        )
         return FlatBVH(
             lo=lo[inv],
             hi=hi[inv],
@@ -333,7 +351,7 @@ class VectorMedianSplitBuilder(_VectorFrontierBuilder):
 
     def _plan_level(self, ids, cents, tri_lo, tri_hi, seg, seg_off,
                     starts, counts):
-        c = cents[ids]
+        c = np.take(cents, ids, axis=0)
         c_lo = np.minimum.reduceat(c, seg_off, axis=0)
         c_hi = np.maximum.reduceat(c, seg_off, axis=0)
         extent = c_hi - c_lo
@@ -377,65 +395,58 @@ class VectorBinnedSAHBuilder(_VectorFrontierBuilder):
         nb = self.num_bins
         k = starts.size
         t = ids.size
-        c = cents[ids]
-        tl = tri_lo[ids]
-        th = tri_hi[ids]
+        # np.take gathers (t, 3) rows several times faster than fancy
+        # indexing does.
+        c = np.take(cents, ids, axis=0)
+        tl = np.take(tri_lo, ids, axis=0)
+        th = np.take(tri_hi, ids, axis=0)
         c_lo = np.minimum.reduceat(c, seg_off, axis=0)
         c_hi = np.maximum.reduceat(c, seg_off, axis=0)
         extent = c_hi - c_lo
 
-        cost = np.full((k, 3, nb - 1), np.inf)
-        axis_bins = np.zeros((3, t), dtype=np.int64)
-        for axis in range(3):
-            live = extent[:, axis] > 0.0
-            scale = np.zeros(k)
-            scale[live] = nb / extent[live, axis]
-            bins = np.minimum(
-                ((c[:, axis] - c_lo[seg, axis]) * scale[seg]).astype(np.int64),
-                nb - 1,
-            )
-            axis_bins[axis] = bins
-            flat_bin = seg * nb + bins
-            bin_counts = np.bincount(
-                flat_bin, minlength=k * nb
-            ).reshape(k, nb)
-            # Segmented bin bounds: one stable argsort groups each
-            # (segment, bin) run, reduceat folds it, and the result is
-            # scattered into a dense (k, nb) grid (absent bins keep the
-            # +/-inf identities the scalar np.minimum.at starts from).
-            grouped = np.argsort(flat_bin, kind="stable")
-            sorted_bins = flat_bin[grouped]
-            run_starts = np.flatnonzero(
-                np.concatenate(([True], sorted_bins[1:] != sorted_bins[:-1]))
-            )
-            present = sorted_bins[run_starts]
-            bin_lo = np.full((k * nb, 3), np.inf)
-            bin_hi = np.full((k * nb, 3), -np.inf)
-            bin_lo[present] = np.minimum.reduceat(
-                tl[grouped], run_starts, axis=0
-            )
-            bin_hi[present] = np.maximum.reduceat(
-                th[grouped], run_starts, axis=0
-            )
-            bin_lo = bin_lo.reshape(k, nb, 3)
-            bin_hi = bin_hi.reshape(k, nb, 3)
+        # Bin every centroid on all three axes; a flat axis (zero
+        # centroid extent) puts everything in bin 0 and is masked below.
+        live = extent > 0.0
+        scale = np.zeros((k, 3))
+        scale[live] = nb / extent[live]
+        bins = np.minimum(
+            ((c - np.take(c_lo, seg, axis=0))
+             * np.take(scale, seg, axis=0)).astype(np.int64),
+            nb - 1,
+        )
 
-            left_counts = np.cumsum(bin_counts, axis=1)[:, :-1]
-            right_counts = counts[:, None] - left_counts
-            left_area = _prefix_areas_2d(bin_lo, bin_hi)
-            right_area = _prefix_areas_2d(
+        cost = np.full((k, 3, nb - 1), np.inf)
+        for axis in range(3):
+            # One cell per (bin, segment), bin-major so the running
+            # unions sweep whole segment rows.
+            cell = bins[:, axis] * k + seg
+            bin_counts = np.bincount(cell, minlength=nb * k).reshape(nb, k)
+            # Bin bounds: the scalar builder's own np.minimum.at /
+            # np.maximum.at fold, one coordinate at a time, so every
+            # cell folds its triangles in triangle order.  Absent bins
+            # keep the +/-inf identities.
+            bin_lo = np.full((3, nb, k), np.inf)
+            bin_hi = np.full((3, nb, k), -np.inf)
+            for d in range(3):
+                np.minimum.at(bin_lo[d].reshape(-1), cell, tl[:, d])
+                np.maximum.at(bin_hi[d].reshape(-1), cell, th[:, d])
+
+            left_counts = np.cumsum(bin_counts, axis=0)[:-1]
+            right_counts = counts - left_counts
+            left_area = _running_union_areas(bin_lo, bin_hi)
+            right_area = _running_union_areas(
                 bin_lo[:, ::-1], bin_hi[:, ::-1]
-            )[:, ::-1]
+            )[::-1]
             with np.errstate(invalid="ignore"):
                 axis_cost = (
-                    left_area[:, :-1] * left_counts
-                    + right_area[:, 1:] * right_counts
+                    left_area[:-1] * left_counts
+                    + right_area[1:] * right_counts
                 )
             axis_cost = np.where(
                 (left_counts == 0) | (right_counts == 0), np.inf, axis_cost
             )
-            axis_cost[~live] = np.inf
-            cost[:, axis, :] = axis_cost
+            axis_cost[:, ~live[:, axis]] = np.inf
+            cost[:, axis, :] = axis_cost.T
 
         flat_cost = cost.reshape(k, -1)
         best_flat = np.argmin(flat_cost, axis=1)
@@ -460,7 +471,7 @@ class VectorBinnedSAHBuilder(_VectorFrontierBuilder):
                 counts[measurable] <= 2 * self.max_leaf_size
             )
 
-        bins_best = axis_bins[best_axis[seg], np.arange(t)]
+        bins_best = bins[np.arange(t), best_axis[seg]]
         go_left = bins_best <= best_bin[seg]
         n_left = np.bincount(seg[go_left], minlength=k)
         splitting = has_split & ~leaf

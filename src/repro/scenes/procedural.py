@@ -17,6 +17,60 @@ from repro.geometry.triangle import TriangleMesh
 Vec3 = Tuple[float, float, float]
 
 
+#: Corner selection for :func:`box`, ``[face, corner, axis]``: True
+#: takes ``hi[axis]``, False takes ``lo[axis]``.  Faces in emission order.
+_BOX_FACES = np.array(
+    [
+        # bottom (y0) and top (y1)
+        ((0, 0, 0), (1, 0, 0), (1, 0, 1), (0, 0, 1)),
+        ((0, 1, 0), (0, 1, 1), (1, 1, 1), (1, 1, 0)),
+        # front (z0) and back (z1)
+        ((0, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0, 0)),
+        ((0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)),
+        # left (x0) and right (x1)
+        ((0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 1, 0)),
+        ((1, 0, 0), (1, 1, 0), (1, 1, 1), (1, 0, 1)),
+    ],
+    dtype=bool,
+)
+
+
+def _split_cells(a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                 d: np.ndarray) -> TriangleMesh:
+    """Triangles ``(a, b, c)`` then ``(a, c, d)`` of every cell, cell by cell.
+
+    ``a..d`` are ``(..., 3)`` corner arrays of one shape, in cell order.
+    """
+    axis = a.ndim - 1
+    return TriangleMesh(
+        np.stack((a, a), axis=axis).reshape(-1, 3),
+        np.stack((b, c), axis=axis).reshape(-1, 3),
+        np.stack((c, d), axis=axis).reshape(-1, 3),
+    )
+
+
+def _quads(corners: np.ndarray, subdiv: int) -> TriangleMesh:
+    """Tessellate ``q`` bilinear quads at once; ``corners`` is ``(q, 4, 3)``.
+
+    Every vertex goes through the same IEEE operations as a per-vertex
+    loop (``p0*(1-u) + p1*u``, then ``bottom*(1-v) + top*v``), and
+    triangles come out quad by quad, row-major over the grid cells, two
+    per cell, so the result is byte-identical to tessellating the quads
+    one at a time and concatenating.
+    """
+    if subdiv < 1:
+        raise ValueError("subdiv must be >= 1")
+    t = np.linspace(0.0, 1.0, subdiv + 1)[:, None]
+    w = 1 - t
+    p0, p1, p2, p3 = (corners[:, None, k] for k in range(4))
+    bottom = (p0 * w + p1 * t)[:, :, None]
+    top = (p3 * w + p2 * t)[:, :, None]
+    grid = bottom * w + top * t  # (q, u, v, 3)
+    return _split_cells(
+        grid[:, :-1, :-1], grid[:, 1:, :-1], grid[:, 1:, 1:], grid[:, :-1, 1:]
+    )
+
+
 def quad(
     p0: Sequence[float],
     p1: Sequence[float],
@@ -29,53 +83,23 @@ def quad(
     The quad is bilinear: interior vertices are interpolated, so slightly
     non-planar corner sets produce curved patches (used for draperies).
     """
-    if subdiv < 1:
-        raise ValueError("subdiv must be >= 1")
-    p0 = np.asarray(p0, dtype=np.float64)
-    p1 = np.asarray(p1, dtype=np.float64)
-    p2 = np.asarray(p2, dtype=np.float64)
-    p3 = np.asarray(p3, dtype=np.float64)
+    corners = np.asarray([p0, p1, p2, p3], dtype=np.float64)
+    return _quads(corners[None], subdiv)
 
-    us = np.linspace(0.0, 1.0, subdiv + 1)
-    vs = np.linspace(0.0, 1.0, subdiv + 1)
-    grid = np.empty((subdiv + 1, subdiv + 1, 3))
-    for i, u in enumerate(us):
-        bottom = p0 * (1 - u) + p1 * u
-        top = p3 * (1 - u) + p2 * u
-        for j, v in enumerate(vs):
-            grid[i, j] = bottom * (1 - v) + top * v
 
-    v0: List[np.ndarray] = []
-    v1: List[np.ndarray] = []
-    v2: List[np.ndarray] = []
-    for i in range(subdiv):
-        for j in range(subdiv):
-            a = grid[i, j]
-            b = grid[i + 1, j]
-            c = grid[i + 1, j + 1]
-            d = grid[i, j + 1]
-            v0.extend([a, a])
-            v1.extend([b, c])
-            v2.extend([c, d])
-    return TriangleMesh(np.asarray(v0), np.asarray(v1), np.asarray(v2))
+def _boxes(lo: np.ndarray, hi: np.ndarray, subdiv: int) -> TriangleMesh:
+    """Boxes ``lo[i]..hi[i]`` (``(m, 3)`` each), box after box."""
+    corners = np.where(_BOX_FACES, hi[:, None, None], lo[:, None, None])
+    return _quads(corners.reshape(-1, 4, 3), subdiv)
 
 
 def box(lo: Sequence[float], hi: Sequence[float], subdiv: int = 1) -> TriangleMesh:
     """Axis-aligned box with all six faces tessellated ``subdiv`` times."""
-    x0, y0, z0 = lo
-    x1, y1, z1 = hi
-    faces = [
-        # bottom (y0) and top (y1)
-        ((x0, y0, z0), (x1, y0, z0), (x1, y0, z1), (x0, y0, z1)),
-        ((x0, y1, z0), (x0, y1, z1), (x1, y1, z1), (x1, y1, z0)),
-        # front (z0) and back (z1)
-        ((x0, y0, z0), (x0, y1, z0), (x1, y1, z0), (x1, y0, z0)),
-        ((x0, y0, z1), (x1, y0, z1), (x1, y1, z1), (x0, y1, z1)),
-        # left (x0) and right (x1)
-        ((x0, y0, z0), (x0, y0, z1), (x0, y1, z1), (x0, y1, z0)),
-        ((x1, y0, z0), (x1, y1, z0), (x1, y1, z1), (x1, y0, z1)),
-    ]
-    return TriangleMesh.concatenate([quad(*f, subdiv=subdiv) for f in faces])
+    return _boxes(
+        np.asarray(lo, dtype=np.float64).reshape(1, 3),
+        np.asarray(hi, dtype=np.float64).reshape(1, 3),
+        subdiv,
+    )
 
 
 def open_room(lo: Sequence[float], hi: Sequence[float], subdiv: int = 2) -> TriangleMesh:
@@ -92,40 +116,33 @@ def uv_sphere(
     if lat < 2 or lon < 3:
         raise ValueError("need lat >= 2 and lon >= 3")
     cx, cy, cz = center
-    ring_points = []
-    for i in range(lat + 1):
-        theta = math.pi * i / lat
-        ring = []
-        for j in range(lon):
-            phi = 2.0 * math.pi * j / lon
-            ring.append(
-                (
-                    cx + radius * math.sin(theta) * math.cos(phi),
-                    cy + radius * math.cos(theta),
-                    cz + radius * math.sin(theta) * math.sin(phi),
-                )
-            )
-        ring_points.append(ring)
+    thetas = [math.pi * i / lat for i in range(lat + 1)]
+    phis = [2.0 * math.pi * j / lon for j in range(lon)]
+    ring_r = radius * np.array([math.sin(t) for t in thetas])[:, None]
+    points = np.empty((lat + 1, lon, 3))
+    points[..., 0] = cx + ring_r * np.array([math.cos(p) for p in phis])
+    points[..., 1] = cy + radius * np.array([math.cos(t) for t in thetas])[:, None]
+    points[..., 2] = cz + ring_r * np.array([math.sin(p) for p in phis])
 
-    v0: List[Vec3] = []
-    v1: List[Vec3] = []
-    v2: List[Vec3] = []
-    for i in range(lat):
-        for j in range(lon):
-            jn = (j + 1) % lon
-            a = ring_points[i][j]
-            b = ring_points[i + 1][j]
-            c = ring_points[i + 1][jn]
-            d = ring_points[i][jn]
-            if i != 0:
-                v0.append(a)
-                v1.append(b)
-                v2.append(d)
-            if i != lat - 1:
-                v0.append(b)
-                v1.append(c)
-                v2.append(d)
-    return TriangleMesh(np.asarray(v0), np.asarray(v1), np.asarray(v2))
+    # Cell (i, j) has corners a=(i, j), b=(i+1, j), c=(i+1, j+1),
+    # d=(i, j+1) and emits (a, b, d) unless it touches the north pole
+    # and (b, c, d) unless it touches the south pole.
+    i = np.arange(lat)[:, None]
+    j = np.arange(lon)
+    jn = (j + 1) % lon
+    a = i * lon + j
+    b = a + lon
+    c = (i + 1) * lon + jn
+    d = i * lon + jn
+    tris = np.stack(
+        (np.stack((a, b, d), axis=-1), np.stack((b, c, d), axis=-1)), axis=2
+    )
+    keep = np.ones((lat, lon, 2), dtype=bool)
+    keep[0, :, 0] = False
+    keep[-1, :, 1] = False
+    idx = tris[keep]
+    flat = points.reshape(-1, 3)
+    return TriangleMesh(flat[idx[:, 0]], flat[idx[:, 1]], flat[idx[:, 2]])
 
 
 def cylinder(
@@ -139,43 +156,33 @@ def cylinder(
     """Vertical cylinder (column) centred at ``center`` (base at center y)."""
     if segments < 3:
         raise ValueError("segments must be >= 3")
+    if rings < 1:
+        raise ValueError("rings must be >= 1")
     cx, cy, cz = center
-    meshes: List[TriangleMesh] = []
     ys = np.linspace(cy, cy + height, rings + 1)
     angles = [2.0 * math.pi * j / segments for j in range(segments)]
-    circle = [(math.cos(a), math.sin(a)) for a in angles]
+    ring_x = cx + radius * np.array([math.cos(a) for a in angles])
+    ring_z = cz + radius * np.array([math.sin(a) for a in angles])
+    nxt = (np.arange(segments) + 1) % segments
 
-    v0: List[Vec3] = []
-    v1: List[Vec3] = []
-    v2: List[Vec3] = []
-    for r in range(rings):
-        y_lo, y_hi = ys[r], ys[r + 1]
-        for j in range(segments):
-            jn = (j + 1) % segments
-            ax, az = circle[j]
-            bx, bz = circle[jn]
-            a = (cx + radius * ax, y_lo, cz + radius * az)
-            b = (cx + radius * bx, y_lo, cz + radius * bz)
-            c = (cx + radius * bx, y_hi, cz + radius * bz)
-            d = (cx + radius * ax, y_hi, cz + radius * az)
-            v0.extend([a, a])
-            v1.extend([b, c])
-            v2.extend([c, d])
-    meshes.append(TriangleMesh(np.asarray(v0), np.asarray(v1), np.asarray(v2)))
+    # Wall grid (ring, segment): a cell's corners run along its lower
+    # ring from segment j to j+1, then back along the upper ring.
+    grid = np.empty((rings + 1, segments, 3))
+    grid[..., 0] = ring_x
+    grid[..., 1] = ys[:, None]
+    grid[..., 2] = ring_z
+    meshes: List[TriangleMesh] = [
+        _split_cells(grid[:-1], grid[:-1, nxt], grid[1:, nxt], grid[1:])
+    ]
 
     if capped:
         for y in (float(ys[0]), float(ys[-1])):
-            cv0: List[Vec3] = []
-            cv1: List[Vec3] = []
-            cv2: List[Vec3] = []
-            for j in range(segments):
-                jn = (j + 1) % segments
-                ax, az = circle[j]
-                bx, bz = circle[jn]
-                cv0.append((cx, y, cz))
-                cv1.append((cx + radius * ax, y, cz + radius * az))
-                cv2.append((cx + radius * bx, y, cz + radius * bz))
-            meshes.append(TriangleMesh(np.asarray(cv0), np.asarray(cv1), np.asarray(cv2)))
+            rim = np.empty((segments, 3))
+            rim[:, 0] = ring_x
+            rim[:, 1] = y
+            rim[:, 2] = ring_z
+            hub = np.tile(np.array([cx, y, cz], dtype=np.float64), (segments, 1))
+            meshes.append(TriangleMesh(hub, rim, rim[nxt]))
     return TriangleMesh.concatenate(meshes)
 
 
@@ -225,14 +232,19 @@ def voxel_terrain(
     """
     xs = np.linspace(x0, x1, nx + 1)
     zs = np.linspace(z0, z1, nz + 1)
-    meshes: List[TriangleMesh] = []
+    cxs = 0.5 * (xs[:-1] + xs[1:])
+    czs = 0.5 * (zs[:-1] + zs[1:])
+    lo = np.zeros((nx, nz, 3))
+    hi = np.empty((nx, nz, 3))
+    lo[..., 0] = xs[:-1, None]
+    lo[..., 2] = zs[None, :-1]
+    hi[..., 0] = xs[1:, None]
+    hi[..., 2] = zs[None, 1:]
     for i in range(nx):
         for j in range(nz):
-            cx = 0.5 * (xs[i] + xs[i + 1])
-            cz = 0.5 * (zs[j] + zs[j + 1])
-            h = max(block_height, round(height_fn(cx, cz) / block_height) * block_height)
-            meshes.append(box((xs[i], 0.0, zs[j]), (xs[i + 1], h, zs[j + 1]), subdiv=1))
-    return TriangleMesh.concatenate(meshes)
+            h = round(height_fn(cxs[i], czs[j]) / block_height) * block_height
+            hi[i, j, 1] = max(block_height, h)
+    return _boxes(lo.reshape(-1, 3), hi.reshape(-1, 3), subdiv=1)
 
 
 def table(center: Sequence[float], width: float, depth: float, height: float) -> TriangleMesh:

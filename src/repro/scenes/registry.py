@@ -7,6 +7,7 @@ fidelity for simulation time uniformly across all seven scenes.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, List
 
 from repro.scenes import generators
@@ -53,7 +54,10 @@ def get_scene(name: str, detail: float = 1.0) -> Scene:
 
     Raises:
         KeyError: if the scene is unknown.
+        ValueError: if ``detail`` is not a positive finite number.
     """
+    if not math.isfinite(detail):
+        raise ValueError("detail must be a positive finite number")
     if detail <= 0.0:
         raise ValueError("detail must be positive")
     code = name.upper()

@@ -255,6 +255,14 @@ class TestExitCodeContract:
         result = _run_repro("--detail", "0.2", "faults", "SP", "--rate", "7")
         assert result.returncode == EXIT_INPUT
 
+    def test_non_finite_detail_exits_4(self):
+        from repro.errors import EXIT_INPUT
+
+        result = _run_repro("--detail", "inf", "scenes")
+        assert result.returncode == EXIT_INPUT
+        assert "positive finite" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_no_degrade_forced_failure_exits_12(self, tmp_path):
         from repro.errors import EXIT_SWEEP
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro import reference, telemetry
 from repro.bvh import build_bvh, jitter_mesh, refit_bvh, validate_bvh
@@ -25,6 +26,10 @@ from repro.scenes import SCENE_CODES, get_scene
 MAX_EXAMPLES = int(os.environ.get("HYPOTHESIS_MAX_EXAMPLES", "50"))
 
 METHODS = ("sah", "median", "lbvh")
+
+#: Coordinates that make ties common: empty bins, equal SAH costs,
+#: coincident centroids and folds over both signed zeros.
+TIE_COORDS = (-1.0, -0.0, 0.0, 0.5, 1.0)
 
 
 def random_mesh(n: int, seed: int, spread: float = 4.0) -> TriangleMesh:
@@ -81,6 +86,21 @@ class TestPropertyDifferential:
     @settings(max_examples=MAX_EXAMPLES)
     def test_random_meshes_identical(self, n, seed, method):
         assert_identical(random_mesh(n, seed), method)
+
+    @given(
+        verts=hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(min_value=1, max_value=120), st.just(9)),
+            elements=st.sampled_from(TIE_COORDS),
+        ),
+    )
+    @settings(max_examples=MAX_EXAMPLES)
+    def test_tied_and_signed_zero_meshes_identical(self, verts):
+        # Random-normal meshes almost never tie; these almost always do,
+        # so every fold, sweep and argmin meets equal and +/-0 operands.
+        mesh = TriangleMesh(verts[:, 0:3], verts[:, 3:6], verts[:, 6:9])
+        for method in METHODS:
+            assert_identical(mesh, method)
 
     @given(
         n=st.integers(min_value=1, max_value=64),

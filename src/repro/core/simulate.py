@@ -20,7 +20,7 @@ rays into the same window, where they cannot train one another.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from repro import telemetry
 from repro.bvh.nodes import FlatBVH
 from repro.core.baseline import baseline_record
 from repro.core.predictor import PredictorConfig, RayPredictor
+from repro.core.table import PredictorTable
 from repro.geometry.ray import RayBatch
 from repro.telemetry.publish import (
     FRACTION_BUCKETS,
@@ -39,6 +40,12 @@ from repro.trace.wavefront import wavefront_verify_batch
 
 #: Ray-buffer capacity of the baseline RT unit (8 warps x 32 threads).
 DEFAULT_IN_FLIGHT = 256
+
+#: Widest window whose verifications are speculated in one batch per
+#: call.  Above it each window's own batch is large, and the guess pass
+#: costs more than the launches it saves (crossover measured in
+#: docs/ARCHITECTURE.md).
+_SPECULATE_MAX_WINDOW = 64
 
 
 @dataclass
@@ -146,6 +153,99 @@ class SimulationResult:
         return (self.baseline_node_fetches - self.predictor_node_fetches) / self.num_rays
 
 
+def _subtree_tri_ranges(bvh: FlatBVH) -> Tuple[np.ndarray, np.ndarray]:
+    """Per node, the ``[lo, hi)`` triangle range its subtree covers.
+
+    The builders store every subtree's triangles contiguously, so a
+    triangle ``t`` lies under node ``s`` iff ``lo[s] <= t < hi[s]``.
+    Folded bottom-up, one gather per tree level.
+    """
+    leaf = bvh.left < 0
+    lo = np.where(leaf, bvh.first_tri, 0)
+    hi = np.where(leaf, bvh.first_tri + bvh.tri_count, 0)
+    for level in reversed(bvh.levels()):
+        inner = level[~leaf[level]]
+        left, right = bvh.left[inner], bvh.right[inner]
+        lo[inner] = np.minimum(lo[left], lo[right])
+        hi[inner] = np.maximum(hi[left], hi[right])
+    return lo, hi
+
+
+def _speculate(
+    bvh: FlatBVH,
+    rays: RayBatch,
+    hashes: List[int],
+    base_tri: np.ndarray,
+    config: PredictorConfig,
+    in_flight: int,
+) -> Tuple[List[Optional[List[int]]], List[int], List[int], List[int]]:
+    """Guess every ray's predicted nodes, then verify them in one batch.
+
+    The guess pass replays the window loop (lookups, then confirms, then
+    trains) on a private table built from ``config``.  It guesses that a
+    ray verifies iff its baseline triangle lies under a predicted node,
+    and trains and confirms that triangle's Go Up Level node.  Guesses
+    only decide which verifications run ahead of time: the exact loop
+    re-verifies every ray whose real prediction differs.
+
+    Returns:
+        ``(guesses, hit_tri, node_fetches, tri_fetches)``, one entry per
+        ray: the guessed nodes (``None`` = no prediction) and their
+        verification's result and traffic (-1 and zeros if none ran).
+    """
+    table = PredictorTable(
+        num_entries=config.num_entries,
+        ways=config.ways,
+        nodes_per_entry=config.nodes_per_entry,
+        hash_bits=config.hash_bits,
+        node_policy=config.node_policy,
+    )
+    # Not the simulated table: it feeds no introspection counters.
+    table._telemetry = False
+    lookup, confirm, update = table.lookup, table.confirm, table.update
+    n = len(hashes)
+    hit = base_tri >= 0
+    trained = np.full(n, -1, dtype=np.int64)
+    trained[hit] = bvh.ancestors(config.go_up_level)[
+        bvh.leaf_of_triangle()[base_tri[hit]]
+    ]
+    tri_lo, tri_hi = _subtree_tri_ranges(bvh)
+    tris, nodes_trained = base_tri.tolist(), trained.tolist()
+
+    guesses: List[Optional[List[int]]] = []
+    for start in range(0, n, in_flight):
+        stop = min(start + in_flight, n)
+        window = [lookup(h) for h in hashes[start:stop]]
+        guesses.extend(window)
+        for i, nodes in zip(range(start, stop), window):
+            t = tris[i]
+            if nodes and t >= 0:
+                for s in nodes:
+                    if tri_lo[s] <= t < tri_hi[s]:
+                        confirm(hashes[i], nodes_trained[i])
+                        break
+        for i in range(start, stop):
+            if nodes_trained[i] >= 0:
+                update(hashes[i], nodes_trained[i])
+
+    hit_tri, node_fetches, tri_fetches = [-1] * n, [0] * n, [0] * n
+    ids = [i for i, nodes in enumerate(guesses) if nodes]
+    if ids:
+        with telemetry.span(
+            "predictor.verify", engine="wavefront", rays=len(ids),
+            speculative=True,
+        ):
+            tri, counters, _ = wavefront_verify_batch(
+                bvh, rays.subset(ids), [guesses[i] for i in ids]
+            )
+        for i, t, nf, tf in zip(
+            ids, tri.tolist(), counters.node_fetches.tolist(),
+            counters.tri_fetches.tolist(),
+        ):
+            hit_tri[i], node_fetches[i], tri_fetches[i] = t, nf, tf
+    return guesses, hit_tri, node_fetches, tri_fetches
+
+
 def simulate_predictor(
     bvh: FlatBVH,
     rays: RayBatch,
@@ -160,11 +260,23 @@ def simulate_predictor(
     per stream (:mod:`repro.core.baseline`) supplies every unverified
     ray's fallback and the baseline counters.  Each ``in_flight`` window
     then probes the table once per ray, all against the window-start
-    state; verifies every prediction in one wavefront
-    (:func:`wavefront_verify_batch`); and at the drain confirms verified
+    state; verifies the predictions; and at the drain confirms verified
     rays, then trains hitting rays, each in ray order.  The probes stay
     per ray because AO rays from neighbouring pixels hash alike, so most
     of a window's updates hit a table set another update also hits.
+
+    Verification is speculated, then checked.  A ray's verification
+    result and traffic are a pure function of the ray and its predicted
+    nodes (:func:`wavefront_verify_batch` never lets rays interact), so
+    at windows up to ``_SPECULATE_MAX_WINDOW`` a guess pass first
+    replays the window loop on a private table, guessing each
+    verification from the baseline, and every guessed ``(ray, nodes)``
+    pair is verified in one batch.  The exact window loop then runs on
+    the caller's predictor and re-verifies, once per window, only the
+    rays whose predicted nodes differ from their guess.  Wider windows
+    skip the guess pass and verify each window's predictions in one
+    batch.  Either way the result, and the sequence of calls the
+    predictor receives, are those of the plain window loop.
     :func:`repro.reference.simulate_predictor` is the paper-order
     per-ray oracle: per-ray occlusion is identical, while statistics
     that depend on traversal order (which triangle trained the table)
@@ -183,7 +295,8 @@ def simulate_predictor(
             Any object with the :class:`RayPredictor` probe surface
             (``predict``/``confirm``/``train``/``trained_node_for``)
             drops in, e.g. the fault injector's proxy, which sees every
-            lookup.
+            lookup.  Only these calls reach it; the guess pass uses a
+            table of its own.
 
     Returns:
         A :class:`SimulationResult`; baseline counters come from full
@@ -192,7 +305,7 @@ def simulate_predictor(
     if in_flight < 1:
         raise ValueError("in_flight must be >= 1")
     pred = predictor if predictor is not None else RayPredictor(bvh, config)
-    hashes = pred.hash_batch(rays.origins, rays.directions)
+    hashes = pred.hash_batch(rays.origins, rays.directions).tolist()
     # Delta-published at run end so a reused (pre-warmed) predictor's
     # cumulative counters are not double counted across runs.  Meta
     # predictors (e.g. the adaptive tournament) have no single table and
@@ -202,60 +315,84 @@ def simulate_predictor(
 
     n = len(rays)
     base = baseline_record(bvh, rays, "wavefront")
+    base_tri = base.hit_tri.tolist()
 
-    predicted = np.zeros(n, dtype=bool)
-    verified = np.zeros(n, dtype=bool)
-    hit = np.zeros(n, dtype=bool)
-    predicted_nodes = np.zeros(n, dtype=np.int64)
-    verify_nf = np.zeros(n, dtype=np.int64)
-    verify_tf = np.zeros(n, dtype=np.int64)
-    full_nf = np.zeros(n, dtype=np.int64)
-    full_tf = np.zeros(n, dtype=np.int64)
+    # Per-ray verification hit triangle and traffic: the speculative
+    # batch's, replaced ray by ray where the real prediction differs.
+    if in_flight <= _SPECULATE_MAX_WINDOW:
+        guesses, ver_tri, verify_nf, verify_tf = _speculate(
+            bvh, rays, hashes, base.hit_tri,
+            getattr(pred, "config", None) or config or PredictorConfig(),
+            in_flight,
+        )
+    else:
+        guesses = [None] * n
+        ver_tri, verify_nf, verify_tf = [-1] * n, [0] * n, [0] * n
+    predicted_nodes = [0] * n
     guard_fallbacks = 0
+    predict, confirm, train = pred.predict, pred.confirm, pred.train
+    trained_node_for = pred.trained_node_for
 
     for start in range(0, n, in_flight):
         stop = min(start + in_flight, n)
         m = stop - start
-        w = slice(start, stop)
-        sub = rays.subset(np.arange(start, stop))
-        whashes = hashes[start:stop].tolist()
+        whashes = hashes[start:stop]
 
         with telemetry.span("predictor.lookup", engine="wavefront", rays=m):
-            seeds = [pred.predict(h) for h in whashes]
-            counts = [len(nodes) if nodes else 0 for nodes in seeds]
-        predicted_nodes[w] = counts
-        predicted[w] = predicted_nodes[w] > 0
+            seeds = [predict(h) for h in whashes]
+        redo: List[int] = []
+        for i, nodes in enumerate(seeds, start):
+            if nodes:
+                predicted_nodes[i] = len(nodes)
+                if nodes != guesses[i]:
+                    redo.append(i)
+            elif guesses[i]:
+                # Guessed a prediction the real table did not make.
+                ver_tri[i] = -1
+                verify_nf[i] = verify_tf[i] = 0
         if telemetry.enabled() and m:
             telemetry.observe(
                 "predictor.window_predicted_fraction",
-                float(predicted[w].sum()) / m,
+                sum(1 for nodes in seeds if nodes) / m,
                 buckets=FRACTION_BUCKETS, engine="wavefront",
             )
 
-        with telemetry.span("predictor.verify", engine="wavefront", rays=m):
-            ver_tri, ver_counts, guard_mask = wavefront_verify_batch(
-                bvh, sub, seeds
-            )
-        guard_fallbacks += int(np.count_nonzero(guard_mask))
-        win_verified = ver_tri >= 0
-        verified[w] = win_verified
-        verify_nf[w] = ver_counts.node_fetches
-        verify_tf[w] = ver_counts.tri_fetches
+        if redo:
+            with telemetry.span(
+                "predictor.verify", engine="wavefront", rays=len(redo)
+            ):
+                tri, counters, guard_mask = wavefront_verify_batch(
+                    bvh, rays.subset(redo), [seeds[i - start] for i in redo]
+                )
+            guard_fallbacks += int(np.count_nonzero(guard_mask))
+            for i, t, nf, tf in zip(
+                redo, tri.tolist(), counters.node_fetches.tolist(),
+                counters.tri_fetches.tolist(),
+            ):
+                ver_tri[i], verify_nf[i], verify_tf[i] = t, nf, tf
 
-        # Fallback for unverified rays (misprediction restart or no
-        # prediction) served from the memoized whole-stream baseline.
-        win_hit_tri = np.where(win_verified, ver_tri, base.hit_tri[w])
-        full_nf[w] = np.where(win_verified, 0, base.node_fetches[w])
-        full_tf[w] = np.where(win_verified, 0, base.tri_fetches[w])
-        hit[w] = win_hit_tri >= 0
-
+        win_tri = ver_tri[start:stop]
         # Policy feedback: these stored nodes were useful.
-        for j in np.flatnonzero(win_verified).tolist():
-            pred.confirm(whashes[j], pred.trained_node_for(int(ver_tri[j])))
+        for h, t in zip(whashes, win_tri):
+            if t >= 0:
+                confirm(h, trained_node_for(t))
 
         # Updates from this window commit only after the window drains.
-        for j in np.flatnonzero(win_hit_tri >= 0).tolist():
-            pred.train(whashes[j], int(win_hit_tri[j]))
+        # Unverified rays fall back to the memoized full traversal.
+        for h, t, b in zip(whashes, win_tri, base_tri[start:stop]):
+            if t >= 0:
+                train(h, t)
+            elif b >= 0:
+                train(h, b)
+
+    predicted_nodes = np.asarray(predicted_nodes, dtype=np.int64)
+    predicted = predicted_nodes > 0
+    verified = np.asarray(ver_tri, dtype=np.int64) >= 0
+    verify_nf = np.asarray(verify_nf, dtype=np.int64)
+    verify_tf = np.asarray(verify_tf, dtype=np.int64)
+    full_nf = np.where(verified, 0, base.node_fetches)
+    full_tf = np.where(verified, 0, base.tri_fetches)
+    hit = verified | (base.hit_tri >= 0)
 
     mis_mask = predicted & ~verified
     outcomes: Optional[List[PredictionOutcome]] = None

@@ -47,6 +47,12 @@ class SimulatePreset:
     sim_rays: int = 512
     in_flight: int = 32
 
+    def __post_init__(self) -> None:
+        # Each unit would raise this and degrade to predictor_off, and a
+        # sweep of fallbacks still exits 0: reject it before it starts.
+        if self.in_flight < 1:
+            raise ValueError("in_flight must be >= 1")
+
 
 def _scene_result(preset: SimulatePreset, code: str, rung: str) -> dict:
     """Simulate one scene at one ladder rung; returns a JSON-safe row."""

@@ -1,7 +1,7 @@
 """Procedural mesh primitives.
 
 Building blocks for the seven stand-in benchmark scenes: tessellated
-quads, boxes, UV spheres, cylinders (columns), and heightfields.  All
+quads, boxes, UV spheres, cylinders (columns), and voxel terrain.  All
 functions return a :class:`TriangleMesh`; scenes concatenate them.
 """
 
@@ -13,8 +13,6 @@ from typing import Callable, List, Sequence, Tuple
 import numpy as np
 
 from repro.geometry.triangle import TriangleMesh
-
-Vec3 = Tuple[float, float, float]
 
 
 #: Corner selection for :func:`box`, ``[face, corner, axis]``: True
@@ -184,35 +182,6 @@ def cylinder(
             hub = np.tile(np.array([cx, y, cz], dtype=np.float64), (segments, 1))
             meshes.append(TriangleMesh(hub, rim, rim[nxt]))
     return TriangleMesh.concatenate(meshes)
-
-
-def heightfield(
-    x0: float,
-    z0: float,
-    x1: float,
-    z1: float,
-    nx: int,
-    nz: int,
-    height_fn: Callable[[float, float], float],
-) -> TriangleMesh:
-    """Triangulated heightfield ``y = height_fn(x, z)`` over a grid."""
-    xs = np.linspace(x0, x1, nx + 1)
-    zs = np.linspace(z0, z1, nz + 1)
-    heights = np.asarray([[height_fn(x, z) for z in zs] for x in xs])
-
-    v0: List[Vec3] = []
-    v1: List[Vec3] = []
-    v2: List[Vec3] = []
-    for i in range(nx):
-        for j in range(nz):
-            a = (xs[i], heights[i, j], zs[j])
-            b = (xs[i + 1], heights[i + 1, j], zs[j])
-            c = (xs[i + 1], heights[i + 1, j + 1], zs[j + 1])
-            d = (xs[i], heights[i, j + 1], zs[j + 1])
-            v0.extend([a, a])
-            v1.extend([b, c])
-            v2.extend([c, d])
-    return TriangleMesh(np.asarray(v0), np.asarray(v1), np.asarray(v2))
 
 
 def voxel_terrain(

@@ -498,11 +498,15 @@ def wavefront_verify_batch(
     ray does not traverse at all).  This is the wavefront form of the
     verification step in :mod:`repro.core.simulate`: rays predicted to
     the *same* node share one active list, so a popular predicted node is
-    fetched once per window instead of once per ray.
+    gathered once per batch instead of once per ray.
 
-    ``start_nodes_per_ray`` holds one entry per ray, typically the
-    window's :meth:`~repro.core.predictor.RayPredictor.predict` results
-    in ray order.
+    ``start_nodes_per_ray`` holds one entry per ray.
+    :func:`~repro.core.simulate.simulate_predictor` passes a whole
+    call's guessed predictions in one batch, then, window by window, the
+    real predictions that differ from their guess.  Any grouping gives
+    the same per-ray answer: a ray's hit triangle, counters and guard
+    flag depend only on the ray and its own entry, because rays share
+    kernel launches, never state.
 
     Speculation guard (degraded fallback): a ray whose entry list
     contains an out-of-range node index - a corrupted table entry driven

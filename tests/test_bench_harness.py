@@ -145,15 +145,17 @@ class TestArtifact:
         pred = run_benchmarks(PREDICTOR_TEST_PRESET)
         assert [r["benchmark"] for r in pred["results"]] == [
             "rt_timing", "rt_timing_predictor", "predictor_sim",
+            "predictor_sim_w8",
         ]
         rays = {r["rays"] for r in pred["results"]}
         assert rays == {36}  # every ray, no prefix cap
         assert "verified_rate" not in record(pred, "rt_timing")["extra"]
         assert record(pred, "rt_timing_predictor")["extra"]["cycles"] > 0
-        assert set(record(pred, "predictor_sim")["extra"]) == {
-            "verified_rate", "memory_savings", "predicted_rate",
-            "baseline_node_fetches",
-        }
+        for family in ("predictor_sim", "predictor_sim_w8"):
+            assert set(record(pred, family)["extra"]) == {
+                "verified_rate", "memory_savings", "predicted_rate",
+                "baseline_node_fetches",
+            }
         assert compare_payloads(pred, pred) == []
 
 
@@ -315,7 +317,9 @@ class TestPredictorGate:
     def test_committed_baseline_in_regime(self):
         assert regime_problems(baseline("predictor")) == []
 
-    @pytest.mark.parametrize("family", ["rt_timing_predictor", "predictor_sim"])
+    @pytest.mark.parametrize(
+        "family", ["rt_timing_predictor", "predictor_sim", "predictor_sim_w8"]
+    )
     def test_zero_verified_fails(self, family):
         current = baseline("predictor")
         record(current, family, "CK")["extra"]["verified_rate"] = 0.0
@@ -337,6 +341,13 @@ class TestPredictorGate:
         record(current, "predictor_sim", "SP")["extra"]["memory_savings"] = savings
         assert regime_problems(current) == [
             f"predictor_sim/SP: memory savings {savings} <= 0"
+        ]
+
+    def test_window8_memory_savings_not_positive_fail(self):
+        current = baseline("predictor")
+        record(current, "predictor_sim_w8", "CK")["extra"]["memory_savings"] = 0.0
+        assert regime_problems(current) == [
+            "predictor_sim_w8/CK: memory savings 0.0 <= 0"
         ]
 
     def test_check_reports_regime_and_record_problems(self, tmp_path):
@@ -379,4 +390,25 @@ class TestCommittedBaselines:
             ("rt_timing", "SP"): 14847, ("rt_timing_predictor", "SP"): 13126,
             ("rt_timing", "LR"): 6805, ("rt_timing_predictor", "LR"): 5598,
             ("rt_timing", "CK"): 9360, ("rt_timing_predictor", "CK"): 7470,
+        }
+
+    def test_predictor_baseline_has_every_record_of_the_preset(self):
+        payload = baseline("predictor")
+        assert {(r["benchmark"], r["scene"]) for r in payload["results"]} == {
+            (benchmark, code)
+            for benchmark in ("rt_timing", "rt_timing_predictor",
+                              "predictor_sim", "predictor_sim_w8")
+            for code in PRESETS["predictor"].scenes
+        }
+
+    def test_predictor_baseline_pins_window8_fetches(self):
+        # Computed by the window loop that verified one batch per window,
+        # before the simulation speculated; the gate keeps them exact.
+        payload = baseline("predictor")
+        fetches = {
+            r["scene"]: (r["node_fetches"], r["tri_fetches"])
+            for r in payload["results"] if r["benchmark"] == "predictor_sim_w8"
+        }
+        assert fetches == {
+            "SP": (83456, 25905), "LR": (45462, 18131), "CK": (62506, 12461),
         }

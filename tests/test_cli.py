@@ -263,6 +263,21 @@ class TestExitCodeContract:
         assert "positive finite" in result.stderr
         assert "Traceback" not in result.stderr
 
+    def test_simulate_in_flight_below_one_exits_4(self, tmp_path):
+        # Rejected before the sweep: inside it every scene would degrade
+        # to predictor_off and the sweep would still exit 0.
+        from repro.errors import EXIT_INPUT
+
+        result = _run_repro(
+            "--detail", "0.2", "simulate", "--scenes", "SB",
+            "--size", "8", "--rays", "32", "--in-flight", "0",
+            "--out", str(tmp_path),
+        )
+        assert result.returncode == EXIT_INPUT
+        assert "in_flight must be >= 1" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "SIM_simulate.json").exists()
+
     def test_no_degrade_forced_failure_exits_12(self, tmp_path):
         from repro.errors import EXIT_SWEEP
 

@@ -16,7 +16,6 @@ from repro.scenes.procedural import (
     clutter,
     cylinder,
     floor_field,
-    heightfield,
     open_room,
     quad,
     table,
@@ -72,10 +71,6 @@ class TestPrimitives:
     def test_cylinder_validation(self):
         with pytest.raises(ValueError):
             cylinder((0, 0, 0), 0.5, 1.0, segments=2)
-
-    def test_heightfield_counts(self):
-        mesh = heightfield(0, 0, 1, 1, 4, 5, lambda x, z: 0.5)
-        assert len(mesh) == 4 * 5 * 2
 
     def test_voxel_terrain_quantizes(self):
         mesh = voxel_terrain(0, 0, 2, 2, 2, 2, lambda x, z: 0.74, block_height=0.5)

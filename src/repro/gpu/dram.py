@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.gpu.config import DRAMConfig
 
 
@@ -46,17 +44,24 @@ class DRAMStats:
 
 
 class DRAM:
-    """Per-bank busy-until / open-row bookkeeping (numpy-array backed)."""
+    """Per-bank busy-until / open-row bookkeeping."""
 
     def __init__(self, config: DRAMConfig) -> None:
         self.config = config
-        self._busy_until = np.zeros(config.num_banks, dtype=np.int64)
-        self._open_row = np.full(config.num_banks, -1, dtype=np.int64)
+        # Config as plain ints and bank state as lists: `access` runs once
+        # per DRAM request of the timing model, where NumPy scalars and
+        # attribute chains would dominate it.
+        self._num_banks = config.num_banks
+        self._lines_per_row = config.lines_per_row
+        self._latency = config.latency
+        self._occupancy = config.bank_occupancy
+        self._busy_until = [0] * config.num_banks
+        self._open_row = [-1] * config.num_banks
         self.stats = DRAMStats()
 
     def bank_of(self, line_addr: int) -> int:
         """Bank servicing ``line_addr`` (line-interleaved)."""
-        return line_addr % self.config.num_banks
+        return line_addr % self._num_banks
 
     def row_of(self, line_addr: int) -> int:
         """DRAM row of ``line_addr`` within its bank.
@@ -65,7 +70,7 @@ class DRAM:
         (stride ``num_banks``) map to one row of ``lines_per_row``
         columns.
         """
-        return (line_addr // self.config.num_banks) // self.config.lines_per_row
+        return (line_addr // self._num_banks) // self._lines_per_row
 
     def access(self, line_addr: int, now: int) -> int:
         """Service a request arriving at cycle ``now``.
@@ -74,27 +79,26 @@ class DRAM:
         for ``bank_occupancy`` cycles from service start.
         """
         bank = self.bank_of(line_addr)
-        start = max(now, int(self._busy_until[bank]))
-        stall = start - now
-        done = start + self.config.latency
-        self._busy_until[bank] = start + self.config.bank_occupancy
+        busy = self._busy_until[bank]
+        start = busy if busy > now else now
+        release = start + self._occupancy
+        self._busy_until[bank] = release
 
         stats = self.stats
         if stats.accesses == 0:
             stats.first_access_time = start
         stats.accesses += 1
-        stats.stall_cycles += stall
-        stats.busy_cycles += self.config.bank_occupancy
-        stats.last_release_time = max(
-            stats.last_release_time, start + self.config.bank_occupancy
-        )
+        stats.stall_cycles += start - now
+        stats.busy_cycles += self._occupancy
+        if release > stats.last_release_time:
+            stats.last_release_time = release
         row = self.row_of(line_addr)
         if self._open_row[bank] == row:
             stats.row_hits += 1
         self._open_row[bank] = row
-        return done
+        return start + self._latency
 
     def reset_timing(self) -> None:
         """Clear bank busy/row state (new kernel) without losing statistics."""
-        self._busy_until[:] = 0
-        self._open_row[:] = -1
+        self._busy_until = [0] * self._num_banks
+        self._open_row = [-1] * self._num_banks

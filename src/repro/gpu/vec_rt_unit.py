@@ -7,7 +7,7 @@ and, for a predicted ray, the speculative stack installed at admission
 fix that sequence.  So a batched DFS - one exact-order slab kernel for
 both children of every interior pop, one gathered Moeller-Trumbore
 kernel for all leaf triangles - records the visits, and the event loop
-advances per-ray cursors through them with array gathers.
+advances per-ray cursors through them on plain Python scalars.
 
 Trace then replay
 -----------------
@@ -48,12 +48,16 @@ trace to its root trace:
 * Verification visits spill at the speculative stack's depth, so their
   spill flags come from their own DFS, never from the root trace.
 
-Each step expands its visits' line runs in member order and walks the
-unique lines in first-occurrence order (the stepper's MSHR ``dict``
-order) through the shared port, caches and DRAM banks - the one Python
-loop, as it mutates that state line by line.  Training and confirmation
-stay per retired ray in member order: reordering them would change the
-LRU order within a table set.
+The replay is serial by nature - every line access mutates the shared
+port, caches and DRAM banks - and a Figure 12 step serves about eleven
+threads and four unique lines, so it runs on Python lists and on
+``memoryview`` objects over the record planes, where a NumPy call would
+cost more than its work.  One pass over a step's threads in member order
+sends each line at its first touch (the stepper's MSHR ``dict`` order)
+and folds the thread's data-ready time as it goes: a line's ready time
+is fixed at its first touch in a step.  Training and confirmation stay
+per retired ray in member order: reordering them would change the LRU
+order within a table set.
 """
 
 from __future__ import annotations
@@ -92,13 +96,10 @@ from repro.telemetry.publish import (
 _MISS = -1
 _FAULT = -2
 
-#: Line count above which a step dedups its lines by sorting.
-_SORT_DEDUP_LINES = 256
-
 #: Rays per root-trace DFS (rounded up to whole source warps): enough to
-#: amortize the kernels' per-call cost, few enough to bound their
+#: amortize the kernels' per-iteration cost, few enough to bound their
 #: temporaries.
-_ROOT_CHUNK = 512
+_ROOT_CHUNK = 2048
 
 def _slab_exact(origins, inv_dirs, t_min, t_max, lo, hi):
     """Slab test with the scalar kernel's exact operation order.
@@ -133,7 +134,7 @@ def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 class _VecState:
-    """Per-ray thread state as struct-of-arrays planes, plus the records."""
+    """Per-ray thread state: the DFS's array planes, the replay's lists."""
 
     def __init__(self, rays: RayBatch) -> None:
         self.n = n = len(rays)
@@ -146,19 +147,30 @@ class _VecState:
         self.t_min, self.t_max = (
             np.asarray(t, dtype=np.float64) for t in (rays.t_min, rays.t_max)
         )
-        self.ray_hash = np.zeros(n, dtype=np.uint64)
-        self.done, self.predicted, self.verified = np.zeros((3, n), dtype=bool)
+        self.verified = np.zeros(n, dtype=bool)
         self.hit_tri = np.full(n, -1, dtype=np.int64)
-        # The counters of the records each ray executes; `cur` is its next
-        # record, `root` its root trace (built for rays [0, rooted)).
-        (self.ready_time, self.node_fetches, self.tri_fetches, self.spills,
-         self.cur, self.root, self.root_len) = np.zeros((7, n), dtype=np.int64)
+        # The counters of the records each ray executes; `root` is its root
+        # trace (built for rays [0, rooted)).
+        (self.node_fetches, self.tri_fetches, self.spills,
+         self.root, self.root_len) = np.zeros((5, n), dtype=np.int64)
         self.mis_node_fetches = self.mis_tri_fetches = self.guard_restarts = 0
         self.rooted = 0
-        # Record planes (rec, cnt, lat as int32; hit), grown geometrically.
+        # Replay state, read and written one ray at a time: `cur` is each
+        # ray's next record.  The views read the DFS's fixed-size planes
+        # as Python scalars.
+        self.ray_hash = [0] * n
+        self.predicted = [False] * n
+        self.done = [False] * n
+        self.cur = [0] * n
+        self.ready_time = [0] * n
+        self.hit_tri_view = memoryview(self.hit_tri)
+        self.verified_view = memoryview(self.verified)
+        # Record planes (rec, cnt, lat as int32; hit), grown geometrically;
+        # `views` are refreshed after every trace, as growth reallocates.
         cap = 24 * n + 64
         self.planes = [np.empty(cap, dtype=np.int32) for _ in range(3)]
         self.planes.append(np.empty(cap, dtype=bool))
+        self.views = [memoryview(plane) for plane in self.planes]
         self.used = 0
 
     def reserve(self, k: int) -> int:
@@ -175,14 +187,14 @@ class _VecState:
 
 @dataclass
 class _VecWarp:
-    """A resident warp over SoA state: member ray IDs plus metadata."""
+    """A resident warp: member ray IDs plus metadata."""
 
-    members: np.ndarray
+    members: List[int]
     age: int
     ready_time: int
     inflight: Dict[int, int] = field(default_factory=dict)
     #: Members not yet done, in member order.
-    live: np.ndarray = field(init=False)
+    live: List[int] = field(init=False)
 
     def __post_init__(self) -> None:
         self.live = self.members
@@ -218,7 +230,7 @@ class VectorRTUnit:
         self._lines = np.concatenate([
             (NODE_BASE_ADDRESS + NODE_SIZE_BYTES * nodes) // line_bytes,
             (TRIANGLE_BASE_ADDRESS + TRIANGLE_SIZE_BYTES * tris) // line_bytes,
-        ])
+        ]).tolist()
 
     def run(self, rays: RayBatch) -> RTUnitResult:
         """Trace every ray in ``rays`` (in order) and return statistics."""
@@ -239,13 +251,12 @@ class VectorRTUnit:
         st = _VecState(rays)
         if self.predictor is not None:
             hashes = self.predictor.hash_batch(rays.origins, rays.directions)
-            st.ray_hash = np.asarray(hashes, dtype=np.uint64)
+            st.ray_hash = np.asarray(hashes, dtype=np.uint64).tolist()
         n = st.n
         warp_size = self.rt.warp_size
         chunk = -(-_ROOT_CHUNK // warp_size) * warp_size
         pending = [
-            np.arange(i, min(i + warp_size, n), dtype=np.int64)
-            for i in range(0, n, warp_size)
+            list(range(i, min(i + warp_size, n))) for i in range(0, n, warp_size)
         ]
         pending.reverse()  # pop() from the back yields original order
 
@@ -294,8 +305,7 @@ class VectorRTUnit:
             while collector_ready:
                 ids = collector_ready.pop(0)
                 collector_warps += 1
-                members = np.asarray(ids, dtype=np.int64)
-                launch(_VecWarp(members, next(counter), time + self.rt.queue_latency))
+                launch(_VecWarp(ids, next(counter), time + self.rt.queue_latency))
 
         def admit_source(time: int) -> None:
             nonlocal buffer_used, warps_executed, collector_last_push
@@ -314,15 +324,14 @@ class VectorRTUnit:
                     ready += self._predictor_stage(st, group)
                     predictor_lookups += len(group)
                     if repack:
-                        pm = st.predicted[group]
-                        predicted = group[pm]
-                        group = group[~pm]
-                        if len(predicted):
-                            for ids in collector.push(predicted.tolist()):
+                        predicted = [r for r in group if st.predicted[r]]
+                        group = [r for r in group if not st.predicted[r]]
+                        if predicted:
+                            for ids in collector.push(predicted):
                                 collector_ready.append(ids)
                             collector_last_push = ready
                             dispatch_collector_ready(ready)
-                        if not len(group):
+                        if not group:
                             continue
                 warps_executed += 1
                 launch(_VecWarp(members=group, age=next(counter), ready_time=ready))
@@ -409,7 +418,7 @@ class VectorRTUnit:
             cycles=now,
             rays=n,
             hits=int((st.hit_tri >= 0).sum()),
-            predicted=int(st.predicted.sum()),
+            predicted=sum(st.predicted),
             verified=int(st.verified.sum()),
             node_fetches=node_fetches,
             tri_fetches=tri_fetches,
@@ -438,29 +447,23 @@ class VectorRTUnit:
         )
 
     # Predictor stage: per-ray lookups, then verification traces
-    def _predictor_stage(self, st: _VecState, group: np.ndarray) -> int:
+    def _predictor_stage(self, st: _VecState, group: List[int]) -> int:
         assert self.predictor is not None
         config = self.predictor.config
         predict = self.predictor.predict
-        found = [predict(h) or [] for h in st.ray_hash[group].tolist()]
-        counts = np.array([len(f) for f in found], dtype=np.int64)
-        nodes = np.zeros((len(group), max(1, int(counts.max()))), dtype=np.int64)
-        for i, f in enumerate(found):
-            nodes[i, : len(f)] = f
-        hitm = counts > 0
-        rows = group[hitm]
-        if len(rows):
-            c = counts[hitm]
-            picked = nodes[hitm]
-            st.predicted[rows] = True
+        found = [(r, nodes) for r in group if (nodes := predict(st.ray_hash[r]))]
+        if found:
+            for r, _ in found:
+                st.predicted[r] = True
+            rows = np.array([r for r, _ in found], dtype=np.int64)
+            c = np.array([len(nodes) for _, nodes in found], dtype=np.int64)
             # Scalar layout: [SENTINEL] + reversed(nodes), so list slot j
             # lands at stack position c - j (position c pops first).
             width = int(c.max()) + 1 + self._stack_depth
             stack = np.zeros((len(rows), width), dtype=np.int64)
             stack[:, 0] = _RESTART_SENTINEL
-            for j in range(picked.shape[1]):
-                sel = c > j
-                stack[sel, (c - j)[sel]] = picked[sel, j]
+            for i, (_, nodes) in enumerate(found):
+                stack[i, len(nodes):0:-1] = nodes
             self._trace(st, rows, stack, 1 + c, speculative=True)
         ports = max(1, config.ports)
         return (len(group) + ports - 1) // ports + config.lookup_latency
@@ -631,7 +634,9 @@ class VectorRTUnit:
             dst = _runs((start + length)[linked], tail[linked])
             for plane in planes:
                 plane[dst] = plane[src]
-        st.cur[rows] = start
+        st.views = [memoryview(plane) for plane in planes]
+        for r, s in zip(rows.tolist(), start.tolist()):
+            st.cur[r] = s
         if not speculative:
             st.root[rows] = start
             st.root_len[rows] = length
@@ -643,114 +648,97 @@ class VectorRTUnit:
         ):
             plane[rows] = own + np.where(linked, plane[rows], 0)
 
-    # Replay: one warp iteration, vectorized across ready threads
+    # Replay: one warp iteration over its ready threads, in member order
     def _step_warp(self, st: _VecState, warp: _VecWarp, now: int) -> _StepOutcome:
         rt = self.rt
-        rec_plane, cnt_plane, lat_plane, hit_plane = st.planes
+        rec_of, cnt_of, lat_of, hit_of = st.views
+        cur, ready_time = st.cur, st.ready_time
         out = _StepOutcome(end_time=now, finished=False, active_threads=0)
-        live = warp.live
-        parts = live
+        live = parts = warp.live
         if not rt.warp_barrier:
-            parts = live[st.ready_time[live] <= now + rt.coalesce_window]
-        cur = st.cur[parts]
-        cnt = cnt_plane[cur]
-        if len(cnt) and cnt.min() < 0:
-            ended = cnt < 0
-            rows = parts[ended]
-            fault = cnt[ended] == _FAULT
-            if fault.any():
-                bad = int(rec_plane[cur[ended][fault][0]])
-                raise TraversalError(
-                    f"ray {int(rows[fault][0])} popped invalid node {bad} "
-                    "after a guard restart (corrupted traversal state)",
-                    bad_nodes=[bad],
-                    num_nodes=self._num_nodes,
-                )
+            horizon = now + rt.coalesce_window
+            parts = [r for r in live if ready_time[r] <= horizon]
+        counts = [cnt_of[cur[r]] for r in parts]
+        if counts and min(counts) < 0:
+            for r, c in zip(parts, counts):
+                if c == _FAULT:
+                    bad = rec_of[cur[r]]
+                    raise TraversalError(
+                        f"ray {r} popped invalid node {bad} "
+                        "after a guard restart (corrupted traversal state)",
+                        bad_nodes=[bad],
+                        num_nodes=self._num_nodes,
+                    )
             # Drained stacks retire as scene misses (hit_tri stays -1).
-            self._retire_rows(st, rows, out)
-            parts, cur, cnt = parts[~ended], cur[~ended], cnt[~ended]
+            self._retire_rows(st, [r for r, c in zip(parts, counts) if c < 0], out)
+            parts = [r for r, c in zip(parts, counts) if c >= 0]
+            counts = [c for c in counts if c >= 0]
         k = out.active_threads = len(parts)
         if k:
-            st.cur[parts] = cur + 1
-            ends = np.cumsum(cnt)
-            offsets = ends - cnt
-            lines = self._lines[
-                np.arange(ends[-1]) + np.repeat(rec_plane[cur] - offsets, cnt)
-            ]
-            # Unique lines go out in first-occurrence order (member order,
-            # each visit's lines in order).  Sorting dedups wide steps
-            # faster than a dict, which wins below a few hundred lines.
-            inverse = None
-            if len(lines) > _SORT_DEDUP_LINES:
-                uniq, first, inverse = np.unique(
-                    lines, return_index=True, return_inverse=True
-                )
-                keys = uniq.tolist()
-                order = [keys[j] for j in np.argsort(first).tolist()]
-            else:
-                keys = lines.tolist()
-                order = dict.fromkeys(keys)
             start = self.memory.acquire_scheduler_slot(now)
             access_line = self.memory.access_line_time
+            lines = self._lines
             inflight = warp.inflight
-            ready: Dict[int, int] = {}
-            for line in order:
-                # A line still in flight for this warp merges for free.
-                pending = inflight.get(line)
-                if pending is not None and pending >= start:
-                    ready[line] = pending
-                    continue
-                ready[line] = inflight[line] = access_line(line, start)
-                if len(inflight) > 4 * rt.warp_size:
-                    inflight = warp.inflight = {
-                        ln: tm for ln, tm in inflight.items() if tm >= start
-                    }
-            line_ready = np.fromiter(map(ready.get, keys), np.int64, len(keys))
-            if inverse is not None:
-                line_ready = line_ready[inverse]
-            # A thread's data is ready at its last line's return; an empty
-            # leaf requests no lines and waits for `start + 1`.
-            if cnt.all():
-                data_ready = np.maximum.reduceat(line_ready, offsets)
-            else:
-                data_ready = np.full(k, start + 1, dtype=np.int64)
-                has = cnt > 0
-                if has.any():
-                    data_ready[has] = np.maximum.reduceat(line_ready, offsets[has])
-            residual = np.maximum(0, st.ready_time[parts] - now)
-            st.ready_time[parts] = (
-                np.maximum(data_ready, start + residual) + lat_plane[cur]
-            )
+            seen: Dict[int, int] = {}
+            hits = []
+            for r, c in zip(parts, counts):
+                i = cur[r]
+                cur[r] = i + 1
+                # A thread's data is ready at its last line's return; an
+                # empty leaf requests no lines and waits for `start + 1`.
+                data = 0 if c else start + 1
+                rec = rec_of[i]
+                for line in lines[rec:rec + c]:
+                    # Lines go out at their first touch in the step.
+                    t = seen.get(line)
+                    if t is None:
+                        # A line still in flight for this warp merges for free.
+                        t = inflight.get(line)
+                        if t is None or t < start:
+                            t = inflight[line] = access_line(line, start)
+                            if len(inflight) > 4 * rt.warp_size:
+                                inflight = warp.inflight = {
+                                    ln: tm for ln, tm in inflight.items()
+                                    if tm >= start
+                                }
+                        seen[line] = t
+                    if t > data:
+                        data = t
+                residual = ready_time[r] - now
+                floor = start + residual if residual > 0 else start
+                ready_time[r] = (data if data > floor else floor) + lat_of[i]
+                if hit_of[i]:
+                    hits.append(r)
             # Retire freshly-hit threads in member order (train order must
             # match the scalar engine's predictor-stamp sequence).
-            hit = hit_plane[cur]
-            if hit.any():
-                self._retire_rows(st, parts[hit], out)
+            if hits:
+                self._retire_rows(st, hits, out)
         if out.retired:
-            live = warp.live = live[~st.done[live]]
+            done = st.done
+            live = warp.live = [r for r in live if not done[r]]
 
-        if not len(live):
+        if not live:
             out.finished = True
-            last = int(st.ready_time[warp.members].max()) if k else 0
+            last = max([ready_time[r] for r in warp.members]) if k else 0
             out.end_time = max(now + 1, last)
         else:
-            rem = st.ready_time[live]
-            pick = int(rem.max() if k and rt.warp_barrier else rem.min())
+            rem = [ready_time[r] for r in live]
+            pick = max(rem) if k and rt.warp_barrier else min(rem)
             out.end_time = max(now + 1, pick)
         return out
 
-    def _retire_rows(self, st: _VecState, rows: np.ndarray, out: _StepOutcome) -> None:
+    def _retire_rows(self, st: _VecState, rows: List[int], out: _StepOutcome) -> None:
         """Retire ``rows``; train/confirm in member order (scalar parity)."""
-        st.done[rows] = True
         out.retired += len(rows)
         predictor = self.predictor
-        for r in rows.tolist():
-            tri = int(st.hit_tri[r])
+        for r in rows:
+            st.done[r] = True
+            tri = st.hit_tri_view[r]
             if tri >= 0 and predictor is not None:
-                h = int(st.ray_hash[r])
+                h = st.ray_hash[r]
                 predictor.train(h, tri)
                 out.updates += 1
-                if st.verified[r]:
+                if st.verified_view[r]:
                     predictor.confirm(h, predictor.trained_node_for(tri))
 
 

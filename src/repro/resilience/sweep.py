@@ -48,10 +48,12 @@ class SimulatePreset:
     in_flight: int = 32
 
     def __post_init__(self) -> None:
-        # Each unit would raise this and degrade to predictor_off, and a
-        # sweep of fallbacks still exits 0: reject it before it starts.
-        if self.in_flight < 1:
-            raise ValueError("in_flight must be >= 1")
+        # Below 1, every unit would be skipped, degrade to predictor_off
+        # or simulate no rays, and such a sweep still exits 0: reject it
+        # before it starts.
+        for name in ("width", "height", "spp", "sim_rays", "in_flight"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 def _scene_result(preset: SimulatePreset, code: str, rung: str) -> dict:

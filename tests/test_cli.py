@@ -263,18 +263,26 @@ class TestExitCodeContract:
         assert "positive finite" in result.stderr
         assert "Traceback" not in result.stderr
 
-    def test_simulate_in_flight_below_one_exits_4(self, tmp_path):
-        # Rejected before the sweep: inside it every scene would degrade
-        # to predictor_off and the sweep would still exit 0.
+    @pytest.mark.parametrize(
+        "flag, field",
+        [("--size", "width"), ("--spp", "spp"), ("--rays", "sim_rays"),
+         ("--in-flight", "in_flight")],
+        ids=["size", "spp", "rays", "in-flight"],
+    )
+    def test_simulate_count_below_one_exits_4(self, tmp_path, flag, field):
+        # Rejected before the sweep: inside it every scene would be
+        # skipped, degrade to predictor_off or simulate no rays, and the
+        # sweep would still exit 0.
         from repro.errors import EXIT_INPUT
 
+        counts = {"--size": "8", "--rays": "32", flag: "0"}
         result = _run_repro(
             "--detail", "0.2", "simulate", "--scenes", "SB",
-            "--size", "8", "--rays", "32", "--in-flight", "0",
+            *(arg for pair in counts.items() for arg in pair),
             "--out", str(tmp_path),
         )
         assert result.returncode == EXIT_INPUT
-        assert "in_flight must be >= 1" in result.stderr
+        assert f"{field} must be >= 1" in result.stderr
         assert "Traceback" not in result.stderr
         assert not (tmp_path / "SIM_simulate.json").exists()
 

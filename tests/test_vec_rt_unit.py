@@ -28,7 +28,13 @@ from repro.bvh.nodes import FlatBVH
 from repro.core import PredictorConfig, RayPredictor
 from repro.errors import TraversalError
 from repro.faults import FaultConfig, FaultInjector, FaultyPredictor
-from repro.gpu import GPUConfig, MemoryHierarchy, VectorRTUnit, simulate_workload
+from repro.gpu import (
+    GPUConfig,
+    MemoryHierarchy,
+    VectorRTUnit,
+    simulate_workload,
+    vec_rt_unit,
+)
 from repro.gpu.config import CacheConfig, MemoryConfig, RTUnitConfig
 from repro.gpu.rt_unit import _RESTART_SENTINEL
 from repro.scenes import SCENE_CODES
@@ -102,7 +108,7 @@ class TestEngineEquivalence:
         )
         assert scalar == vector
 
-    # 512 lanes reach the wide steps whose lines dedup by sorting.
+    # 512 lanes make wide steps, with hundreds of lines each.
     @pytest.mark.parametrize("warp_size", [8, 32, 128, 512])
     def test_warp_sizes_identical(self, small_bvh, small_workload, warp_size):
         scalar, vector = run_both(
@@ -269,6 +275,23 @@ class TestPaperRegime:
         if predictor:
             assert sum(r.verified for r in vector.per_sm) > 0
             assert sum(r.misprediction_node_fetches for r in vector.per_sm) > 0
+
+    @pytest.mark.parametrize("predictor", [False, True], ids=["base", "pred"])
+    def test_root_chunk_seams(self, lr, monkeypatch, predictor):
+        # Root traces are built one chunk of source warps at a time, as
+        # the chunk's first warp is admitted.  With 64-ray chunks, each SM
+        # run spans several chunks and ends in a partial one.
+        monkeypatch.setattr(vec_rt_unit, "_ROOT_CHUNK", 64)
+        bvh, batches = lr
+        rays = batches["unsorted"].subset(np.arange(968))
+        config = scaled_gpu_config(scaled_predictor_config() if predictor else None)
+        vector = simulate_workload(bvh, rays, config)
+        scalar = reference.simulate_workload(bvh, rays, config)
+        assert [r.rays for r in vector.per_sm] == [488, 480]
+        assert vector.per_sm == scalar.per_sm
+        if predictor:
+            assert config.predictor.repack
+            assert sum(r.verified for r in vector.per_sm) > 0
 
 
 class TestDeterminism:

@@ -25,6 +25,20 @@ This module memoizes one :class:`BaselineRecord` per
 
 The cache is a small process-local LRU; entries are a few ``int64``
 arrays per ray stream.
+
+Root traces
+-----------
+The RT-unit timing model (:class:`~repro.gpu.vec_rt_unit.VectorRTUnit`)
+starts every run from each ray's *root trace*: its depth-first records
+and counters from a stack holding only the root
+(:func:`~repro.trace.dfs.dfs_root_trace`).  A root trace is a pure
+function of the tree, the ray and the four
+:class:`~repro.trace.dfs.TraceCosts`, and a Figure 12 style study runs
+each SM's ray batch twice - once without and once with the predictor -
+so :func:`root_trace_record` memoizes one trace per ``(bvh, rays,
+costs)`` with the same identity pinning and content digest.  Its LRU
+holds two entries, one per SM of the scaled two-SM configuration; the
+records are a few hundred bytes per ray and pin their tree.
 """
 
 from __future__ import annotations
@@ -39,10 +53,14 @@ import numpy as np
 from repro import telemetry
 from repro.bvh.nodes import FlatBVH
 from repro.geometry.ray import RayBatch
+from repro.trace.dfs import DFSTrace, TraceCosts, dfs_root_trace
 from repro.trace.wavefront import wavefront_occlusion_tri_batch
 
 #: Maximum memoized (bvh, rays, engine) records kept alive.
 CACHE_CAPACITY = 8
+
+#: Maximum memoized (bvh, rays, costs) root traces kept alive.
+_ROOT_TRACE_CAPACITY = 2
 
 _CacheKey = Tuple[int, str, str]
 
@@ -147,9 +165,41 @@ def baseline_record(
     return record
 
 
+_ROOT_TRACES: "OrderedDict[tuple, Tuple[FlatBVH, DFSTrace]]" = OrderedDict()
+#: Root-trace lookups since the last clear (evictions keep their counts).
+_ROOT_TRACE_LOOKUPS = {"hits": 0, "misses": 0}
+
+
+def root_trace_record(bvh: FlatBVH, rays: RayBatch, costs: TraceCosts) -> DFSTrace:
+    """The memoized root traces of ``rays`` on ``bvh`` (read-only arrays).
+
+    Keyed by the tree's identity, the rays' content digest and every
+    field of ``costs``: the records carry the latencies and spill flags.
+    """
+    key = (id(bvh), _rays_digest(rays), *costs)
+    entry = _ROOT_TRACES.get(key)
+    if entry is not None and entry[0] is bvh:
+        _ROOT_TRACES.move_to_end(key)
+        _ROOT_TRACE_LOOKUPS["hits"] += 1
+        return entry[1]
+    _ROOT_TRACE_LOOKUPS["misses"] += 1
+    trace = dfs_root_trace(bvh, rays, costs)
+    for array in (*trace.planes, trace.start, trace.length, trace.hit_tri,
+                  trace.node_fetches, trace.tri_fetches, trace.spills):
+        array.flags.writeable = False
+    _ROOT_TRACES[key] = (bvh, trace)
+    _ROOT_TRACES.move_to_end(key)
+    while len(_ROOT_TRACES) > _ROOT_TRACE_CAPACITY:
+        _ROOT_TRACES.popitem(last=False)
+    return trace
+
+
 def clear_baseline_cache() -> None:
-    """Drop every memoized record (tests, or frees pinned BVHs)."""
+    """Drop every memoized record and root trace (tests, or frees pinned
+    BVHs)."""
     _CACHE.clear()
+    _ROOT_TRACES.clear()
+    _ROOT_TRACE_LOOKUPS.update(hits=0, misses=0)
 
 
 def baseline_cache_info() -> dict:
@@ -158,6 +208,9 @@ def baseline_cache_info() -> dict:
         "entries": len(_CACHE),
         "capacity": CACHE_CAPACITY,
         "hits": sum(rec.hits for rec in _CACHE.values()),
+        "root_traces": len(_ROOT_TRACES),
+        "root_trace_hits": _ROOT_TRACE_LOOKUPS["hits"],
+        "root_trace_misses": _ROOT_TRACE_LOOKUPS["misses"],
     }
 
 
@@ -167,4 +220,5 @@ __all__ = [
     "baseline_cache_info",
     "baseline_record",
     "clear_baseline_cache",
+    "root_trace_record",
 ]

@@ -130,8 +130,17 @@ def ray_aabb_intersect_batch(
     with np.errstate(invalid="ignore"):
         t1 = (lo - origins) * inv_directions
         t2 = (hi - origins) * inv_directions
-    t_near = np.maximum(np.minimum(t1, t2).max(axis=-1), t_min)
-    t_far = np.minimum(np.maximum(t1, t2).min(axis=-1), t_max)
+    near = np.minimum(t1, t2)
+    far = np.maximum(t1, t2)
+    # Chained over the three slab columns: a length-3 axis reduction
+    # costs far more per call.  NaN propagates alike, and a signed zero
+    # only reaches the `<=`.
+    t_near = np.maximum(
+        np.maximum(np.maximum(near[..., 0], near[..., 1]), near[..., 2]), t_min
+    )
+    t_far = np.minimum(
+        np.minimum(np.minimum(far[..., 0], far[..., 1]), far[..., 2]), t_max
+    )
     return t_near <= t_far
 
 

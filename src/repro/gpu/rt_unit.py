@@ -45,9 +45,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.trace.dfs import RESTART_SENTINEL
+
 #: Marker pushed below predicted nodes; popping it means the prediction
 #: failed and the ray must restart from the root (misprediction recovery).
-_RESTART_SENTINEL = -2
+#: The depth-first trace that pops it defines it.
+_RESTART_SENTINEL = RESTART_SENTINEL
 
 
 @dataclass

@@ -4,28 +4,34 @@
 :class:`repro.reference.RTUnit`, tracing each ray once and replaying
 it.  Timing never changes which nodes a ray visits: the ray, the tree
 and, for a predicted ray, the speculative stack installed at admission
-fix that sequence.  So a batched DFS - one exact-order slab kernel for
-both children of every interior pop, one gathered Moeller-Trumbore
-kernel for all leaf triangles - records the visits, and the event loop
-advances per-ray cursors through them on plain Python scalars.
+fix that sequence.  So the batched DFS of :mod:`repro.trace.dfs` - one
+exact-order slab kernel for both children of every interior pop, one
+gathered Moeller-Trumbore kernel for all leaf triangles - records the
+visits, and the event loop advances per-ray cursors through them on
+plain Python scalars.
 
 Trace then replay
 -----------------
-* A *visit* is one stack pop: a run ``[rec, rec + cnt)`` of the unit's
-  line table (node lines, then triangle lines, so a leaf visit is its
-  triangles' lines up to the first hit), its latency including the
-  spill penalty, and whether it ends the ray with a hit.  ``cnt < 0``
-  marks no visit: an empty stack (``_MISS``, a scene miss) or an
-  invalid pop after a restart (``_FAULT``, the stepper's
-  ``TraversalError``), acted on when the ray is next serviced.
-* *Root traces* (from a stack holding only the root) are built in
-  chunks of whole source warps as each chunk's first warp is admitted,
-  which bounds the kernels' temporaries.
+* A *visit* is one stack pop, a record of :mod:`repro.trace.dfs`: a run
+  ``[rec, rec + cnt)`` of the unit's line table, its latency including
+  the spill penalty, and whether it ends the ray with a hit.
+  ``cnt < 0`` marks no visit (a scene miss, or the stepper's
+  ``TraversalError`` after a restart), acted on when the ray is next
+  serviced.
+* *Root traces* (from a stack holding only the root) depend only on the
+  tree, the ray batch and the four trace costs, so
+  :func:`~repro.core.baseline.root_trace_record` memoizes them: a
+  Figure 12 study runs each SM's batch without and with the predictor,
+  and the second run copies the first run's records in at its start.
 * At admission, the warp's predictor lookups run in member order and
-  the same DFS builds every predicted ray's *verification trace* from
-  its speculative stack ``[SENTINEL, nodes...]``.  It ends in a hit, or in the restart (the
-  sentinel or a guard-invalid node) that links it to the root trace,
-  whose records are copied behind it: each cursor walks one run.
+  queue every predicted ray with a copy of its nodes.  The first step
+  of a warp holding a queued ray builds the *verification trace* of
+  every queued ray in one DFS launch, from its speculative stack
+  ``[SENTINEL, nodes...]``.  A trace depends only on its ray, the tree
+  and its stack, so when it is built changes nothing.  It ends in a
+  hit, or in the restart (the sentinel or a guard-invalid node) that
+  links it to the root trace, whose records are copied behind it: each
+  cursor walks one run.
 * Fetch, test, spill and misprediction counters are summed from the
   traces each ray executes; the replay yields cycles and memory stats.
 
@@ -77,66 +83,34 @@ from repro.bvh.nodes import (
     TRIANGLE_SIZE_BYTES,
     FlatBVH,
 )
+from repro.core.baseline import root_trace_record
 from repro.core.predictor import RayPredictor
 from repro.core.repacking import COLLECTOR_CAPACITY, PartialWarpCollector
 from repro.errors import SimulationStallError, TraversalError
-from repro.geometry.intersect import ray_triangle_intersect_batch
 from repro.geometry.ray import RayBatch
 from repro.gpu.config import GPUConfig
 from repro.gpu.memory import MemoryHierarchy
-from repro.gpu.rt_unit import _RESTART_SENTINEL, RTUnitResult, _StepOutcome
+from repro.gpu.rt_unit import RTUnitResult, _StepOutcome
 from repro.telemetry.publish import (
     LaneHistogram,
     publish_rt_unit_result,
     publish_table_stats,
     table_stats_state,
 )
-
-#: Line counts of the records that end a trace without a visit.
-_MISS = -1
-_FAULT = -2
-
-#: Rays per root-trace DFS (rounded up to whole source warps): enough to
-#: amortize the kernels' per-iteration cost, few enough to bound their
-#: temporaries.
-_ROOT_CHUNK = 2048
-
-def _slab_exact(origins, inv_dirs, t_min, t_max, lo, hi):
-    """Slab test with the scalar kernel's exact operation order.
-
-    ``np.minimum``/``np.maximum`` propagate NaN; Python's swap-and-fold
-    in :func:`~repro.geometry.intersect.ray_aabb_intersect` keeps the
-    accumulator on NaN (comparisons are False).  Degenerate rays with
-    ``0 * inf`` slab products therefore need this laddered form to stay
-    bit-identical to the oracle.
-    """
-    with np.errstate(invalid="ignore"):
-        t1 = (lo - origins) * inv_dirs
-        t2 = (hi - origins) * inv_dirs
-    swap = t1 > t2
-    near = np.where(swap, t2, t1)
-    far = np.where(swap, t1, t2)
-    # t_near = max(nx, ny, nz, t_min) as a left fold, like Python's max().
-    t_near = near[:, 0]
-    for v in (near[:, 1], near[:, 2], t_min):
-        t_near = np.where(v > t_near, v, t_near)
-    t_far = far[:, 0]
-    for v in (far[:, 1], far[:, 2], t_max):
-        t_far = np.where(v < t_far, v, t_far)
-    return t_near <= t_far, t_near
-
-
-def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Concatenated index runs ``[starts[i], starts[i] + lengths[i])``."""
-    offsets = np.cumsum(lengths) - lengths
-    total = int(offsets[-1] + lengths[-1]) if len(lengths) else 0
-    return np.arange(total) + np.repeat(starts - offsets, lengths)
+from repro.trace.dfs import (
+    FAULT,
+    RESTART_SENTINEL,
+    DFSTrace,
+    TraceCosts,
+    dfs_trace,
+    index_runs,
+)
 
 
 class _VecState:
     """Per-ray thread state: the DFS's array planes, the replay's lists."""
 
-    def __init__(self, rays: RayBatch) -> None:
+    def __init__(self, rays: RayBatch, root: DFSTrace) -> None:
         self.n = n = len(rays)
         self.origin = np.asarray(rays.origins, dtype=np.float64)
         self.direction = np.asarray(rays.directions, dtype=np.float64)
@@ -147,31 +121,38 @@ class _VecState:
         self.t_min, self.t_max = (
             np.asarray(t, dtype=np.float64) for t in (rays.t_min, rays.t_max)
         )
+        # Every ray starts on its root trace, copied in from the memo; a
+        # verification trace replaces a predicted ray's cursor, counters
+        # and hit when the queue is flushed.
+        self.root, self.root_len = root.start, root.length
         self.verified = np.zeros(n, dtype=bool)
-        self.hit_tri = np.full(n, -1, dtype=np.int64)
-        # The counters of the records each ray executes; `root` is its root
-        # trace (built for rays [0, rooted)).
-        (self.node_fetches, self.tri_fetches, self.spills,
-         self.root, self.root_len) = np.zeros((5, n), dtype=np.int64)
+        self.hit_tri = root.hit_tri.copy()
+        self.node_fetches = root.node_fetches.copy()
+        self.tri_fetches = root.tri_fetches.copy()
+        self.spills = root.spills.copy()
         self.mis_node_fetches = self.mis_tri_fetches = self.guard_restarts = 0
-        self.rooted = 0
+        #: Predicted rays awaiting their verification trace: ray -> nodes.
+        self.queue: Dict[int, Tuple[int, ...]] = {}
         # Replay state, read and written one ray at a time: `cur` is each
         # ray's next record.  The views read the DFS's fixed-size planes
         # as Python scalars.
         self.ray_hash = [0] * n
         self.predicted = [False] * n
         self.done = [False] * n
-        self.cur = [0] * n
+        self.cur = root.start.tolist()
         self.ready_time = [0] * n
         self.hit_tri_view = memoryview(self.hit_tri)
         self.verified_view = memoryview(self.verified)
         # Record planes (rec, cnt, lat as int32; hit), grown geometrically;
         # `views` are refreshed after every trace, as growth reallocates.
-        cap = 24 * n + 64
-        self.planes = [np.empty(cap, dtype=np.int32) for _ in range(3)]
-        self.planes.append(np.empty(cap, dtype=bool))
+        self.used = len(root.planes[0])
+        cap = 2 * self.used + 64
+        self.planes = []
+        for own in root.planes:
+            plane = np.empty(cap, dtype=own.dtype)
+            plane[:self.used] = own
+            self.planes.append(plane)
         self.views = [memoryview(plane) for plane in self.planes]
-        self.used = 0
 
     def reserve(self, k: int) -> int:
         """Claim ``k`` records; returns the first one's index."""
@@ -195,6 +176,8 @@ class _VecWarp:
     inflight: Dict[int, int] = field(default_factory=dict)
     #: Members not yet done, in member order.
     live: List[int] = field(init=False)
+    #: No step has run yet (the first one flushes the verification queue).
+    first: bool = True
 
     def __post_init__(self) -> None:
         self.live = self.members
@@ -217,8 +200,10 @@ class VectorRTUnit:
         self.predictor = predictor
         if config.predictor is not None and predictor is None:
             self.predictor = RayPredictor(bvh, config.predictor)
-        self._v0, self._v1, self._v2 = (
-            np.asarray(v, np.float64) for v in (bvh.mesh.v0, bvh.mesh.v1, bvh.mesh.v2)
+        rt = self.rt
+        self._costs = TraceCosts(
+            rt.box_test_latency, rt.tri_test_latency, rt.stack_entries,
+            rt.stack_spill_penalty,
         )
         self._num_nodes = bvh.num_nodes
         # A DFS stack holds at most one pending sibling per level below
@@ -248,13 +233,12 @@ class VectorRTUnit:
 
     # Event loop (mirrors the reference RTUnit._run at warp granularity)
     def _run(self, rays: RayBatch) -> RTUnitResult:
-        st = _VecState(rays)
+        st = _VecState(rays, root_trace_record(self.bvh, rays, self._costs))
         if self.predictor is not None:
             hashes = self.predictor.hash_batch(rays.origins, rays.directions)
             st.ray_hash = np.asarray(hashes, dtype=np.uint64).tolist()
         n = st.n
         warp_size = self.rt.warp_size
-        chunk = -(-_ROOT_CHUNK // warp_size) * warp_size
         pending = [
             list(range(i, min(i + warp_size, n))) for i in range(0, n, warp_size)
         ]
@@ -313,12 +297,6 @@ class VectorRTUnit:
             while pending and buffer_used + warp_size <= buffer_capacity:
                 group = pending.pop()
                 buffer_used += len(group)
-                if group[-1] >= st.rooted:  # next chunk's root traces
-                    rows = np.arange(st.rooted, min(n, st.rooted + chunk))
-                    stack = np.zeros((len(rows), self._stack_depth), dtype=np.int64)
-                    depth = np.ones(len(rows), dtype=np.int64)
-                    self._trace(st, rows, stack, depth, speculative=False)
-                    st.rooted += len(rows)
                 ready = time + self.rt.queue_latency
                 if use_predictor:
                     ready += self._predictor_stage(st, group)
@@ -446,211 +424,76 @@ class VectorRTUnit:
             dram_row_hits=dram.row_hits - dram_row_before,
         )
 
-    # Predictor stage: per-ray lookups, then verification traces
+    # Predictor stage: per-ray lookups; predicted rays queue for verification
     def _predictor_stage(self, st: _VecState, group: List[int]) -> int:
         assert self.predictor is not None
         config = self.predictor.config
         predict = self.predictor.predict
-        found = [(r, nodes) for r in group if (nodes := predict(st.ray_hash[r]))]
-        if found:
-            for r, _ in found:
+        for r in group:
+            nodes = predict(st.ray_hash[r])
+            if nodes:
                 st.predicted[r] = True
-            rows = np.array([r for r, _ in found], dtype=np.int64)
-            c = np.array([len(nodes) for _, nodes in found], dtype=np.int64)
-            # Scalar layout: [SENTINEL] + reversed(nodes), so list slot j
-            # lands at stack position c - j (position c pops first).
-            width = int(c.max()) + 1 + self._stack_depth
-            stack = np.zeros((len(rows), width), dtype=np.int64)
-            stack[:, 0] = _RESTART_SENTINEL
-            for i, (_, nodes) in enumerate(found):
-                stack[i, len(nodes):0:-1] = nodes
-            self._trace(st, rows, stack, 1 + c, speculative=True)
+                # Copied: the stepper consumes a lookup's nodes at
+                # admission, and a predictor may reuse the list it returned.
+                st.queue[r] = tuple(nodes)
         ports = max(1, config.ports)
         return (len(group) + ports - 1) // ports + config.lookup_latency
 
-    # Trace: batched DFS in the scalar stepper's pop/push order
-    def _trace(
-        self, st: _VecState, rows: np.ndarray, stack: np.ndarray,
-        depth: np.ndarray, speculative: bool,
-    ) -> None:
-        """Record the traces of ``rows`` from their ``stack`` planes.
+    def _verify(self, st: _VecState) -> None:
+        """Trace every queued ray from its speculative stack, in one launch.
 
-        A trace ends in a hit, an empty stack (``_MISS``), an invalid pop
-        after a restart (``_FAULT``) or - *linked* - a restart with
-        nothing below it, whose root visit is the root trace's first.
-        ``speculative`` traces verify until their first restart.  Each
-        ray's records (plus a linked one's root trace) land contiguously
-        at its cursor; its counters become those of the records it runs.
+        A linked ray's root trace is copied behind its own records, so
+        each cursor walks one run.
         """
-        rt = self.rt
-        bvh = self.bvh
-        left = bvh.left
-        num_nodes = self._num_nodes
-        k = len(rows)
-        origin, direction, inv, t_min, t_max = (
-            plane[rows] for plane in
-            (st.origin, st.direction, st.inv_direction, st.t_min, st.t_max)
+        queue = st.queue
+        rows = np.fromiter(queue, dtype=np.int64, count=len(queue))
+        c = np.fromiter(map(len, queue.values()), dtype=np.int64, count=len(queue))
+        # Scalar layout: [SENTINEL] + reversed(nodes), so list slot j
+        # lands at stack position c - j (position c pops first).
+        width = int(c.max()) + 1 + self._stack_depth
+        stack = np.zeros((len(rows), width), dtype=np.int64)
+        stack[:, 0] = RESTART_SENTINEL
+        for i, nodes in enumerate(queue.values()):
+            stack[i, len(nodes):0:-1] = nodes
+        queue.clear()
+        tr = dfs_trace(
+            self.bvh, st.origin[rows], st.direction[rows],
+            st.inv_direction[rows], st.t_min[rows], st.t_max[rows],
+            stack, 1 + c, self._costs, speculative=True,
         )
-        length, node_fetches, tri_fetches, spills, ver_nodes, ver_tris = np.zeros(
-            (6, k), dtype=np.int64
-        )
-        linked, restarted, verified = np.zeros((3, k), dtype=bool)
-        hit_tri = np.full(k, -1, dtype=np.int64)
-        out: List[List[np.ndarray]] = []  # [ray, rec, cnt, lat, hit]
-        steps: List[int] = []
-
-        def emit(j, rec, cnt, lat=0, hit=False):
-            out.append(np.broadcast_arrays(j, rec, cnt, lat, hit))
-            steps.append(it)
-
-        act = np.arange(k)
-        it = 0
-        while len(act):
-            dep = depth[act]
-            empty = dep == 0
-            if empty.any():
-                emit(act[empty], 0, _MISS)
-                length[act[empty]] = it + 1
-                act, dep = act[~empty], dep[~empty]
-                if not len(act):
-                    break
-            dep -= 1
-            node = stack[act, dep]
-            depth[act] = dep
-            if node.min() < 0 or node.max() >= num_nodes:
-                sent = node == _RESTART_SENTINEL
-                bad = ~sent & ((node < 0) | (node >= num_nodes))
-                fault = bad & restarted[act]
-                # Every restart charges the verification fetches so far
-                # as a misprediction; only the first ends verifying.
-                charged = act[(sent | bad) & ~fault]
-                st.mis_node_fetches += int(ver_nodes[charged].sum())
-                st.mis_tri_fetches += int(ver_tris[charged].sum())
-                st.guard_restarts += int((bad & ~fault).sum())
-                restarted[charged] = True
-                if fault.any():
-                    emit(act[fault], node[fault], _FAULT)
-                    length[act[fault]] = it + 1
-                link = (sent & (dep == 0)) | (bad & ~fault)
-                linked[act[link]] = True
-                length[act[link]] = it
-                keep = ~(link | fault)
-                act, dep = act[keep], dep[keep]
-                node = np.where(sent, 0, node)[keep]
-                if not len(act):
-                    break
-
-            ver = ~restarted[act] if speculative else None
-            is_leaf = left[node] < 0
-            im = ~is_leaf
-            rec = node.copy()
-            cnt = np.ones(len(act), dtype=np.int64)
-            lat = np.full(len(act), rt.box_test_latency + 1, dtype=np.int64)
-            hit = np.zeros(len(act), dtype=bool)
-
-            rows_i = act[im]
-            if len(rows_i):
-                nodes_i = node[im]
-                node_fetches[rows_i] += 1
-                if speculative:
-                    ver_nodes[rows_i[ver[im]]] += 1
-                child = left[nodes_i]
-                other = bvh.right[nodes_i]
-                # One merged slab call for both children: rows duplicated,
-                # left boxes in the first half, right boxes in the second.
-                rows2 = np.concatenate([rows_i, rows_i])
-                nodes2 = np.concatenate([child, other])
-                hit2, t2 = _slab_exact(
-                    origin[rows2], inv[rows2], t_min[rows2], t_max[rows2],
-                    bvh.lo[nodes2], bvh.hi[nodes2],
-                )
-                k_i = len(rows_i)
-                hit_l, hit_r = hit2[:k_i], hit2[k_i:]
-                near_first = t2[:k_i] <= t2[k_i:]
-                n_push = hit_l.astype(np.int64) + hit_r
-                first = np.where(hit_l & hit_r, np.where(near_first, other, child),
-                                 np.where(hit_l, child, other))
-                base = dep[im]
-                one = n_push >= 1
-                stack[rows_i[one], base[one]] = first[one]
-                two = n_push == 2
-                if two.any():
-                    second = np.where(near_first, child, other)
-                    stack[rows_i[two], base[two] + 1] = second[two]
-                depth[rows_i] = base + n_push
-
-            if is_leaf.any():
-                rows_l = act[is_leaf]
-                counts = bvh.tri_count[node[is_leaf]]
-                starts = bvh.first_tri[node[is_leaf]]
-                seg = np.repeat(np.arange(len(rows_l)), counts)
-                tri_ids = _runs(starts, counts)
-                pos = tri_ids - starts[seg]
-                rseg = rows_l[seg]
-                t = ray_triangle_intersect_batch(
-                    origin[rseg], direction[rseg], t_min[rseg], t_max[rseg],
-                    self._v0[tri_ids], self._v1[tri_ids], self._v2[tri_ids],
-                )
-                hitp = t < np.inf
-                first_pos = counts.copy()  # no hit: every triangle tested
-                if hitp.any():
-                    np.minimum.at(first_pos, seg[hitp], pos[hitp])
-                hit_any = first_pos < counts
-                tests = np.where(hit_any, first_pos + 1, counts)
-                tri_fetches[rows_l] += tests
-                hit_tri[rows_l[hit_any]] = (starts + first_pos)[hit_any]
-                if speculative:
-                    vl = ver[is_leaf]
-                    ver_tris[rows_l[vl]] += tests[vl]
-                    verified[rows_l[hit_any & vl]] = True
-                rec[is_leaf] = num_nodes + starts
-                cnt[is_leaf] = tests
-                lat[is_leaf] = rt.tri_test_latency + np.maximum(0, tests - 1)
-                hit[is_leaf] = hit_any
-
-            # The spill penalty applies to the post-push stack depth.
-            spill = depth[act] > rt.stack_entries
-            if spill.any():
-                spills[act[spill]] += 1
-                lat[spill] += rt.stack_spill_penalty
-            emit(act, rec, cnt, lat, hit)
-            if hit.any():
-                length[act[hit]] = it + 1
-                act = act[~hit]
-            it += 1
-
-        # Lay the records out per ray; a linked ray's root trace follows.
+        linked = tr.linked
         tail = np.where(linked, st.root_len[rows], 0)
-        total = length + tail
+        total = tr.length + tail
         start = st.reserve(int(total.sum())) + np.cumsum(total) - total
-        planes = st.planes
-        if out:
-            pos = start[np.concatenate([o[0] for o in out])]
-            pos += np.repeat(steps, [len(o[0]) for o in out])
-            for i, plane in enumerate(planes):
-                plane[pos] = np.concatenate([o[i + 1] for o in out])
-        if linked.any():
-            src = _runs(st.root[rows[linked]], tail[linked])
-            dst = _runs((start + length)[linked], tail[linked])
-            for plane in planes:
-                plane[dst] = plane[src]
-        st.views = [memoryview(plane) for plane in planes]
+        own = index_runs(start, tr.length)
+        src = index_runs(st.root[rows[linked]], tail[linked])
+        dst = index_runs((start + tr.length)[linked], tail[linked])
+        for plane, traced in zip(st.planes, tr.planes):
+            plane[own] = traced
+            plane[dst] = plane[src]
+        st.views = [memoryview(plane) for plane in st.planes]
         for r, s in zip(rows.tolist(), start.tolist()):
             st.cur[r] = s
-        if not speculative:
-            st.root[rows] = start
-            st.root_len[rows] = length
-        st.hit_tri[rows] = np.where(linked, st.hit_tri[rows], hit_tri)
-        st.verified[rows] = verified
-        for plane, own in (
-            (st.node_fetches, node_fetches), (st.tri_fetches, tri_fetches),
-            (st.spills, spills),
+        # A linked ray keeps its root trace's hit and adds its counters.
+        st.hit_tri[rows] = np.where(linked, st.hit_tri[rows], tr.hit_tri)
+        st.verified[rows] = tr.verified
+        for plane, traced in (
+            (st.node_fetches, tr.node_fetches), (st.tri_fetches, tr.tri_fetches),
+            (st.spills, tr.spills),
         ):
-            plane[rows] = own + np.where(linked, plane[rows], 0)
+            plane[rows] = traced + np.where(linked, plane[rows], 0)
+        st.mis_node_fetches += tr.mis_node_fetches
+        st.mis_tri_fetches += tr.mis_tri_fetches
+        st.guard_restarts += tr.guard_restarts
 
     # Replay: one warp iteration over its ready threads, in member order
     def _step_warp(self, st: _VecState, warp: _VecWarp, now: int) -> _StepOutcome:
         rt = self.rt
+        if warp.first:
+            warp.first = False
+            queue = st.queue
+            if queue and any(r in queue for r in warp.members):
+                self._verify(st)
         rec_of, cnt_of, lat_of, hit_of = st.views
         cur, ready_time = st.cur, st.ready_time
         out = _StepOutcome(end_time=now, finished=False, active_threads=0)
@@ -661,7 +504,7 @@ class VectorRTUnit:
         counts = [cnt_of[cur[r]] for r in parts]
         if counts and min(counts) < 0:
             for r, c in zip(parts, counts):
-                if c == _FAULT:
+                if c == FAULT:
                     bad = rec_of[cur[r]]
                     raise TraversalError(
                         f"ray {r} popped invalid node {bad} "

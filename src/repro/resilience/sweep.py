@@ -27,6 +27,7 @@ from repro.resilience.checkpoint import SweepCheckpoint
 from repro.resilience.degrade import PartialResultsManifest, UnitEntry
 from repro.resilience.supervisor import ResilienceOptions, RunSupervisor
 from repro.scenes import get_scene
+from repro.scenes.registry import scene_code
 from repro.telemetry import distributed
 
 #: Artifact schema for ``SIM_<name>.json``.
@@ -54,6 +55,10 @@ class SimulatePreset:
         for name in ("width", "height", "spp", "sim_rays", "in_flight"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        # An unknown scene would fail every attempt inside the sweep and
+        # be skipped: reject it (KeyError, exit 4) before the sweep starts.
+        for code in self.scenes:
+            scene_code(code)
 
 
 def _scene_result(preset: SimulatePreset, code: str, rung: str) -> dict:

@@ -45,6 +45,24 @@ def available_scenes() -> List[str]:
     return list(SCENE_CODES)
 
 
+def scene_code(name: str) -> str:
+    """The registry code of a scene code or alias, case-insensitive.
+
+    Raises:
+        KeyError: if the scene is unknown (the message lists the codes
+            and aliases).
+    """
+    code = name.upper()
+    if code not in _GENERATORS:
+        code = _ALIASES.get(name.lower(), "")
+    if code not in _GENERATORS:
+        raise KeyError(
+            f"unknown scene {name!r}; available: {SCENE_CODES} "
+            f"or aliases {sorted(_ALIASES)}"
+        )
+    return code
+
+
 def get_scene(name: str, detail: float = 1.0) -> Scene:
     """Build the scene identified by code (``"SP"``) or name (``"sponza"``).
 
@@ -60,12 +78,4 @@ def get_scene(name: str, detail: float = 1.0) -> Scene:
         raise ValueError("detail must be a positive finite number")
     if detail <= 0.0:
         raise ValueError("detail must be positive")
-    code = name.upper()
-    if code not in _GENERATORS:
-        code = _ALIASES.get(name.lower(), "")
-    if code not in _GENERATORS:
-        raise KeyError(
-            f"unknown scene {name!r}; available: {SCENE_CODES} "
-            f"or aliases {sorted(_ALIASES)}"
-        )
-    return _GENERATORS[code](detail)
+    return _GENERATORS[scene_code(name)](detail)

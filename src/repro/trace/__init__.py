@@ -5,7 +5,9 @@ the RT-unit timing model are validated against them, and the limit
 study (Figure 2) uses their all-hits variant to compute oracle
 predictions.  Batches run on the wavefront engine
 (:mod:`repro.trace.wavefront`); the scalar batch loops it replaced live
-on as test oracles in :mod:`repro.reference`.
+on as test oracles in :mod:`repro.reference`.  The RT-unit timing model
+records its visits with the depth-first batch kernel of
+:mod:`repro.trace.dfs`.
 """
 
 from repro.telemetry.stats import TraversalStats

@@ -215,9 +215,11 @@ def _any_hit_pass(
             # A ray can reach several leaves per level: unbuffered add.
             np.add.at(counters.tri_fetches, pair_rids, 1)
             t = ray_triangle_intersect_batch(
-                origins[pair_rids], directions[pair_rids],
+                origins.take(pair_rids, axis=0),
+                directions.take(pair_rids, axis=0),
                 t_min[pair_rids], t_max[pair_rids],
-                v0[pair_tris], v1[pair_tris], v2[pair_tris],
+                v0.take(pair_tris, axis=0), v1.take(pair_tris, axis=0),
+                v2.take(pair_tris, axis=0),
             )
             hit = np.isfinite(t)
             if hit.any():
@@ -237,12 +239,16 @@ def _any_hit_pass(
         np.add.at(counters.box_tests, irids, 2)
         lchild = left[inodes].astype(np.int64, copy=False)
         rchild = right[inodes].astype(np.int64, copy=False)
-        o = origins[irids]
-        inv = inv_d[irids]
+        o = origins.take(irids, axis=0)
+        inv = inv_d.take(irids, axis=0)
         tn = t_min[irids]
         tx = t_max[irids]
-        hit_l = ray_aabb_intersect_batch(o, inv, tn, tx, lo[lchild], hi[lchild])
-        hit_r = ray_aabb_intersect_batch(o, inv, tn, tx, lo[rchild], hi[rchild])
+        hit_l = ray_aabb_intersect_batch(
+            o, inv, tn, tx, lo.take(lchild, axis=0), hi.take(lchild, axis=0)
+        )
+        hit_r = ray_aabb_intersect_batch(
+            o, inv, tn, tx, lo.take(rchild, axis=0), hi.take(rchild, axis=0)
+        )
         nodes = np.concatenate([lchild[hit_l], rchild[hit_r]])
         rids = np.concatenate([irids[hit_l], irids[hit_r]])
     return levels
@@ -442,9 +448,11 @@ def wavefront_closest_batch(
                 )
                 np.add.at(counters.tri_fetches, pair_rids, 1)
                 t = ray_triangle_intersect_batch(
-                    origins[pair_rids], directions[pair_rids],
+                    origins.take(pair_rids, axis=0),
+                    directions.take(pair_rids, axis=0),
                     t_min[pair_rids], best_t[pair_rids],
-                    v0[pair_tris], v1[pair_tris], v2[pair_tris],
+                    v0.take(pair_tris, axis=0), v1.take(pair_tris, axis=0),
+                    v2.take(pair_tris, axis=0),
                 )
                 # Per-ray minimum over this level's pairs (t is inf on miss).
                 cand_t = np.full(n, np.inf)
@@ -464,12 +472,16 @@ def wavefront_closest_batch(
             np.add.at(counters.box_tests, irids, 2)
             lchild = left[inodes].astype(np.int64, copy=False)
             rchild = right[inodes].astype(np.int64, copy=False)
-            o = origins[irids]
-            inv = inv_d[irids]
+            o = origins.take(irids, axis=0)
+            inv = inv_d.take(irids, axis=0)
             tn = t_min[irids]
             tx = best_t[irids]
-            hit_l = ray_aabb_intersect_batch(o, inv, tn, tx, lo[lchild], hi[lchild])
-            hit_r = ray_aabb_intersect_batch(o, inv, tn, tx, lo[rchild], hi[rchild])
+            hit_l = ray_aabb_intersect_batch(
+                o, inv, tn, tx, lo.take(lchild, axis=0), hi.take(lchild, axis=0)
+            )
+            hit_r = ray_aabb_intersect_batch(
+                o, inv, tn, tx, lo.take(rchild, axis=0), hi.take(rchild, axis=0)
+            )
             nodes = np.concatenate([lchild[hit_l], rchild[hit_r]])
             rids = np.concatenate([irids[hit_l], irids[hit_r]])
         sp.add(levels=levels)

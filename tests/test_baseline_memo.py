@@ -123,4 +123,5 @@ class TestCachePolicy:
         clear_baseline_cache()
         assert baseline_cache_info() == {
             "entries": 0, "capacity": CACHE_CAPACITY, "hits": 0,
+            "root_traces": 0, "root_trace_hits": 0, "root_trace_misses": 0,
         }

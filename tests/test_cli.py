@@ -286,6 +286,20 @@ class TestExitCodeContract:
         assert "Traceback" not in result.stderr
         assert not (tmp_path / "SIM_simulate.json").exists()
 
+    def test_simulate_unknown_scene_exits_4(self, tmp_path):
+        # Rejected before the sweep: inside it the scene would fail every
+        # attempt, be skipped, and the sweep would still exit 0.
+        from repro.errors import EXIT_INPUT
+
+        result = _run_repro(
+            "--detail", "0.2", "simulate", "--scenes", "XX",
+            "--size", "8", "--rays", "32", "--out", str(tmp_path),
+        )
+        assert result.returncode == EXIT_INPUT
+        assert "unknown scene 'XX'" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "SIM_simulate.json").exists()
+
     def test_no_degrade_forced_failure_exits_12(self, tmp_path):
         from repro.errors import EXIT_SWEEP
 

@@ -1,8 +1,11 @@
 """Unit tests for ray-box and ray-triangle intersection kernels."""
 
 import math
+import os
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geometry.intersect import (
     ray_aabb_intersect,
@@ -10,6 +13,8 @@ from repro.geometry.intersect import (
     ray_triangle_intersect,
     ray_triangle_intersect_batch,
 )
+
+MAX_EXAMPLES = int(os.environ.get("HYPOTHESIS_MAX_EXAMPLES", "50"))
 
 
 def slab(origin, direction, t_min=0.0, t_max=math.inf, lo=(0, 0, 0), hi=(1, 1, 1)):
@@ -102,6 +107,48 @@ class TestRayAABBBatch:
             origins, inv, np.zeros(2), np.full(2, np.inf), lo, hi
         )
         assert out.tolist() == [True, False]
+
+    @staticmethod
+    def axis_reduction_oracle(origins, inv_directions, t_min, t_max, lo, hi):
+        """The slab kernel before its columns were folded one by one."""
+        with np.errstate(invalid="ignore"):
+            t1 = (lo - origins) * inv_directions
+            t2 = (hi - origins) * inv_directions
+        t_near = np.maximum(np.minimum(t1, t2).max(axis=-1), t_min)
+        t_far = np.minimum(np.maximum(t1, t2).min(axis=-1), t_max)
+        return t_near <= t_far
+
+    # Origins are drawn from the box planes' values, so an origin on a
+    # slab plane with a +-0.0 direction component gives 0 * inf = NaN.
+    PLANES = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0])
+    COORD = PLANES | st.floats(min_value=-2.0, max_value=2.0)
+    DIRECTION = st.sampled_from([-1.0, -0.0, 0.0, 1.0]) | st.floats(
+        min_value=-1.0, max_value=1.0
+    )
+    RAY = st.tuples(
+        st.tuples(COORD, COORD, COORD),
+        st.tuples(DIRECTION, DIRECTION, DIRECTION),
+        st.sampled_from([0.0, -0.0, 0.5]),
+        st.sampled_from([math.inf, 1.0, 0.0]),
+        st.tuples(PLANES, PLANES, PLANES),
+        st.tuples(*[st.sampled_from([0.0, 0.5, 1.0])] * 3),
+    )
+
+    @settings(max_examples=MAX_EXAMPLES)
+    @given(rays=st.lists(RAY, min_size=1, max_size=12), per_ray=st.booleans())
+    def test_matches_axis_reduction(self, rays, per_ray):
+        origins, directions, t_min, t_max, lo, extent = (
+            np.array(column, dtype=np.float64) for column in zip(*rays)
+        )
+        with np.errstate(divide="ignore", over="ignore"):
+            inv = 1.0 / directions
+        hi = lo + extent
+        if not per_ray:  # one box for every ray
+            lo, hi = lo[0], hi[0]
+        args = (origins, inv, t_min, t_max, lo, hi)
+        assert np.array_equal(
+            ray_aabb_intersect_batch(*args), self.axis_reduction_oracle(*args)
+        )
 
 
 V0 = (0.0, 0.0, 0.0)

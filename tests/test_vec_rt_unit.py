@@ -11,6 +11,8 @@ predictor verifies and mispredicts, and on all seven registry scenes at
 a wide-SIMT shape (one 1024-thread warp per SM, iteration barrier).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -26,6 +28,7 @@ from repro import (
 from repro.analysis.experiments import scaled_gpu_config, scaled_predictor_config
 from repro.bvh.nodes import FlatBVH
 from repro.core import PredictorConfig, RayPredictor
+from repro.core.baseline import baseline_cache_info, clear_baseline_cache
 from repro.errors import TraversalError
 from repro.faults import FaultConfig, FaultInjector, FaultyPredictor
 from repro.gpu import (
@@ -33,11 +36,11 @@ from repro.gpu import (
     MemoryHierarchy,
     VectorRTUnit,
     simulate_workload,
-    vec_rt_unit,
 )
 from repro.gpu.config import CacheConfig, MemoryConfig, RTUnitConfig
 from repro.gpu.rt_unit import _RESTART_SENTINEL
 from repro.scenes import SCENE_CODES
+from repro.trace import dfs
 
 PC = PredictorConfig(origin_bits=3, direction_bits=2, go_up_level=2)
 
@@ -278,20 +281,128 @@ class TestPaperRegime:
 
     @pytest.mark.parametrize("predictor", [False, True], ids=["base", "pred"])
     def test_root_chunk_seams(self, lr, monkeypatch, predictor):
-        # Root traces are built one chunk of source warps at a time, as
-        # the chunk's first warp is admitted.  With 64-ray chunks, each SM
-        # run spans several chunks and ends in a partial one.
-        monkeypatch.setattr(vec_rt_unit, "_ROOT_CHUNK", 64)
+        # Root traces are built in launches of 64 rays here, so each SM
+        # run spans several launches and ends in a partial one.  The
+        # cleared memo makes the runs trace them instead of copying.
+        monkeypatch.setattr(dfs, "_ROOT_CHUNK", 64)
+        clear_baseline_cache()
         bvh, batches = lr
         rays = batches["unsorted"].subset(np.arange(968))
         config = scaled_gpu_config(scaled_predictor_config() if predictor else None)
         vector = simulate_workload(bvh, rays, config)
+        assert baseline_cache_info()["root_trace_misses"] == 2
         scalar = reference.simulate_workload(bvh, rays, config)
         assert [r.rays for r in vector.per_sm] == [488, 480]
         assert vector.per_sm == scalar.per_sm
         if predictor:
             assert config.predictor.repack
             assert sum(r.verified for r in vector.per_sm) > 0
+
+
+class TestRootTraceMemo:
+    """Root traces are memoized per (tree, ray batch, trace costs).
+
+    A run that copies its root records from the memo must equal a run
+    that traces them and the reference stepper.
+    """
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        clear_baseline_cache()
+        yield
+        clear_baseline_cache()
+
+    def test_hit_equals_cold_run_and_reference(self, small_bvh, small_workload):
+        # The Figure 12 pattern: baseline, then predictor, on one batch;
+        # each of the two SMs' batches is traced once.
+        rays = small_workload.rays
+        config = GPUConfig(num_sms=2, predictor=PC, rt_unit=RTUnitConfig(warp_size=8))
+        simulate_workload(small_bvh, rays, replace(config, predictor=None))
+        warm = simulate_workload(small_bvh, rays, config)
+        info = baseline_cache_info()
+        assert (info["root_trace_misses"], info["root_trace_hits"]) == (2, 2)
+        clear_baseline_cache()
+        cold = simulate_workload(small_bvh, rays, config)
+        assert baseline_cache_info()["root_trace_hits"] == 0
+        assert warm.per_sm == cold.per_sm
+        assert warm.per_sm == reference.simulate_workload(
+            small_bvh, rays, config
+        ).per_sm
+        assert sum(r.verified for r in warm.per_sm) > 0
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("box_test_latency", 5), ("tri_test_latency", 7),
+         ("stack_entries", 6), ("stack_spill_penalty", 11)],
+    )
+    def test_each_trace_cost_keys_the_memo(
+        self, small_bvh, small_workload, field, value
+    ):
+        # A 4-entry stack spills, so the spill penalty shows in cycles.
+        rays = small_workload.rays
+        base = RTUnitConfig(stack_entries=4)
+        changed = replace(base, **{field: value})
+        first = run_engine("vector", small_bvh, rays, PC, rt_unit=base)
+        warm = run_engine("vector", small_bvh, rays, PC, rt_unit=changed)
+        info = baseline_cache_info()
+        assert (info["root_trace_misses"], info["root_trace_hits"]) == (2, 0)
+        clear_baseline_cache()
+        cold = run_engine("vector", small_bvh, rays, PC, rt_unit=changed)
+        assert warm == cold
+        assert cold != first
+
+    def test_clear_empties_memo(self, small_bvh, small_workload):
+        run_engine("vector", small_bvh, small_workload.rays)
+        run_engine("vector", small_bvh, small_workload.rays)
+        info = baseline_cache_info()
+        assert (info["root_traces"], info["root_trace_hits"]) == (1, 1)
+        clear_baseline_cache()
+        info = baseline_cache_info()
+        assert (info["root_traces"], info["root_trace_hits"],
+                info["root_trace_misses"]) == (0, 0, 0)
+        run_engine("vector", small_bvh, small_workload.rays)
+        assert baseline_cache_info()["root_trace_misses"] == 1
+
+
+class TestDeferredVerification:
+    """Verification traces wait for the first step that needs one.
+
+    That step traces every queued ray in one launch.  With a table
+    trained by an earlier run, every source warp admitted at cycle 0 has
+    predicted rays, so the first launch spans all of them.
+    """
+
+    @pytest.mark.parametrize("repack", [True, False], ids=["repack", "in_place"])
+    def test_flush_spanning_source_warps_equals_reference(
+        self, small_bvh, small_workload, monkeypatch, repack
+    ):
+        launches = []
+        verify = VectorRTUnit._verify
+
+        def recording(unit, st):
+            launches.append(sorted(st.queue))
+            verify(unit, st)
+
+        monkeypatch.setattr(VectorRTUnit, "_verify", recording)
+        config = PC.with_overrides(repack=repack)
+        results = {}
+        for engine in ("scalar", "vector"):  # launches: the vector's 2nd run
+            predictor = RayPredictor(small_bvh, config)
+            run_engine(engine, small_bvh, small_workload.rays, config,
+                       predictor=predictor)
+            launches.clear()
+            results[engine] = run_engine(
+                engine, small_bvh, small_workload.rays, config,
+                predictor=predictor,
+            )
+        assert results["vector"] == results["scalar"]
+        assert results["vector"].verified > 0
+        assert results["vector"].misprediction_node_fetches > 0
+        warps = [{r // 32 for r in rays} for rays in launches]
+        assert len(warps[0]) > 1
+        # Each predicted ray is traced once.
+        traced = [r for rays in launches for r in rays]
+        assert len(traced) == len(set(traced)) == results["vector"].predicted
 
 
 class TestDeterminism:

@@ -55,6 +55,13 @@ from repro.rays import generate_ao_workload
 from repro.scenes import SCENE_CODES, get_scene
 
 
+def _require_rays(args: argparse.Namespace) -> None:
+    """Reject ``--rays`` below 1 before any scene is built: the command
+    would run on no rays and still exit 0."""
+    if args.rays < 1:
+        raise ValueError("rays must be >= 1")
+
+
 def _cmd_scenes(args: argparse.Namespace) -> int:
     rows = []
     for code in SCENE_CODES:
@@ -97,6 +104,7 @@ def _cmd_limit(args: argparse.Namespace) -> int:
 
     from repro.core import run_limit_study
 
+    _require_rays(args)
     scene = get_scene(args.scene, detail=args.detail)
     bvh = build_bvh(scene.mesh)
     rays = generate_ao_workload(
@@ -119,6 +127,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     from repro.faults import FaultConfig, run_differential_oracle
 
     # Validate the fault settings before paying for scene + BVH setup.
+    _require_rays(args)
     fault_config = FaultConfig(
         seed=args.seed, table_rate=args.rate, ray_rate=args.rate
     )
@@ -309,6 +318,7 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
     )
     from repro.telemetry.schema import validate_telemetry
 
+    _require_rays(args)
     preset = TelemetryPreset(
         scene=args.scene,
         detail=args.detail,

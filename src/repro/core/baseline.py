@@ -37,8 +37,10 @@ function of the tree, the ray and the four
 each SM's ray batch twice - once without and once with the predictor -
 so :func:`root_trace_record` memoizes one trace per ``(bvh, rays,
 costs)`` with the same identity pinning and content digest.  Its LRU
-holds two entries, one per SM of the scaled two-SM configuration; the
-records are a few hundred bytes per ray and pin their tree.
+holds one entry per SM of the run that asks, and at least two: a
+baseline-then-predictor pair at ``k`` SMs traces ``k`` batches, then
+finds all ``k`` again.  The records are a few hundred bytes per ray and
+pin their tree.
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ from repro.trace.wavefront import wavefront_occlusion_tri_batch
 #: Maximum memoized (bvh, rays, engine) records kept alive.
 CACHE_CAPACITY = 8
 
-#: Maximum memoized (bvh, rays, costs) root traces kept alive.
+#: Fewest memoized (bvh, rays, costs) root traces kept alive; a run on
+#: more SMs keeps one per SM.
 _ROOT_TRACE_CAPACITY = 2
 
 _CacheKey = Tuple[int, str, str]
@@ -170,11 +173,15 @@ _ROOT_TRACES: "OrderedDict[tuple, Tuple[FlatBVH, DFSTrace]]" = OrderedDict()
 _ROOT_TRACE_LOOKUPS = {"hits": 0, "misses": 0}
 
 
-def root_trace_record(bvh: FlatBVH, rays: RayBatch, costs: TraceCosts) -> DFSTrace:
+def root_trace_record(
+    bvh: FlatBVH, rays: RayBatch, costs: TraceCosts, num_sms: int
+) -> DFSTrace:
     """The memoized root traces of ``rays`` on ``bvh`` (read-only arrays).
 
     Keyed by the tree's identity, the rays' content digest and every
     field of ``costs``: the records carry the latencies and spill flags.
+    ``num_sms`` is the asking run's SM count; the memo then keeps
+    ``max(num_sms, 2)`` traces.
     """
     key = (id(bvh), _rays_digest(rays), *costs)
     entry = _ROOT_TRACES.get(key)
@@ -189,7 +196,7 @@ def root_trace_record(bvh: FlatBVH, rays: RayBatch, costs: TraceCosts) -> DFSTra
         array.flags.writeable = False
     _ROOT_TRACES[key] = (bvh, trace)
     _ROOT_TRACES.move_to_end(key)
-    while len(_ROOT_TRACES) > _ROOT_TRACE_CAPACITY:
+    while len(_ROOT_TRACES) > max(num_sms, _ROOT_TRACE_CAPACITY):
         _ROOT_TRACES.popitem(last=False)
     return trace
 

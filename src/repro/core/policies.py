@@ -11,7 +11,8 @@ BVH node indices; "use" events come from successful verifications.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from functools import partial
+from typing import Callable, Dict, List, Optional
 
 
 class NodeReplacementPolicy:
@@ -60,14 +61,13 @@ class LRUPolicy(NodeReplacementPolicy):
 
     def insert(self, node: int) -> Optional[int]:
         """Insert ``node``; returns the evicted node, if any."""
-        if node in self._nodes:
-            self.touch(node)
+        nodes = self._nodes
+        if node in nodes:
+            nodes.remove(node)
+            nodes.append(node)
             return None
-        evicted = None
-        if len(self._nodes) >= self.capacity:
-            evicted = self._nodes.pop(0)
-        self._nodes.append(node)
-        return evicted
+        nodes.append(node)
+        return nodes.pop(0) if len(nodes) > self.capacity else None
 
     def touch(self, node: int) -> None:
         """Record a use of ``node``."""
@@ -153,12 +153,26 @@ class LRUKPolicy(NodeReplacementPolicy):
                 del refs[: len(refs) - self.k]
 
 
+def node_policy_factory(
+    kind: str, capacity: int, **kwargs
+) -> Callable[[], NodeReplacementPolicy]:
+    """A zero-argument constructor of ``kind`` policies (``lru``/``lfu``/
+    ``lru-k``) over ``capacity`` slots.
+
+    The name is resolved here, once: a predictor table builds one policy
+    per new entry and calls the factory without dispatching again.
+    ``kwargs`` reach LRU-K only.  Bad capacities or kwargs raise when the
+    factory is first called.
+    """
+    if kind == "lru":
+        return partial(LRUPolicy, capacity)
+    if kind == "lfu":
+        return partial(LFUPolicy, capacity)
+    if kind in ("lru-k", "lruk"):
+        return partial(LRUKPolicy, capacity, **kwargs)
+    raise ValueError(f"unknown node replacement policy: {kind!r}")
+
+
 def make_node_policy(kind: str, capacity: int, **kwargs) -> NodeReplacementPolicy:
     """Construct a node replacement policy by name (``lru``/``lfu``/``lru-k``)."""
-    if kind == "lru":
-        return LRUPolicy(capacity)
-    if kind == "lfu":
-        return LFUPolicy(capacity)
-    if kind in ("lru-k", "lruk"):
-        return LRUKPolicy(capacity, **kwargs)
-    raise ValueError(f"unknown node replacement policy: {kind!r}")
+    return node_policy_factory(kind, capacity, **kwargs)()

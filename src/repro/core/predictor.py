@@ -95,10 +95,16 @@ class PredictorConfig:
 
 
 class RayPredictor:
-    """A per-SM ray intersection predictor bound to one BVH."""
+    """A per-SM ray intersection predictor bound to one BVH.
+
+    The tree-dependent values a probe reads are fixed when the predictor
+    is built: the node and triangle counts as ints, and every triangle's
+    Go Up Level node (``ancestors[leaf_of_triangle]``) as one int64
+    array read through a memoryview.  :meth:`rebind` refreshes all
+    three; the table keeps its entries.
+    """
 
     def __init__(self, bvh: FlatBVH, config: Optional[PredictorConfig] = None) -> None:
-        self.bvh = bvh
         self.config = config or PredictorConfig()
         self.hasher: RayHasher = make_hasher(
             self.config.hash_function,
@@ -114,11 +120,19 @@ class RayPredictor:
             hash_bits=self.config.hash_bits,
             node_policy=self.config.node_policy,
         )
-        # Ancestor links are precomputed at BVH build time in hardware
-        # (stored in node padding, Figure 8); fetching them is free.
-        self._ancestors = bvh.ancestors(self.config.go_up_level)
-        self._tri_to_leaf = bvh.leaf_of_triangle()
         self.guards = GuardStats()
+        self._bind(bvh)
+
+    def _bind(self, bvh: FlatBVH) -> None:
+        """Read the probe-time values of ``bvh``."""
+        self.bvh = bvh
+        self._num_nodes = bvh.num_nodes
+        self._num_triangles = bvh.num_triangles
+        # Ancestor links are precomputed at BVH build time in hardware
+        # (stored in node padding, Figure 8); fetching them is free.  An
+        # array, not a list: it stays 8 bytes per triangle on deep trees.
+        trained = bvh.ancestors(self.config.go_up_level)[bvh.leaf_of_triangle()]
+        self._trained_nodes = memoryview(trained)
 
     # ------------------------------------------------------------------
     def hash_ray(self, origin: Sequence[float], direction: Sequence[float]) -> int:
@@ -142,7 +156,7 @@ class RayPredictor:
         nodes = self.table.lookup(ray_hash)
         if not nodes:
             return None
-        num_nodes = self.bvh.num_nodes
+        num_nodes = self._num_nodes
         valid = [n for n in nodes if 0 <= n < num_nodes]
         dropped = len(nodes) - len(valid)
         if dropped:
@@ -165,11 +179,10 @@ class RayPredictor:
         rather than corrupting the table or raising from deep inside a
         simulation loop.
         """
-        if not 0 <= hit_tri < self.bvh.num_triangles:
+        if not 0 <= hit_tri < self._num_triangles:
             self.guards.invalid_training_dropped += 1
             return -1
-        leaf = int(self._tri_to_leaf[hit_tri])
-        node = int(self._ancestors[leaf])
+        node = self._trained_nodes[hit_tri]
         self.table.update(ray_hash, node)
         return node
 
@@ -179,10 +192,9 @@ class RayPredictor:
         Returns ``-1`` for an out-of-range triangle index (same guard as
         :meth:`train`).
         """
-        if not 0 <= hit_tri < self.bvh.num_triangles:
+        if not 0 <= hit_tri < self._num_triangles:
             return -1
-        leaf = int(self._tri_to_leaf[hit_tri])
-        return int(self._ancestors[leaf])
+        return self._trained_nodes[hit_tri]
 
     def reset(self) -> None:
         """Clear the table (new frame)."""
@@ -195,13 +207,13 @@ class RayPredictor:
         moves but the tree is *refitted* (topology preserved), stored
         node indices remain valid, so a warm table can carry over to the
         next frame.  The hash keeps the original scene bounds so ray
-        hashes stay comparable across frames.
+        hashes stay comparable across frames.  The node count, the
+        triangle count and the per-triangle Go Up Level nodes are read
+        again from ``bvh``.
 
         Raises:
             ValueError: if ``bvh`` has a different topology.
         """
-        if bvh.num_nodes != self.bvh.num_nodes or bvh.num_triangles != self.bvh.num_triangles:
+        if bvh.num_nodes != self._num_nodes or bvh.num_triangles != self._num_triangles:
             raise ValueError("rebind requires an identically-shaped (refitted) BVH")
-        self.bvh = bvh
-        self._ancestors = bvh.ancestors(self.config.go_up_level)
-        self._tri_to_leaf = bvh.leaf_of_triangle()
+        self._bind(bvh)

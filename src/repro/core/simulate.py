@@ -209,7 +209,7 @@ def _speculate(
     trained[hit] = bvh.ancestors(config.go_up_level)[
         bvh.leaf_of_triangle()[base_tri[hit]]
     ]
-    tri_lo, tri_hi = _subtree_tri_ranges(bvh)
+    tri_lo, tri_hi = (memoryview(r) for r in _subtree_tri_ranges(bvh))
     tris, nodes_trained = base_tri.tolist(), trained.tolist()
 
     guesses: List[Optional[List[int]]] = []

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro import telemetry
-from repro.core.hashing import fold_hash
-from repro.core.policies import NodeReplacementPolicy, make_node_policy
+from repro.core.policies import NodeReplacementPolicy, node_policy_factory
 
 #: Bits per stored node index (2^27 nodes = at least 67M triangles).
 NODE_INDEX_BITS = 27
@@ -53,7 +52,16 @@ class _Entry:
 
 
 class PredictorTable:
-    """Set-associative table mapping ray hashes to predicted BVH nodes."""
+    """Set-associative table mapping ray hashes to predicted BVH nodes.
+
+    Everything a probe needs besides the ray hash is computed here, once:
+    the tag mask, the set-index mask, the fold shifts (the set index is
+    :func:`~repro.core.hashing.fold_hash` of the tag to ``index_bits``)
+    and the node-policy factory.  None of them depends on a tree, so
+    :meth:`RayPredictor.rebind <repro.core.predictor.RayPredictor.rebind>`
+    refreshes nothing here: entries, LRU order and statistics carry over
+    to the refitted tree.
+    """
 
     def __init__(
         self,
@@ -79,9 +87,21 @@ class PredictorTable:
         self.index_bits = num_sets.bit_length() - 1
         self.node_policy = node_policy
         self._node_policy_kwargs = dict(node_policy_kwargs or {})
-        # Entries build their policies lazily; reject a bad policy name or
-        # kwargs now rather than at the first update.
-        make_node_policy(node_policy, nodes_per_entry, **self._node_policy_kwargs)
+        self._new_policy = node_policy_factory(
+            node_policy, nodes_per_entry, **self._node_policy_kwargs
+        )
+        # Entries build their policies on allocation; reject a bad
+        # capacity or kwargs now rather than at the first update.
+        self._new_policy()
+        self._tag_mask = (1 << hash_bits) - 1
+        self._index_mask = num_sets - 1
+        # The set index XORs the tag's index_bits-wide chunks, as
+        # hashing.fold_hash does; chunk k starts at bit k * index_bits.
+        # One set needs no fold: its index mask is 0.
+        self._fold_shifts = (
+            tuple(range(self.index_bits, hash_bits, self.index_bits))
+            if self.index_bits else ()
+        )
         # Each set is an LRU-ordered list of entries (front = LRU victim).
         self._sets: List[List[_Entry]] = [[] for _ in range(num_sets)]
         self.stats = TableStats()
@@ -95,15 +115,20 @@ class PredictorTable:
 
     # ------------------------------------------------------------------
     def _index_and_tag(self, ray_hash: int) -> tuple[int, int]:
-        """Fold the hash to a set index; the tag is the full-width hash."""
-        tag = ray_hash & ((1 << self.hash_bits) - 1)
-        if self.index_bits == 0:
-            return 0, tag
-        index = fold_hash(tag, self.hash_bits, self.index_bits)
-        return index, tag
+        """Fold the hash to a set index; the tag is the full-width hash.
 
-    def _find(self, bucket: List[_Entry], tag: int) -> Optional[_Entry]:
-        for entry in bucket:
+        The probes below inline this fold.
+        """
+        tag = ray_hash & self._tag_mask
+        index = tag
+        for shift in self._fold_shifts:
+            index ^= tag >> shift
+        return index & self._index_mask, tag
+
+    def _match(self, ray_hash: int) -> Optional[_Entry]:
+        """The entry nearest the LRU end whose tag matches, if any."""
+        index, tag = self._index_and_tag(ray_hash)
+        for entry in self._sets[index]:
             if entry.tag == tag:
                 return entry
         return None
@@ -118,30 +143,31 @@ class PredictorTable:
         matching entry nearest the LRU end answers.
         """
         self.stats.lookups += 1
-        index, tag = self._index_and_tag(ray_hash)
-        bucket = self._sets[index]
+        tag = ray_hash & self._tag_mask
+        index = tag
+        for shift in self._fold_shifts:
+            index ^= tag >> shift
+        bucket = self._sets[index & self._index_mask]
         if self._telemetry:
             telemetry.record_hook_activation()
             if sum(1 for e in bucket if e.tag == tag) > 1:
                 self.tag_alias_probes += 1
-        entry = self._find(bucket, tag)
-        if entry is None:
-            return None
-        self.stats.hits += 1
-        bucket.remove(entry)
-        bucket.append(entry)
-        return entry.policy.nodes
+        for entry in bucket:
+            if entry.tag == tag:
+                self.stats.hits += 1
+                bucket.remove(entry)
+                bucket.append(entry)
+                return entry.policy.nodes
+        return None
 
     def peek(self, ray_hash: int) -> Optional[List[int]]:
         """Probe without touching LRU state or statistics."""
-        index, tag = self._index_and_tag(ray_hash)
-        entry = self._find(self._sets[index], tag)
+        entry = self._match(ray_hash)
         return entry.policy.nodes if entry is not None else None
 
     def confirm(self, ray_hash: int, node: int) -> None:
         """Record that ``node`` from this entry verified a ray (policy use)."""
-        index, tag = self._index_and_tag(ray_hash)
-        entry = self._find(self._sets[index], tag)
+        entry = self._match(ray_hash)
         if entry is not None:
             entry.policy.touch(node)
 
@@ -153,21 +179,21 @@ class PredictorTable:
         set is full) and inserts the node per the node policy.
         """
         self.stats.updates += 1
-        index, tag = self._index_and_tag(ray_hash)
-        bucket = self._sets[index]
-        entry = self._find(bucket, tag)
-        if entry is None:
-            if len(bucket) >= self.ways:
-                bucket.pop(0)
-                self.stats.entry_evictions += 1
-            policy = make_node_policy(
-                self.node_policy, self.nodes_per_entry, **self._node_policy_kwargs
-            )
-            entry = _Entry(tag, policy)
-            bucket.append(entry)
+        tag = ray_hash & self._tag_mask
+        index = tag
+        for shift in self._fold_shifts:
+            index ^= tag >> shift
+        bucket = self._sets[index & self._index_mask]
+        for entry in bucket:
+            if entry.tag == tag:
+                bucket.remove(entry)
+                break
         else:
-            bucket.remove(entry)
-            bucket.append(entry)
+            if len(bucket) >= self.ways:
+                del bucket[0]
+                self.stats.entry_evictions += 1
+            entry = _Entry(tag, self._new_policy())
+        bucket.append(entry)
         if entry.policy.insert(node) is not None:
             self.stats.node_evictions += 1
 
@@ -207,7 +233,7 @@ class PredictorTable:
         """
         entry = self._sets[set_index][way]
         old = entry.tag
-        entry.tag = value & ((1 << self.hash_bits) - 1)
+        entry.tag = value & self._tag_mask
         return old
 
     # ------------------------------------------------------------------

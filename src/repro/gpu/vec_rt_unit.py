@@ -233,7 +233,9 @@ class VectorRTUnit:
 
     # Event loop (mirrors the reference RTUnit._run at warp granularity)
     def _run(self, rays: RayBatch) -> RTUnitResult:
-        st = _VecState(rays, root_trace_record(self.bvh, rays, self._costs))
+        st = _VecState(rays, root_trace_record(
+            self.bvh, rays, self._costs, self.config.num_sms
+        ))
         if self.predictor is not None:
             hashes = self.predictor.hash_batch(rays.origins, rays.directions)
             st.ray_hash = np.asarray(hashes, dtype=np.uint64).tolist()

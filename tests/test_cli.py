@@ -286,6 +286,30 @@ class TestExitCodeContract:
         assert "Traceback" not in result.stderr
         assert not (tmp_path / "SIM_simulate.json").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["faults", "SP", "--size", "8", "--spp", "1", "--rays", "0"],
+        ["faults", "SP", "--size", "8", "--spp", "1", "--rays", "-5"],
+        ["limit", "SP", "--size", "8", "--spp", "1", "--rays", "0"],
+        ["telemetry", "--size", "8", "--rays", "-3",
+         "--out", "{tmp}/telemetry.json"],
+    ], ids=["faults-0", "faults-negative", "limit-0", "telemetry-negative"])
+    def test_rays_below_one_exits_4(self, argv, tmp_path, monkeypatch):
+        # Rejected before the scene is built; otherwise the command runs
+        # on no rays and exits 0 ("differential oracle: OK | 0 rays", a
+        # table of zeros, a telemetry payload).
+        import repro.__main__ as cli
+        import repro.scenes
+        from repro.errors import EXIT_INPUT
+
+        def no_scene(*args, **kwargs):
+            raise AssertionError("scene built before --rays was checked")
+
+        monkeypatch.setattr(cli, "get_scene", no_scene)
+        monkeypatch.setattr(repro.scenes, "get_scene", no_scene)
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert main(["--detail", "0.2", *argv]) == EXIT_INPUT
+        assert not (tmp_path / "telemetry.json").exists()
+
     def test_simulate_unknown_scene_exits_4(self, tmp_path):
         # Rejected before the sweep: inside it the scene would fail every
         # attempt, be skipped, and the sweep would still exit 0.

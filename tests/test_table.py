@@ -1,13 +1,26 @@
 """Unit tests for the predictor table (Section 4.1)."""
 
-from dataclasses import replace
+import os
+from dataclasses import astuple, replace
+from typing import List, Optional
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import telemetry
-from repro.core.table import PredictorTable
+from repro.core.hashing import fold_hash
+from repro.core.policies import (
+    LFUPolicy,
+    LRUKPolicy,
+    LRUPolicy,
+    NodeReplacementPolicy,
+)
+from repro.core.table import PredictorTable, TableStats
 from repro.telemetry.publish import publish_table_stats, table_stats_state
+
+MAX_EXAMPLES = int(os.environ.get("HYPOTHESIS_MAX_EXAMPLES", "50"))
 
 
 def make(entries=64, ways=4, nodes=1, bits=15, policy="lru"):
@@ -284,3 +297,254 @@ class TestTagAliases:
         assert found == [[10], None]
         assert table.tag_alias_probes == 0
         assert telemetry.hook_activations() == 0
+
+
+# ----------------------------------------------------------------------
+# The table as it was before its probes folded with construction-time
+# shifts: verbatim minus its size and occupancy accounting, which the
+# property below does not drive.  Production must equal it exactly.
+# ----------------------------------------------------------------------
+class OracleLRUPolicy(LRUPolicy):
+    """``LRUPolicy.insert`` as it was: membership tested twice on a hit."""
+
+    def insert(self, node: int) -> Optional[int]:
+        if node in self._nodes:
+            self.touch(node)
+            return None
+        evicted = None
+        if len(self._nodes) >= self.capacity:
+            evicted = self._nodes.pop(0)
+        self._nodes.append(node)
+        return evicted
+
+
+def oracle_node_policy(kind: str, capacity: int, **kwargs) -> NodeReplacementPolicy:
+    """The name dispatch every new entry went through."""
+    if kind == "lru":
+        return OracleLRUPolicy(capacity)
+    if kind == "lfu":
+        return LFUPolicy(capacity)
+    if kind in ("lru-k", "lruk"):
+        return LRUKPolicy(capacity, **kwargs)
+    raise ValueError(f"unknown node replacement policy: {kind!r}")
+
+
+class _OracleEntry:
+    __slots__ = ("tag", "policy")
+
+    def __init__(self, tag: int, policy: NodeReplacementPolicy) -> None:
+        self.tag = tag
+        self.policy = policy
+
+
+class OracleTable:
+    """The per-probe ``fold_hash`` and ``_find`` table."""
+
+    def __init__(
+        self,
+        num_entries: int = 1024,
+        ways: int = 4,
+        nodes_per_entry: int = 1,
+        hash_bits: int = 15,
+        node_policy: str = "lru",
+        node_policy_kwargs: Optional[dict] = None,
+    ) -> None:
+        if num_entries < 1 or ways < 1:
+            raise ValueError("num_entries and ways must be >= 1")
+        if num_entries % ways != 0:
+            raise ValueError("num_entries must be divisible by ways")
+        num_sets = num_entries // ways
+        if num_sets & (num_sets - 1):
+            raise ValueError("num_entries / ways must be a power of two")
+        self.num_entries = num_entries
+        self.ways = ways
+        self.nodes_per_entry = nodes_per_entry
+        self.hash_bits = hash_bits
+        self.num_sets = num_sets
+        self.index_bits = num_sets.bit_length() - 1
+        self.node_policy = node_policy
+        self._node_policy_kwargs = dict(node_policy_kwargs or {})
+        oracle_node_policy(node_policy, nodes_per_entry, **self._node_policy_kwargs)
+        self._sets: List[List[_OracleEntry]] = [[] for _ in range(num_sets)]
+        self.stats = TableStats()
+        self._telemetry = telemetry.enabled()
+        self.tag_alias_probes = 0
+
+    def _index_and_tag(self, ray_hash: int) -> tuple:
+        tag = ray_hash & ((1 << self.hash_bits) - 1)
+        if self.index_bits == 0:
+            return 0, tag
+        index = fold_hash(tag, self.hash_bits, self.index_bits)
+        return index, tag
+
+    def _find(self, bucket, tag):
+        for entry in bucket:
+            if entry.tag == tag:
+                return entry
+        return None
+
+    def lookup(self, ray_hash: int) -> Optional[List[int]]:
+        self.stats.lookups += 1
+        index, tag = self._index_and_tag(ray_hash)
+        bucket = self._sets[index]
+        if self._telemetry:
+            telemetry.record_hook_activation()
+            if sum(1 for e in bucket if e.tag == tag) > 1:
+                self.tag_alias_probes += 1
+        entry = self._find(bucket, tag)
+        if entry is None:
+            return None
+        self.stats.hits += 1
+        bucket.remove(entry)
+        bucket.append(entry)
+        return entry.policy.nodes
+
+    def peek(self, ray_hash: int) -> Optional[List[int]]:
+        index, tag = self._index_and_tag(ray_hash)
+        entry = self._find(self._sets[index], tag)
+        return entry.policy.nodes if entry is not None else None
+
+    def confirm(self, ray_hash: int, node: int) -> None:
+        index, tag = self._index_and_tag(ray_hash)
+        entry = self._find(self._sets[index], tag)
+        if entry is not None:
+            entry.policy.touch(node)
+
+    def update(self, ray_hash: int, node: int) -> None:
+        self.stats.updates += 1
+        index, tag = self._index_and_tag(ray_hash)
+        bucket = self._sets[index]
+        entry = self._find(bucket, tag)
+        if entry is None:
+            if len(bucket) >= self.ways:
+                bucket.pop(0)
+                self.stats.entry_evictions += 1
+            policy = oracle_node_policy(
+                self.node_policy, self.nodes_per_entry, **self._node_policy_kwargs
+            )
+            entry = _OracleEntry(tag, policy)
+            bucket.append(entry)
+        else:
+            bucket.remove(entry)
+            bucket.append(entry)
+        if entry.policy.insert(node) is not None:
+            self.stats.node_evictions += 1
+
+    def occupied_slots(self):
+        return [
+            (set_index, way)
+            for set_index, bucket in enumerate(self._sets)
+            for way in range(len(bucket))
+        ]
+
+    def entry_nodes(self, set_index: int, way: int) -> List[int]:
+        return self._sets[set_index][way].policy.nodes
+
+    def entry_tag(self, set_index: int, way: int) -> int:
+        return self._sets[set_index][way].tag
+
+    def corrupt_node(self, set_index: int, way: int, slot: int, value: int) -> int:
+        return self._sets[set_index][way].policy.replace_node(slot, value)
+
+    def corrupt_tag(self, set_index: int, way: int, value: int) -> int:
+        entry = self._sets[set_index][way]
+        old = entry.tag
+        entry.tag = value & ((1 << self.hash_bits) - 1)
+        return old
+
+    def clear(self) -> None:
+        self._sets = [[] for _ in range(self.num_sets)]
+
+
+#: Stream operations; probes that move entries come three times as often.
+_OPS = ("lookup",) * 3 + ("update",) * 3 + (
+    "peek", "confirm", "corrupt_node", "corrupt_tag", "clear",
+)
+
+
+@st.composite
+def _table_runs(draw):
+    """A table shape, a stream of probes and faults, and the telemetry
+    switch.
+
+    Hashes come from a pool of a few values, some wider than the tag, so
+    probes hit, sets fill and evict, and a corrupted tag can alias a
+    live one.  Node values repeat, so inserts find their node present.
+    """
+    ways = draw(st.sampled_from((1, 2, 4, 8)))
+    sets = 2 ** draw(st.integers(0, (64 // ways).bit_length() - 1))
+    hash_bits = draw(st.integers(1, 30))
+    shape = dict(
+        num_entries=ways * sets, ways=ways,
+        nodes_per_entry=draw(st.integers(1, 3)), hash_bits=hash_bits,
+        node_policy=draw(st.sampled_from(("lru", "lfu", "lru-k"))),
+    )
+    pool = draw(st.lists(st.integers(0, (1 << (hash_bits + 2)) - 1),
+                         min_size=1, max_size=4))
+    ops = draw(st.lists(
+        st.tuples(st.sampled_from(_OPS), st.sampled_from(pool),
+                  st.integers(0, 15), st.integers(0, 63)),
+        min_size=10, max_size=120,
+    ))
+    return shape, ops, draw(st.booleans())
+
+
+def _apply(table, op):
+    """Run one stream operation; faults land on an occupied slot."""
+    name, ray_hash, node, pick = op
+    if name in ("lookup", "peek"):
+        return getattr(table, name)(ray_hash)
+    if name in ("update", "confirm"):
+        return getattr(table, name)(ray_hash, node)
+    if name == "clear":
+        return table.clear()
+    slots = table.occupied_slots()
+    if not slots:
+        return None
+    set_index, way = slots[pick % len(slots)]
+    if name == "corrupt_tag":
+        return table.corrupt_tag(set_index, way, ray_hash)
+    slot = pick % len(table.entry_nodes(set_index, way))
+    return table.corrupt_node(set_index, way, slot, node)
+
+
+def _state(table):
+    slots = table.occupied_slots()
+    return (
+        astuple(table.stats), slots,
+        [(table.entry_tag(*sw), table.entry_nodes(*sw)) for sw in slots],
+        table.tag_alias_probes,
+    )
+
+
+class TestMatchesOracleTable:
+    """Production equals the per-probe fold_hash table on every probe."""
+
+    @settings(max_examples=MAX_EXAMPLES)
+    @given(run=_table_runs())
+    def test_streams(self, run):
+        shape, ops, telemetry_on = run
+        if telemetry_on:
+            telemetry.enable(reset=True)
+        try:
+            got, want = PredictorTable(**shape), OracleTable(**shape)
+        finally:
+            telemetry.disable()
+            telemetry.reset_telemetry()
+        for op in ops:
+            assert _apply(got, op) == _apply(want, op), op
+            assert _state(got) == _state(want), op
+
+    @pytest.mark.parametrize("hash_bits", range(1, 13))
+    def test_set_index_is_fold_hash(self, hash_bits):
+        # Every tag, every index width up to one past the tag: the set a
+        # direct-mapped update fills, the set a lookup reads and the
+        # helper's index all equal fold_hash (0 for a single set).
+        for index_bits in range(hash_bits + 2):
+            table = make(entries=1 << index_bits, ways=1, bits=hash_bits)
+            for tag in range(1 << hash_bits):
+                want = fold_hash(tag, hash_bits, index_bits) if index_bits else 0
+                table.update(tag, tag)
+                assert table.entry_tag(want, 0) == tag
+                assert table.lookup(tag) == [tag]
+                assert table._index_and_tag(tag) == (want, tag)

@@ -330,6 +330,22 @@ class TestRootTraceMemo:
         ).per_sm
         assert sum(r.verified for r in warm.per_sm) > 0
 
+    def test_one_trace_per_sm(self, small_bvh, small_workload):
+        # The Section 6.2.5 pattern at four SMs: the memo keeps every
+        # SM's batch, so the predictor run copies all four.
+        rays = small_workload.rays
+        config = GPUConfig(num_sms=4, predictor=PC, rt_unit=RTUnitConfig(warp_size=8))
+        simulate_workload(small_bvh, rays, replace(config, predictor=None))
+        warm = simulate_workload(small_bvh, rays, config)
+        info = baseline_cache_info()
+        assert (info["root_trace_misses"], info["root_trace_hits"]) == (4, 4)
+        assert info["root_traces"] == 4
+        clear_baseline_cache()
+        cold = simulate_workload(small_bvh, rays, config)
+        assert baseline_cache_info()["root_trace_hits"] == 0
+        assert warm.per_sm == cold.per_sm
+        assert sum(r.verified for r in warm.per_sm) > 0
+
     @pytest.mark.parametrize(
         "field, value",
         [("box_test_latency", 5), ("tri_test_latency", 7),

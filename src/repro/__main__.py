@@ -228,22 +228,12 @@ def _add_resilience_args(parser: argparse.ArgumentParser) -> None:
                        "attempts (COUNT omitted = always); repeatable")
 
 
-def _add_artifact_cache_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--artifact-cache", default=None, metavar="DIR",
-                        dest="artifact_cache",
-                        help="content-addressed BVH cache directory "
-                        "(also via REPRO_ARTIFACT_CACHE); repeated runs "
-                        "skip redundant SAH builds")
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     import os
 
     from repro.bench import PRESETS, run_benchmarks, write_payload
     from repro.bench.harness import check_against_baselines, summarize
-    from repro.bvh.cache import configure_artifact_cache
 
-    configure_artifact_cache(args.artifact_cache)
     payload = run_benchmarks(
         PRESETS[args.preset], scenes=args.scenes, progress=print
     )
@@ -274,7 +264,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     import os
 
-    from repro.bvh.cache import configure_artifact_cache
     from repro.resilience.checkpoint import atomic_write_json
     from repro.resilience.sweep import (
         SimulatePreset,
@@ -282,7 +271,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         summarize_sweep,
     )
 
-    configure_artifact_cache(args.artifact_cache)
     scenes = tuple(args.scenes) if args.scenes else tuple(SCENE_CODES)
     preset = SimulatePreset(
         name=args.name,
@@ -480,7 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--trace-out", default=None, dest="trace_out",
                        help="write the run's Chrome trace to this JSON file; "
                        "requires --telemetry")
-    _add_artifact_cache_arg(bench)
 
     simulate = sub.add_parser(
         "simulate",
@@ -507,7 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="worker processes sharding the scene units "
                           "(results are deterministic: the artifact matches "
                           "--jobs 1)")
-    _add_artifact_cache_arg(simulate)
     _add_resilience_args(simulate)
 
     tele = sub.add_parser(

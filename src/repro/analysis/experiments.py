@@ -34,7 +34,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.bvh.cache import cached_build_bvh
+from repro.bvh.builder import build_bvh
 from repro.bvh.nodes import FlatBVH
 from repro.core.predictor import PredictorConfig
 from repro.geometry.ray import RayBatch
@@ -109,15 +109,10 @@ class ExperimentContext:
         return self._scenes[key]
 
     def bvh(self, code: str, detail: float = 1.0) -> FlatBVH:
-        """The (cached) SAH BVH for ``code``.
-
-        Consults the on-disk artifact cache (``REPRO_ARTIFACT_CACHE``,
-        :mod:`repro.bvh.cache`) when one is configured, so parallel
-        sweep workers share builds across processes.
-        """
+        """The (cached) SAH BVH for ``code``."""
         key = (code, detail)
         if key not in self._bvhs:
-            self._bvhs[key] = cached_build_bvh(
+            self._bvhs[key] = build_bvh(
                 self.scene(code, detail).mesh, method="sah"
             )
         return self._bvhs[key]

@@ -37,7 +37,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro import telemetry
 from repro.analysis.experiments import scaled_gpu_config, scaled_predictor_config
 from repro.bvh import build_bvh, compute_stats, jitter_mesh, refit_bvh
-from repro.bvh.cache import cached_build_bvh
 from repro.core.simulate import DEFAULT_IN_FLIGHT, simulate_predictor
 from repro.gpu import simulate_workload
 from repro.rays import generate_ao_workload
@@ -229,7 +228,7 @@ def _workload_records(
 ) -> List[BenchRecord]:
     """The trace and predictor families on the scene's AO rays."""
     selected = preset.benchmarks
-    bvh = cached_build_bvh(scene.mesh)
+    bvh = build_bvh(scene.mesh)
     rays = generate_ao_workload(
         scene, bvh,
         width=preset.width, height=preset.height,

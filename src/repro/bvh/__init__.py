@@ -9,13 +9,6 @@ form and exposes :meth:`FlatBVH.ancestors` for any Go Up Level.
 """
 
 from repro.bvh.builder import build_bvh
-from repro.bvh.cache import (
-    BVHArtifactCache,
-    cached_build_bvh,
-    configure_artifact_cache,
-    get_artifact_cache,
-)
-from repro.bvh.io import load_bvh, save_bvh
 from repro.bvh.nodes import NODE_SIZE_BYTES, TRIANGLE_SIZE_BYTES, FlatBVH
 from repro.bvh.refit import jitter_mesh, refit_bvh
 from repro.bvh.stats import BVHStats, compute_stats
@@ -29,20 +22,14 @@ from repro.bvh.vector import (
 __all__ = [
     "NODE_SIZE_BYTES",
     "TRIANGLE_SIZE_BYTES",
-    "BVHArtifactCache",
     "BVHStats",
     "FlatBVH",
     "VectorBinnedSAHBuilder",
     "VectorLBVHBuilder",
     "VectorMedianSplitBuilder",
     "build_bvh",
-    "cached_build_bvh",
     "compute_stats",
-    "configure_artifact_cache",
-    "get_artifact_cache",
     "jitter_mesh",
-    "load_bvh",
     "refit_bvh",
-    "save_bvh",
     "validate_bvh",
 ]

@@ -70,8 +70,11 @@ class TournamentPredictor:
         self.chooser_bits = chooser_bits
         # Counter > midpoint: prefer component A; < midpoint: prefer B.
         self._chooser = np.full(1 << chooser_bits, _COUNTER_MAX // 2, dtype=np.int8)
-        self._ancestors = bvh.ancestors(self.config.go_up_level)
-        self._tri_to_leaf = bvh.leaf_of_triangle()
+        # Each triangle's Go Up Level node as one int64 array; a memoryview
+        # read yields a plain int, as in RayPredictor._bind.
+        self._num_triangles = bvh.num_triangles
+        trained = bvh.ancestors(self.config.go_up_level)[bvh.leaf_of_triangle()]
+        self._trained_nodes = memoryview(trained)
 
     # ------------------------------------------------------------------
     # Hashing: both component hashes packed into one opaque value.
@@ -128,18 +131,24 @@ class TournamentPredictor:
             self.table_b.confirm(hash_b, node)
 
     def train(self, ray_hash: int, hit_tri: int) -> int:
-        """Insert the Go Up Level ancestor into both component tables."""
+        """Insert the Go Up Level ancestor into both component tables.
+
+        Returns the stored node, or ``-1`` (neither table touched) for an
+        out-of-range ``hit_tri``, as :meth:`RayPredictor.train` does.
+        """
+        node = self.trained_node_for(hit_tri)
+        if node < 0:
+            return -1
         hash_a, hash_b = self._unpack(ray_hash)
-        leaf = int(self._tri_to_leaf[hit_tri])
-        node = int(self._ancestors[leaf])
         self.table_a.update(hash_a, node)
         self.table_b.update(hash_b, node)
         return node
 
     def trained_node_for(self, hit_tri: int) -> int:
-        """The node training on ``hit_tri`` would store."""
-        leaf = int(self._tri_to_leaf[hit_tri])
-        return int(self._ancestors[leaf])
+        """The node training on ``hit_tri`` would store (``-1`` if out of range)."""
+        if not 0 <= hit_tri < self._num_triangles:
+            return -1
+        return self._trained_nodes[hit_tri]
 
     def reset(self) -> None:
         """Clear both tables and the chooser (new frame)."""

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import telemetry
-from repro.bvh.cache import cached_build_bvh, configure_artifact_cache, get_artifact_cache
+from repro.bvh import build_bvh
 from repro.core.simulate import simulate_baseline, simulate_predictor
 from repro.faults.injector import UnitFaultPlan
 from repro.rays import generate_ao_workload
@@ -65,7 +65,7 @@ def _scene_result(preset: SimulatePreset, code: str, rung: str) -> dict:
     """Simulate one scene at one ladder rung; returns a JSON-safe row."""
     with telemetry.label_context(scene=code):
         scene = get_scene(code, detail=preset.detail)
-        bvh = cached_build_bvh(scene.mesh)
+        bvh = build_bvh(scene.mesh)
         workload = generate_ao_workload(
             scene, bvh,
             width=preset.width, height=preset.height,
@@ -92,17 +92,8 @@ def _scene_result(preset: SimulatePreset, code: str, rung: str) -> dict:
 
 
 def sim_fingerprint(preset: SimulatePreset) -> dict:
-    """The configuration identity a checkpoint pins a sweep to.
-
-    When the BVH artifact cache is active, its identity joins the
-    fingerprint so cached and uncached runs can never be mixed by
-    ``--resume``.
-    """
-    fingerprint = {"kind": "simulate", "preset": asdict(preset)}
-    cache = get_artifact_cache()
-    if cache is not None:
-        fingerprint["artifact_cache"] = cache.fingerprint()
-    return fingerprint
+    """The configuration identity a checkpoint pins a sweep to."""
+    return {"kind": "simulate", "preset": asdict(preset)}
 
 
 def _supervised_unit_worker(
@@ -110,7 +101,6 @@ def _supervised_unit_worker(
     code: str,
     options: ResilienceOptions,
     fault_plan: Optional[UnitFaultPlan],
-    cache_root: Optional[str],
     telemetry_on: bool = False,
     ambient_labels: Optional[Dict[str, str]] = None,
 ) -> dict:
@@ -120,8 +110,6 @@ def _supervised_unit_worker(
     a degraded or skipped unit still ships the partial metrics and
     spans its attempts recorded.
     """
-    if cache_root:
-        configure_artifact_cache(cache_root)
     distributed.init_worker(telemetry_on, ambient_labels)
     supervisor = RunSupervisor.from_options(options)
 
@@ -192,8 +180,6 @@ def run_simulation_sweep(
         pending.append(code)
 
     if jobs > 1 and len(pending) > 1:
-        cache = get_artifact_cache()
-        cache_root = cache.root if cache else None
         telemetry_on = telemetry.enabled()
         ambient = telemetry.current_labels() if telemetry_on else None
         workers = min(jobs, len(pending))
@@ -203,7 +189,7 @@ def run_simulation_sweep(
             futures = {
                 pool.submit(
                     _supervised_unit_worker, preset, code, options,
-                    fault_plan, cache_root, telemetry_on, ambient,
+                    fault_plan, telemetry_on, ambient,
                 ): code
                 for code in pending
             }

@@ -37,13 +37,11 @@ the wavefront's visit order.
 
 Speculation safety
 ------------------
-The engine preserves both traversal-side guards of the predictor
-pipeline: batch-wide ``start_nodes`` are validated through the same
-checked-entry path as the scalar engine (raising
-:class:`~repro.errors.TraversalError` on a corrupt index), and the
-per-ray verification entry point :func:`wavefront_verify_batch` degrades
-a ray with a corrupt predicted node to "verification failed" (the
-caller's full-traversal fallback) instead of poisoning the whole batch.
+Whole-batch traversals always start at the root.  Predicted entry
+points come in through :func:`wavefront_verify_batch` only, which
+degrades a ray with a corrupt predicted node to "verification failed"
+(the caller's full-traversal fallback) instead of poisoning the whole
+batch.
 """
 
 from __future__ import annotations
@@ -121,25 +119,6 @@ def _inv_directions(directions: np.ndarray) -> np.ndarray:
     """
     with np.errstate(divide="ignore"):
         return 1.0 / directions
-
-
-def _checked_frontier(
-    start_nodes: Sequence[int], num_nodes: int, ids: np.ndarray
-) -> Frontier:
-    """Batch-wide start nodes -> frontier, with the speculation guard.
-
-    Delegates validation to the scalar engine's checked-entry helper so
-    both engines raise the identical structured
-    :class:`~repro.errors.TraversalError` on a corrupt index.
-    """
-    from repro.trace.traversal import _checked_start_nodes
-
-    checked = np.asarray(
-        list(_checked_start_nodes(start_nodes, num_nodes)), dtype=np.int64
-    )
-    nodes = np.repeat(checked, ids.size)
-    rids = np.tile(ids, checked.size)
-    return nodes, rids
 
 
 def _leaf_pairs(
@@ -327,7 +306,6 @@ def wavefront_occlusion_tri_batch(
     bvh: FlatBVH,
     rays: Union[RayBatch, Iterable[Ray]],
     stats: Optional[TraversalStats] = None,
-    start_nodes: Optional[Sequence[int]] = None,
     per_ray: bool = False,
 ) -> Union[np.ndarray, Tuple[np.ndarray, PerRayCounters]]:
     """Any-hit occlusion over a whole batch, returning hit triangles.
@@ -340,32 +318,19 @@ def wavefront_occlusion_tri_batch(
         rays: the occlusion rays (a :class:`RayBatch`, or any iterable of
             :class:`Ray` - coerced without per-ray tracing).
         stats: aggregate counters to accumulate into.
-        start_nodes: traverse only from these nodes (all rays share the
-            list), instead of the root.  Validated by the same
-            speculation guard as the scalar engine.
         per_ray: also return the :class:`PerRayCounters`.
 
     Returns:
         Array of intersected triangle indices (-1 = miss), shape
         ``(n,)``; with ``per_ray=True``, a ``(hit_tri, counters)`` pair.
-
-    Raises:
-        TraversalError: if any ``start_nodes`` entry is outside the BVH.
     """
     batch = as_ray_batch(rays)
     n = len(batch)
     counters = PerRayCounters.zeros(n)
     hit_tri = np.full(n, -1, dtype=np.int64)
 
-    if start_nodes is None:
-        frontier = _root_frontier(bvh, batch, counters, batch.t_max)
-    else:
-        frontier = _checked_frontier(
-            start_nodes, bvh.num_nodes, np.arange(n, dtype=np.int64)
-        )
-    with telemetry.span(
-        "wavefront.occlusion", rays=n, seeded=start_nodes is not None
-    ) as sp:
+    frontier = _root_frontier(bvh, batch, counters, batch.t_max)
+    with telemetry.span("wavefront.occlusion", rays=n) as sp:
         levels = _any_hit_pass(bvh, batch, frontier, hit_tri, counters)
         sp.add(levels=levels)
     hits = int((hit_tri >= 0).sum())
@@ -382,13 +347,9 @@ def wavefront_occlusion_batch(
     bvh: FlatBVH,
     rays: Union[RayBatch, Iterable[Ray]],
     stats: Optional[TraversalStats] = None,
-    start_nodes: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
     """Any-hit occlusion over a whole batch; boolean hit array."""
-    return (
-        wavefront_occlusion_tri_batch(bvh, rays, stats=stats, start_nodes=start_nodes)
-        >= 0
-    )
+    return wavefront_occlusion_tri_batch(bvh, rays, stats=stats) >= 0
 
 
 def wavefront_closest_batch(

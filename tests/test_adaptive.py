@@ -46,6 +46,19 @@ class TestInterface:
         assert node in (predictor.table_a.peek(a) or [])
         assert node in (predictor.table_b.peek(b) or [])
 
+    @pytest.mark.parametrize("which", ["negative", "past-end"])
+    def test_out_of_range_triangle_is_dropped(self, predictor, small_bvh, which):
+        # Same guard as RayPredictor.train: -1 must not wrap to the last
+        # triangle, and one past the end must not raise.
+        hit_tri = -1 if which == "negative" else small_bvh.num_triangles
+        h = predictor.hash_ray((2.0, 1.0, 2.0), (0.0, 1.0, 0.0))
+        assert predictor.trained_node_for(hit_tri) == -1
+        assert predictor.train(h, hit_tri) == -1
+        for table in (predictor.table_a, predictor.table_b):
+            assert table.stats.updates == 0
+            assert table.occupied_slots() == []
+        assert predictor.predict(h) is None
+
     def test_reset(self, predictor):
         h = predictor.hash_ray((2.0, 1.0, 2.0), (0.0, 1.0, 0.0))
         predictor.train(h, 0)

@@ -1,7 +1,7 @@
 """The CI workflow stays in sync with what the repo actually provides.
 
 These tests pin the contract between ``.github/workflows/ci.yml`` and
-the codebase: job names, the tested Python range, hashed paths, the
+the codebase: job names, the tested Python range, the
 benchmark gate invocations and their committed baselines, and that
 every ``python -m repro`` command line still parses.  They parse the
 YAML with PyYAML when it is available and fall back to structural text
@@ -85,58 +85,6 @@ class TestWorkflowStructure:
         assert "cancel-in-progress" in group
 
 
-class TestArtifactCache:
-    def test_artifact_cache_env_points_at_cached_path(self, workflow):
-        # Smoke jobs build the same seven BVHs; REPRO_ARTIFACT_CACHE
-        # enables the content-addressed store and actions/cache persists
-        # it across runs.
-        assert workflow.get("env", {}).get("REPRO_ARTIFACT_CACHE")
-
-    @pytest.mark.parametrize(
-        "job", ["benchmark-smoke", "chaos-smoke", "timing-smoke"]
-    )
-    def test_smoke_jobs_restore_bvh_cache(self, workflow, job):
-        cache_steps = [
-            step for step in workflow["jobs"][job]["steps"]
-            if "actions/cache" in step.get("uses", "")
-        ]
-        assert cache_steps, f"{job} must restore the BVH artifact cache"
-        cache_path = workflow["env"]["REPRO_ARTIFACT_CACHE"]
-        assert cache_steps[0]["with"]["path"] == cache_path
-        # A store entry's bytes are a function of the serializer AND
-        # the builder that produced the tree, so the key must
-        # invalidate when either changes: io.py carries FORMAT_VERSION,
-        # builder.py picks the builder and vector.py holds the frontier
-        # builders (the scalar oracles in repro.reference never write
-        # to the store).
-        key = cache_steps[0]["with"]["key"]
-        for module in (
-            "src/repro/bvh/io.py",
-            "src/repro/bvh/builder.py",
-            "src/repro/bvh/vector.py",
-        ):
-            assert module in key, f"{job} cache key must hash {module}"
-
-    def test_hashed_paths_exist(self, workflow_text):
-        # hashFiles() silently skips a path that matches nothing, so a
-        # moved or deleted module would drop out of a cache key unseen.
-        calls = re.findall(r"hashFiles\(([^)]*)\)", workflow_text)
-        assert calls
-        for args in calls:
-            for path in re.findall(r"'([^']+)'", args):
-                assert os.path.exists(os.path.join(REPO_ROOT, path)), path
-
-    def test_build_smoke_skips_bvh_cache(self, workflow):
-        # The build job times BVH construction itself; restoring a
-        # prebuilt store would be dead weight (the build preset never
-        # consults it).
-        cache_steps = [
-            step for step in workflow["jobs"]["build-smoke"]["steps"]
-            if "actions/cache" in step.get("uses", "")
-        ]
-        assert not cache_steps
-
-
 class TestBenchmarkGate:
     def test_smoke_job_runs_quick_check(self, workflow):
         runs = [
@@ -165,9 +113,6 @@ class TestBenchmarkGate:
         # The sweep checks the functional simulator's hits against
         # trace_occlusion_batch; no other CI job runs it.
         assert "--workload sweep" in bench[0]["run"]
-        # run.py exits 2 while the workflow-wide artifact cache is set.
-        assert workflow["env"]["REPRO_ARTIFACT_CACHE"]
-        assert bench[0].get("env", {}).get("REPRO_ARTIFACT_CACHE") == ""
 
     def test_committed_predictor_baseline_exists_for_gate(self):
         baseline = os.path.join(
@@ -248,9 +193,6 @@ class TestTimingGate:
         # Tier-1 never collects pipeline_bench/tests; this step must.
         assert "python -m pytest pipeline_bench/tests" in run
         assert "--workload fig12" in run
-        # run.py exits 2 while the workflow-wide artifact cache is set.
-        assert workflow["env"]["REPRO_ARTIFACT_CACHE"]
-        assert bench[0].get("env", {}).get("REPRO_ARTIFACT_CACHE") == ""
         installs = [
             s.get("run", "") for s in steps if "pip install" in s.get("run", "")
         ]

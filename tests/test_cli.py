@@ -211,17 +211,36 @@ class TestExitCodeContract:
 
     @pytest.mark.parametrize("flag", [
         ["--jobs", "2"], ["--tolerance", "0.2"], ["--resume"], ["--quick"],
-    ], ids=["jobs", "tolerance", "resume", "quick"])
+        ["--artifact-cache", "{tmp}/bvh"],
+    ], ids=["jobs", "tolerance", "resume", "quick", "artifact-cache"])
     def test_removed_bench_flags_exit_2(self, flag, tmp_path, capsys):
         # repro bench runs serially and gates exactly: no sharding, no
-        # supervision, no tolerance, one preset selector.
+        # supervision, no tolerance, one preset selector, and every tree
+        # comes from build_bvh.
         from repro.errors import EXIT_USAGE
 
+        flag = [arg.format(tmp=tmp_path) for arg in flag]
         with pytest.raises(SystemExit) as excinfo:
             main(["bench", "--preset", "quick", "--scenes", "SB",
                   "--out", str(tmp_path), *flag])
         assert excinfo.value.code == EXIT_USAGE
         assert flag[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [
+        ["--artifact-cache", "{tmp}/bvh"],
+    ], ids=["artifact-cache"])
+    def test_removed_simulate_flags_exit_2(self, flag, tmp_path, capsys):
+        # Every scene unit builds its tree with build_bvh; there is no
+        # on-disk tree store to point at.
+        from repro.errors import EXIT_USAGE
+
+        flag = [arg.format(tmp=tmp_path) for arg in flag]
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--scenes", "SB", "--size", "8", "--rays",
+                  "32", "--out", str(tmp_path), *flag])
+        assert excinfo.value.code == EXIT_USAGE
+        assert flag[0] in capsys.readouterr().err
+        assert not (tmp_path / "SIM_simulate.json").exists()
 
     def test_bench_check_fails_on_changed_record(self, tmp_path, capsys):
         out, base = tmp_path / "out", tmp_path / "base"

@@ -1,10 +1,8 @@
-"""Unit tests for packet traversal and BVH serialization."""
+"""Unit tests for packet traversal."""
 
 import numpy as np
 import pytest
 
-from repro.bvh import validate_bvh
-from repro.bvh.io import FORMAT_VERSION, load_bvh, save_bvh
 from repro.trace import TraversalStats, trace_occlusion_batch
 from repro.trace.packets import occlusion_packet, trace_occlusion_packets
 
@@ -62,40 +60,3 @@ class TestPackets:
         assert stats.hits == int(hits.sum())
         assert stats.rays == 64
 
-
-class TestBVHSerialization:
-    def test_roundtrip_identical(self, small_bvh, tmp_path):
-        path = tmp_path / "tree.npz"
-        save_bvh(small_bvh, path)
-        loaded = load_bvh(path)
-        validate_bvh(loaded)
-        assert np.array_equal(loaded.lo, small_bvh.lo)
-        assert np.array_equal(loaded.left, small_bvh.left)
-        assert np.array_equal(loaded.tri_indices, small_bvh.tri_indices)
-        assert np.array_equal(loaded.mesh.v0, small_bvh.mesh.v0)
-
-    def test_roundtrip_traversal_identical(self, small_bvh, small_workload, tmp_path):
-        path = tmp_path / "tree.npz"
-        save_bvh(small_bvh, path)
-        loaded = load_bvh(path)
-        rays = small_workload.rays.subset(np.arange(64))
-        assert np.array_equal(
-            trace_occlusion_batch(small_bvh, rays),
-            trace_occlusion_batch(loaded, rays),
-        )
-
-    def test_rejects_non_bvh_npz(self, tmp_path):
-        path = tmp_path / "junk.npz"
-        np.savez(path, stuff=np.arange(3))
-        with pytest.raises(ValueError):
-            load_bvh(path)
-
-    def test_rejects_wrong_version(self, small_bvh, tmp_path):
-        path = tmp_path / "tree.npz"
-        save_bvh(small_bvh, path)
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
-        arrays["format_version"] = np.int64(FORMAT_VERSION + 1)
-        np.savez(path, **arrays)
-        with pytest.raises(ValueError):
-            load_bvh(path)

@@ -1,25 +1,16 @@
-"""Process-sharded sweeps: determinism, resume composition, fingerprints.
+"""Process-sharded sweeps: determinism and resume composition.
 
 ``repro simulate --jobs N`` must be a pure throughput knob: every unit
 is a pure function of the pinned preset, so a sharded sweep's artifact
 has to match the serial artifact except for wall-clock timing fields.
 These tests pin that contract, plus the interaction with checkpoints (a
-mid-sweep kill resumes under ``--jobs``) and the artifact-cache
-fingerprint (cached and uncached runs refuse to mix).
+mid-sweep kill resumes under ``--jobs``).
 """
 
 import json
 
-import pytest
-
-from repro.bvh.cache import configure_artifact_cache
-from repro.errors import CheckpointError
-from repro.resilience import ResilienceOptions, SweepCheckpoint
-from repro.resilience.sweep import (
-    SimulatePreset,
-    run_simulation_sweep,
-    sim_fingerprint,
-)
+from repro.resilience import ResilienceOptions
+from repro.resilience.sweep import SimulatePreset, run_simulation_sweep
 
 #: Two tiny scenes so sharding across 2 workers is non-trivial.
 SIM_PRESET = SimulatePreset(
@@ -47,13 +38,6 @@ def strip_timing(obj):
     if isinstance(obj, list):
         return [strip_timing(item) for item in obj]
     return obj
-
-
-@pytest.fixture(autouse=True)
-def no_leaked_cache():
-    configure_artifact_cache(None)
-    yield
-    configure_artifact_cache(None)
 
 
 class TestResumeComposition:
@@ -131,25 +115,3 @@ class TestSimulateSharding:
         b["resilience"]["checkpoint"].pop("path")
         assert a == b
 
-
-class TestCacheFingerprint:
-    def test_sim_fingerprint_tracks_cache_identity(self, tmp_path):
-        bare = sim_fingerprint(SIM_PRESET)
-        configure_artifact_cache(str(tmp_path))
-        assert sim_fingerprint(SIM_PRESET) != bare
-
-    def test_resume_refuses_to_mix_cached_and_uncached(self, tmp_path):
-        # Checkpoint written with the cache enabled ...
-        configure_artifact_cache(str(tmp_path / "cache"))
-        ckpt_path = str(tmp_path / "sweep.ckpt.json")
-        written = SweepCheckpoint(
-            ckpt_path, sim_fingerprint(SIM_PRESET), bench_schema="x"
-        )
-        written.record("SB", {"row": None, "entry": {}})
-        # ... must not resume with it disabled.
-        configure_artifact_cache(None)
-        reader = SweepCheckpoint(
-            ckpt_path, sim_fingerprint(SIM_PRESET), bench_schema="x"
-        )
-        with pytest.raises(CheckpointError):
-            reader.load(resume=True)

@@ -142,8 +142,6 @@ class TestOneEnginePerStage:
     CALLS = [
         ("repro.bvh", "build_bvh"),
         ("repro.bvh", "refit_bvh"),
-        ("repro.bvh", "cached_build_bvh"),
-        ("repro.bvh", "BVHArtifactCache.get_or_build"),
         ("repro.gpu", "simulate_workload"),
     ]
 

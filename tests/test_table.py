@@ -49,14 +49,20 @@ class TestBasics:
         assert table.lookup(0x4321) is None
 
     def test_same_index_different_tag_are_separate(self):
-        # Two hashes that fold to the same set index but differ in tag.
+        # With 16 sets (index_bits 4), hash 16 folds to 16 ^ (16 >> 4) = 17,
+        # masked to set 1: the set of hash 1, under a different tag.
         table = make(entries=16, ways=1, bits=15)
-        # index_bits = 4; craft hashes with equal folded index.
-        h1 = 0b000_0000_0000_0001
-        h2 = h1 | (1 << 4) | 1  # changes tag, keeps... compute fold manually
-        table.update(h1, 7)
-        if table._index_and_tag(h1)[0] == table._index_and_tag(h2)[0]:
-            assert table.lookup(h2) is None
+        assert table._index_and_tag(1) == (1, 1)
+        assert table._index_and_tag(16) == (1, 16)
+        table.update(1, 7)
+        assert table.lookup(16) is None
+        # Two ways: the shared set holds both entries, each under its tag.
+        table = make(entries=32, ways=2, bits=15)
+        assert table._index_and_tag(1)[0] == table._index_and_tag(16)[0] == 1
+        table.update(1, 7)
+        table.update(16, 9)
+        assert table.lookup(1) == [7]
+        assert table.lookup(16) == [9]
 
     def test_update_same_entry_single_slot_replaces(self):
         table = make(nodes=1)

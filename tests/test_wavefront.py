@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from repro import reference
 from repro.bvh import build_bvh
 from repro.core.simulate import simulate_predictor
-from repro.errors import TraversalError
 from repro.faults import run_differential_oracle
 from repro.geometry.intersect import ray_triangle_intersect
 from repro.geometry.ray import Ray, RayBatch
@@ -32,7 +31,6 @@ from repro.trace import (
     trace_occlusion_batch,
     wavefront_closest_batch,
     wavefront_occlusion_batch,
-    wavefront_occlusion_tri_batch,
     wavefront_verify_batch,
 )
 
@@ -110,15 +108,6 @@ class TestEdgeCases:
 
 
 class TestSpeculationGuards:
-    def test_corrupt_start_nodes_raise(self, small_bvh, small_workload):
-        rays = small_workload.rays.subset(np.arange(4))
-        with pytest.raises(TraversalError):
-            wavefront_occlusion_tri_batch(
-                small_bvh, rays, start_nodes=[small_bvh.num_nodes + 7]
-            )
-        with pytest.raises(TraversalError):
-            wavefront_occlusion_tri_batch(small_bvh, rays, start_nodes=[-2])
-
     def test_verify_guard_degrades_per_ray(self, small_bvh, small_workload):
         # One corrupt entry list must flag only its own ray; the rest of
         # the batch still verifies normally.

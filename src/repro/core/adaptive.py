@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.bvh.nodes import FlatBVH
 from repro.core.hashing import GridSphericalHash, TwoPointHash, fold_hash
-from repro.core.predictor import PredictorConfig
+from repro.core.predictor import GuardStats, PredictorConfig
 from repro.core.table import PredictorTable
 
 #: Bits reserved for each packed component hash.
@@ -70,8 +70,10 @@ class TournamentPredictor:
         self.chooser_bits = chooser_bits
         # Counter > midpoint: prefer component A; < midpoint: prefer B.
         self._chooser = np.full(1 << chooser_bits, _COUNTER_MAX // 2, dtype=np.int8)
+        self.guards = GuardStats()
         # Each triangle's Go Up Level node as one int64 array; a memoryview
         # read yields a plain int, as in RayPredictor._bind.
+        self._num_nodes = bvh.num_nodes
         self._num_triangles = bvh.num_triangles
         trained = bvh.ancestors(self.config.go_up_level)[bvh.leaf_of_triangle()]
         self._trained_nodes = memoryview(trained)
@@ -102,18 +104,23 @@ class TournamentPredictor:
     # Predictor interface
     # ------------------------------------------------------------------
     def predict(self, ray_hash: int) -> Optional[List[int]]:
-        """Look both tables up; return the chooser-preferred prediction."""
+        """Look both tables up; return the chooser-preferred prediction.
+
+        The chosen nodes pass the same range guard as
+        :meth:`RayPredictor.predict` (:meth:`GuardStats.screen`).
+        """
         hash_a, hash_b = self._unpack(ray_hash)
         nodes_a = self.table_a.lookup(hash_a)
         nodes_b = self.table_b.lookup(hash_b)
-        if nodes_a is None and nodes_b is None:
-            return None
         if nodes_a is None:
-            return nodes_b
-        if nodes_b is None:
-            return nodes_a
-        prefer_a = self._chooser[self._chooser_index(hash_a)] > _COUNTER_MAX // 2
-        return nodes_a if prefer_a else nodes_b
+            nodes = nodes_b
+        elif nodes_b is None:
+            nodes = nodes_a
+        elif self._chooser[self._chooser_index(hash_a)] > _COUNTER_MAX // 2:
+            nodes = nodes_a
+        else:
+            nodes = nodes_b
+        return self.guards.screen(nodes, self._num_nodes)
 
     def confirm(self, ray_hash: int, node: int) -> None:
         """Credit the component whose table held the verifying node."""
@@ -133,11 +140,13 @@ class TournamentPredictor:
     def train(self, ray_hash: int, hit_tri: int) -> int:
         """Insert the Go Up Level ancestor into both component tables.
 
-        Returns the stored node, or ``-1`` (neither table touched) for an
-        out-of-range ``hit_tri``, as :meth:`RayPredictor.train` does.
+        Returns the stored node, or ``-1`` (neither table touched, counted
+        in :attr:`guards`) for an out-of-range ``hit_tri``, as
+        :meth:`RayPredictor.train` does.
         """
         node = self.trained_node_for(hit_tri)
         if node < 0:
+            self.guards.invalid_training_dropped += 1
             return -1
         hash_a, hash_b = self._unpack(ray_hash)
         self.table_a.update(hash_a, node)

@@ -40,6 +40,24 @@ class GuardStats:
     predictions_rejected: int = 0
     invalid_training_dropped: int = 0
 
+    def screen(self, nodes: Optional[List[int]], num_nodes: int) -> Optional[List[int]]:
+        """The in-range nodes of a looked-up prediction, or ``None``.
+
+        Nodes outside ``[0, num_nodes)`` are dropped and counted; a
+        prediction with no valid node left is rejected (counted) and
+        degrades to ``None``, as does an empty one.
+        """
+        if not nodes:
+            return None
+        valid = [n for n in nodes if 0 <= n < num_nodes]
+        dropped = len(nodes) - len(valid)
+        if dropped:
+            self.invalid_nodes_dropped += dropped
+        if not valid:
+            self.predictions_rejected += 1
+            return None
+        return valid
+
     @property
     def total_guard_events(self) -> int:
         """All guard interventions (for quick 'anything odd?' checks)."""
@@ -153,18 +171,7 @@ class RayPredictor:
         prediction" so the caller falls back to a full traversal.  The
         guard never raises - a wrong prediction must only cost cycles.
         """
-        nodes = self.table.lookup(ray_hash)
-        if not nodes:
-            return None
-        num_nodes = self._num_nodes
-        valid = [n for n in nodes if 0 <= n < num_nodes]
-        dropped = len(nodes) - len(valid)
-        if dropped:
-            self.guards.invalid_nodes_dropped += dropped
-        if not valid:
-            self.guards.predictions_rejected += 1
-            return None
-        return valid
+        return self.guards.screen(self.table.lookup(ray_hash), self._num_nodes)
 
     def confirm(self, ray_hash: int, node: int) -> None:
         """Tell the table which predicted node verified (policy feedback)."""

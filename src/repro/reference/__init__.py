@@ -5,7 +5,7 @@ Production has one engine per stage: the wavefront batch traversal
 predictor simulation (:func:`repro.core.simulate.simulate_predictor`),
 the level-synchronous BVH builders and refit (:mod:`repro.bvh`), the
 trace-then-replay RT unit (:func:`repro.gpu.simulate_workload`) and the
-broadcast scene primitives (:mod:`repro.scenes.procedural`).  This
+grouped scene primitives (:mod:`repro.scenes.procedural`).  This
 package keeps the code they replaced, unchanged, as something
 independent to check them against:
 
@@ -20,9 +20,10 @@ independent to check them against:
   reverse refit walk; trees array-identical, refits bit-identical.
 * :class:`RTUnit` / :func:`simulate_workload` - the per-thread RT-unit
   stepper; the same :class:`~repro.gpu.rt_unit.RTUnitResult`.
-* :mod:`repro.reference.scenes` - the per-vertex loop ``quad``, six-call
-  ``box`` and per-cell ``voxel_terrain``; meshes byte-identical to the
-  broadcast primitives of :mod:`repro.scenes.procedural`.
+* :mod:`repro.reference.scenes` - the per-vertex loop ``quad``,
+  ``uv_sphere`` and ``cylinder``, six-call ``box`` and per-cell
+  ``voxel_terrain``; meshes byte-identical to the grouped broadcasts of
+  :mod:`repro.scenes.procedural`.
 
 Everything here publishes telemetry under ``engine="scalar"`` and keeps
 its lazily filled baseline under the ``"scalar"`` key of

@@ -1,18 +1,21 @@
-"""Loop forms of the tessellated scene primitives.
+"""Loop forms of the scene primitives.
 
-:mod:`repro.scenes.procedural` emits every quad of a primitive in one
-NumPy broadcast; these are the per-vertex loops it replaced, kept
-unchanged as the oracle the broadcast must match byte for byte
-(``tests/test_scenes.py``).
+:mod:`repro.scenes.procedural` emits each group of same-shape
+primitives in one NumPy broadcast; these are the per-vertex loops it
+replaced, kept unchanged as the oracle the broadcast must match byte
+for byte (``tests/test_scenes.py``).
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence
+import math
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.geometry.triangle import TriangleMesh
+
+Vec3 = Tuple[float, float, float]
 
 
 def quad(
@@ -76,6 +79,101 @@ def box(lo: Sequence[float], hi: Sequence[float], subdiv: int = 1) -> TriangleMe
     return TriangleMesh.concatenate([quad(*f, subdiv=subdiv) for f in faces])
 
 
+def uv_sphere(
+    center: Sequence[float], radius: float, lat: int = 8, lon: int = 12
+) -> TriangleMesh:
+    """UV sphere with ``lat`` latitude bands and ``lon`` longitude segments."""
+    if lat < 2 or lon < 3:
+        raise ValueError("need lat >= 2 and lon >= 3")
+    cx, cy, cz = center
+    ring_points = []
+    for i in range(lat + 1):
+        theta = math.pi * i / lat
+        ring = []
+        for j in range(lon):
+            phi = 2.0 * math.pi * j / lon
+            ring.append(
+                (
+                    cx + radius * math.sin(theta) * math.cos(phi),
+                    cy + radius * math.cos(theta),
+                    cz + radius * math.sin(theta) * math.sin(phi),
+                )
+            )
+        ring_points.append(ring)
+
+    v0: List[Vec3] = []
+    v1: List[Vec3] = []
+    v2: List[Vec3] = []
+    for i in range(lat):
+        for j in range(lon):
+            jn = (j + 1) % lon
+            a = ring_points[i][j]
+            b = ring_points[i + 1][j]
+            c = ring_points[i + 1][jn]
+            d = ring_points[i][jn]
+            if i != 0:
+                v0.append(a)
+                v1.append(b)
+                v2.append(d)
+            if i != lat - 1:
+                v0.append(b)
+                v1.append(c)
+                v2.append(d)
+    return TriangleMesh(np.asarray(v0), np.asarray(v1), np.asarray(v2))
+
+
+def cylinder(
+    center: Sequence[float],
+    radius: float,
+    height: float,
+    segments: int = 10,
+    rings: int = 1,
+    capped: bool = True,
+) -> TriangleMesh:
+    """Vertical cylinder (column) centred at ``center`` (base at center y)."""
+    if segments < 3:
+        raise ValueError("segments must be >= 3")
+    cx, cy, cz = center
+    meshes: List[TriangleMesh] = []
+    ys = np.linspace(cy, cy + height, rings + 1)
+    angles = [2.0 * math.pi * j / segments for j in range(segments)]
+    circle = [(math.cos(a), math.sin(a)) for a in angles]
+
+    v0: List[Vec3] = []
+    v1: List[Vec3] = []
+    v2: List[Vec3] = []
+    for r in range(rings):
+        y_lo, y_hi = ys[r], ys[r + 1]
+        for j in range(segments):
+            jn = (j + 1) % segments
+            ax, az = circle[j]
+            bx, bz = circle[jn]
+            a = (cx + radius * ax, y_lo, cz + radius * az)
+            b = (cx + radius * bx, y_lo, cz + radius * bz)
+            c = (cx + radius * bx, y_hi, cz + radius * bz)
+            d = (cx + radius * ax, y_hi, cz + radius * az)
+            v0.extend([a, a])
+            v1.extend([b, c])
+            v2.extend([c, d])
+    meshes.append(TriangleMesh(np.asarray(v0), np.asarray(v1), np.asarray(v2)))
+
+    if capped:
+        for y in (float(ys[0]), float(ys[-1])):
+            cv0: List[Vec3] = []
+            cv1: List[Vec3] = []
+            cv2: List[Vec3] = []
+            for j in range(segments):
+                jn = (j + 1) % segments
+                ax, az = circle[j]
+                bx, bz = circle[jn]
+                cv0.append((cx, y, cz))
+                cv1.append((cx + radius * ax, y, cz + radius * az))
+                cv2.append((cx + radius * bx, y, cz + radius * bz))
+            meshes.append(TriangleMesh(np.asarray(cv0), np.asarray(cv1), np.asarray(cv2)))
+    return TriangleMesh.concatenate(meshes)
+
+
+
 def voxel_terrain(
     x0: float,
     z0: float,
@@ -103,4 +201,4 @@ def voxel_terrain(
     return TriangleMesh.concatenate(meshes)
 
 
-__all__ = ["box", "quad", "voxel_terrain"]
+__all__ = ["box", "cylinder", "quad", "uv_sphere", "voxel_terrain"]

@@ -59,6 +59,22 @@ class TestInterface:
             assert table.occupied_slots() == []
         assert predictor.predict(h) is None
 
+    def test_out_of_range_prediction_is_dropped(self, predictor, small_bvh):
+        # Same guard as RayPredictor.predict: a corrupted node in the chosen
+        # table never reaches the caller, and the drop is counted.
+        h = predictor.hash_ray((2.0, 1.0, 2.0), (0.0, 1.0, 0.0))
+        node = predictor.train(h, 5)
+        bad = small_bvh.num_nodes + 3
+        for table in (predictor.table_a, predictor.table_b):
+            [(set_index, way)] = table.occupied_slots()
+            assert table.corrupt_node(set_index, way, 0, bad) == node
+        assert predictor.predict(h) is None
+        assert predictor.guards.invalid_nodes_dropped == 1
+        assert predictor.guards.predictions_rejected == 1
+        assert predictor.guards.invalid_training_dropped == 0
+        predictor.train(h, -1)
+        assert predictor.guards.invalid_training_dropped == 1
+
     def test_reset(self, predictor):
         h = predictor.hash_ray((2.0, 1.0, 2.0), (0.0, 1.0, 0.0))
         predictor.train(h, 0)

@@ -5,12 +5,14 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.geometry.triangle import TriangleMesh
 from repro.reference import scenes as reference_scenes
-from repro.scenes import SCENE_CODES, available_scenes, get_scene
+from repro.scenes import SCENE_CODES, available_scenes, get_scene, procedural
 from repro.scenes.procedural import (
+    MeshRecorder,
     box,
     chair,
     clutter,
@@ -30,9 +32,20 @@ class TestPrimitives:
     def test_quad_triangle_count(self):
         assert len(quad((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), subdiv=3)) == 18
 
-    def test_quad_subdiv_validation(self):
+    @pytest.mark.parametrize(
+        "kind, args",
+        [
+            ("quad", ((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0))),
+            ("box", ((0, 0, 0), (1, 1, 1))),
+        ],
+        ids=["quad", "box"],
+    )
+    def test_quad_subdiv_validation(self, kind, args):
         with pytest.raises(ValueError):
-            quad((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), subdiv=0)
+            getattr(procedural, kind)(*args, subdiv=0)
+        # The recorder refuses the primitive when it is added, not at build().
+        with pytest.raises(ValueError):
+            getattr(MeshRecorder(), kind)(*args, subdiv=0)
 
     def test_box_triangle_count(self):
         assert len(box((0, 0, 0), (1, 1, 1), subdiv=2)) == 6 * 2 * 4
@@ -54,9 +67,12 @@ class TestPrimitives:
         assert np.allclose(aabb.lo, (-1, -1, -1), atol=1e-6)
         assert np.allclose(aabb.hi, (1, 1, 1), atol=1e-6)
 
-    def test_sphere_validation(self):
+    @pytest.mark.parametrize("bad", [{"lat": 1}, {"lon": 2}], ids=["lat", "lon"])
+    def test_sphere_validation(self, bad):
         with pytest.raises(ValueError):
-            uv_sphere((0, 0, 0), 1.0, lat=1)
+            uv_sphere((0, 0, 0), 1.0, **bad)
+        with pytest.raises(ValueError):
+            MeshRecorder().uv_sphere((0, 0, 0), 1.0, **bad)
 
     def test_cylinder_height(self):
         mesh = cylinder((0, 0, 0), 0.5, 2.0, segments=8)
@@ -68,9 +84,14 @@ class TestPrimitives:
         open_ = cylinder((0, 0, 0), 0.5, 1.0, segments=8, capped=False)
         assert len(open_) < len(capped)
 
-    def test_cylinder_validation(self):
+    @pytest.mark.parametrize(
+        "bad", [{"segments": 2}, {"rings": 0}], ids=["segments", "rings"]
+    )
+    def test_cylinder_validation(self, bad):
         with pytest.raises(ValueError):
-            cylinder((0, 0, 0), 0.5, 1.0, segments=2)
+            cylinder((0, 0, 0), 0.5, 1.0, **bad)
+        with pytest.raises(ValueError):
+            MeshRecorder().cylinder((0, 0, 0), 0.5, 1.0, **bad)
 
     def test_voxel_terrain_quantizes(self):
         mesh = voxel_terrain(0, 0, 2, 2, 2, 2, lambda x, z: 0.74, block_height=0.5)
@@ -160,6 +181,51 @@ points = st.tuples(coords, coords, coords)
 corner_sets = st.lists(points, min_size=1, max_size=4).flatmap(
     lambda pool: st.tuples(*[st.sampled_from(pool)] * 4)
 )
+radii = st.sampled_from([0.0, -0.0, 0.5, 1.0]) | st.floats(
+    min_value=0.0, max_value=1e3
+)
+heights = st.sampled_from([0.0, -0.0, 5.0]) | st.floats(
+    min_value=-1e3, max_value=1e3
+)
+
+
+@st.composite
+def primitive_sequences(draw):
+    """1-12 ``(kind, args)`` primitives of all four kinds.
+
+    Each sequence draws one or two shapes per kind and every primitive
+    takes one of them, so most groups hold several primitives.
+    """
+    shapes = {
+        "quad": st.tuples(st.integers(min_value=1, max_value=3)),
+        "box": st.tuples(st.integers(min_value=1, max_value=2)),
+        "uv_sphere": st.tuples(
+            st.integers(min_value=2, max_value=4), st.integers(min_value=3, max_value=5)
+        ),
+        "cylinder": st.tuples(
+            st.integers(min_value=3, max_value=5),
+            st.integers(min_value=1, max_value=3),
+            st.booleans(),
+        ),
+    }
+    palette = {
+        kind: draw(st.lists(shape, min_size=1, max_size=2))
+        for kind, shape in shapes.items()
+    }
+    sequence = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        kind = draw(st.sampled_from(sorted(palette)))
+        shape = draw(st.sampled_from(palette[kind]))
+        if kind == "quad":
+            head = draw(corner_sets)
+        elif kind == "box":
+            head = (draw(points), draw(points))
+        elif kind == "uv_sphere":
+            head = (draw(points), draw(radii))
+        else:
+            head = (draw(points), draw(radii), draw(heights))
+        sequence.append((kind, head + shape))
+    return sequence
 
 
 class TestPrimitivesMatchReference:
@@ -179,6 +245,33 @@ class TestPrimitivesMatchReference:
     def test_box(self, lo, hi, subdiv):
         assert mesh_bytes(box(lo, hi, subdiv=subdiv)) == mesh_bytes(
             reference_scenes.box(lo, hi, subdiv=subdiv)
+        )
+
+    @given(
+        center=points,
+        radius=radii,
+        lat=st.integers(min_value=2, max_value=8),
+        lon=st.integers(min_value=3, max_value=12),
+    )
+    @settings(max_examples=MAX_EXAMPLES)
+    def test_uv_sphere(self, center, radius, lat, lon):
+        assert mesh_bytes(uv_sphere(center, radius, lat=lat, lon=lon)) == mesh_bytes(
+            reference_scenes.uv_sphere(center, radius, lat=lat, lon=lon)
+        )
+
+    @given(
+        center=points,
+        radius=radii,
+        height=heights,
+        segments=st.integers(min_value=3, max_value=12),
+        rings=st.integers(min_value=1, max_value=3),
+        capped=st.booleans(),
+    )
+    @settings(max_examples=MAX_EXAMPLES)
+    def test_cylinder(self, center, radius, height, segments, rings, capped):
+        args = (center, radius, height, segments, rings, capped)
+        assert mesh_bytes(cylinder(*args)) == mesh_bytes(
+            reference_scenes.cylinder(*args)
         )
 
     @given(
@@ -206,6 +299,29 @@ class TestPrimitivesMatchReference:
         ) == mesh_bytes(
             reference_scenes.voxel_terrain(*args, block_height=block_height)
         )
+
+
+class TestRecorderMatchesReference:
+    """One build of a recorded sequence equals its oracle meshes, concatenated."""
+
+    @given(sequence=primitive_sequences())
+    # A zero-height and a non-zero-height cylinder in one rings=3 group:
+    # one np.linspace over the group would rescale the second's rings.
+    @example(
+        sequence=[
+            ("cylinder", ((0.0, 0.0, 0.0), 1.0, 0.0, 3, 3, True)),
+            ("cylinder", ((0.0, 0.0, 0.0), 1.0, 5.0, 3, 3, True)),
+        ]
+    )
+    @settings(max_examples=MAX_EXAMPLES)
+    def test_recorded_sequence(self, sequence):
+        recorder = MeshRecorder()
+        for kind, args in sequence:
+            getattr(recorder, kind)(*args)
+        expected = TriangleMesh.concatenate(
+            [getattr(reference_scenes, kind)(*args) for kind, args in sequence]
+        )
+        assert mesh_bytes(recorder.build()) == mesh_bytes(expected)
 
 
 #: SHA-256 over ``v0``, ``v1``, ``v2`` bytes of every registry scene.

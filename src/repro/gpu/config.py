@@ -34,6 +34,10 @@ class CacheConfig:
     def __post_init__(self) -> None:
         if self.size_bytes < self.line_bytes:
             raise ValueError("cache smaller than one line")
+        if self.latency < 0:
+            # A line would return before it was requested; the RT unit
+            # merges a warp's repeated touches on that never happening.
+            raise ValueError("latency must be >= 0")
         num_lines = self.size_bytes // self.line_bytes
         if num_lines % self.ways != 0:
             raise ValueError("lines must divide evenly into ways")
@@ -68,6 +72,10 @@ class DRAMConfig:
     latency: int = 120
     bank_occupancy: int = 24
     lines_per_row: int = 32
+
+    def __post_init__(self) -> None:
+        if self.latency < 0:
+            raise ValueError("latency must be >= 0")  # as for CacheConfig
 
 
 @dataclass(frozen=True)
@@ -104,6 +112,12 @@ class RTUnitConfig:
     #: independently between iterations, modeling Section 5.1.2's
     #: per-warp FIFO with data broadcast; the validated configuration.
     warp_barrier: bool = False
+
+    def __post_init__(self) -> None:
+        least_values = (("max_warps", 1), ("warp_size", 1), ("coalesce_window", 0))
+        for name, least in least_values:
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
 
     @property
     def ray_buffer_capacity(self) -> int:

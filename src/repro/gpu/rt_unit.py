@@ -54,22 +54,6 @@ _RESTART_SENTINEL = RESTART_SENTINEL
 
 
 @dataclass
-class _StepOutcome:
-    """Bookkeeping produced by one warp step."""
-
-    end_time: int
-    finished: bool
-    active_threads: int
-    mis_node_fetches: int = 0
-    mis_tri_fetches: int = 0
-    box_tests: int = 0
-    tri_tests: int = 0
-    updates: int = 0
-    retired: int = 0
-    guard_restarts: int = 0
-
-
-@dataclass
 class RTUnitResult:
     """Aggregate output of one RT-unit run."""
 

@@ -188,14 +188,22 @@ def simulate_workload(
             ray intersection predictor (``None`` = baseline RT unit).
         predictors: optional pre-warmed per-SM predictors (from
             :func:`make_predictors`) to reuse between frames; by default
-            each call starts with cold tables.
+            each call starts with cold tables.  A baseline ``config``
+            takes none: an empty pool, as :func:`make_predictors` returns
+            for it, means no predictors.
 
     Returns:
         :class:`SimOutput` with total cycles (max over SMs) and per-SM
         detailed results.
     """
     config = config or GPUConfig()
-    if predictors is not None and len(predictors) != config.num_sms:
+    if config.predictor is None:
+        if predictors:
+            raise ValueError(
+                f"a baseline config takes no predictors, got {len(predictors)}"
+            )
+        predictors = None
+    elif predictors is not None and len(predictors) != config.num_sms:
         raise ValueError(
             f"expected {config.num_sms} predictors, got {len(predictors)}"
         )

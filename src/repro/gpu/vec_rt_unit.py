@@ -58,18 +58,28 @@ The replay is serial by nature - every line access mutates the shared
 port, caches and DRAM banks - and a Figure 12 step serves about eleven
 threads and four unique lines, so it runs on Python lists and on
 ``memoryview`` objects over the record planes, where a NumPy call would
-cost more than its work.  One pass over a step's threads in member order
-sends each line at its first touch (the stepper's MSHR ``dict`` order)
-and folds the thread's data-ready time as it goes: a line's ready time
-is fixed at its first touch in a step.  Training and confirmation stay
-per retired ray in member order: reordering them would change the LRU
-order within a table set.
+cost more than its work.  A step is one pass over the warp's live
+threads in member order.  A thread participates when it is ready within
+the coalesce window (under the warp barrier, every live thread does).
+A participant whose next record is no visit retires as a miss, or
+raises the stepper's ``TraversalError`` on a fault; the first visit
+claims the iteration's controller slot, so a step of misses claims
+none.  Each line goes out at its first touch in the step (the stepper's
+MSHR ``dict`` order) unless it is still in flight for the warp.  Cache
+and DRAM latencies are non-negative, so an access never returns before
+the step's start: a line sent in the step stays in flight, and the
+warp's in-flight map alone gives its later touches the same ready time.
+Each visit folds its thread's data-ready time, and the threads left live
+fold the warp's next ready time.  The misses, then the hits retire in
+member order; hits train and confirm one ray at a time, as reordering
+them would change the LRU order within a table set.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -90,7 +100,7 @@ from repro.errors import SimulationStallError, TraversalError
 from repro.geometry.ray import RayBatch
 from repro.gpu.config import GPUConfig
 from repro.gpu.memory import MemoryHierarchy
-from repro.gpu.rt_unit import RTUnitResult, _StepOutcome
+from repro.gpu.rt_unit import RTUnitResult
 from repro.telemetry.publish import (
     LaneHistogram,
     publish_rt_unit_result,
@@ -138,7 +148,6 @@ class _VecState:
         # as Python scalars.
         self.ray_hash = [0] * n
         self.predicted = [False] * n
-        self.done = [False] * n
         self.cur = root.start.tolist()
         self.ready_time = [0] * n
         self.hit_tri_view = memoryview(self.hit_tri)
@@ -342,15 +351,17 @@ class VectorRTUnit:
                     break
             ready, _, warp = heapq.heappop(heap)
             now = max(now, ready)
-            step = self._step_warp(st, warp, now)
+            end_time, finished, active, retired, updates = self._step_warp(
+                st, warp, now
+            )
             warp_steps += 1
-            active_thread_steps += step.active_threads
+            active_thread_steps += active
             if lane_hist is not None:
-                lane_hist.add(step.active_threads)
-            predictor_updates += step.updates
+                lane_hist.add(active)
+            predictor_updates += updates
 
-            retired_rays += step.retired
-            steps_since_retire = 0 if step.retired else steps_since_retire + 1
+            retired_rays += retired
+            steps_since_retire = 0 if retired else steps_since_retire + 1
             if (watchdog_cycles is not None and now > watchdog_cycles) or (
                 steps_since_retire > watchdog_stall_steps
             ):
@@ -375,14 +386,14 @@ class VectorRTUnit:
                     },
                 )
 
-            if step.finished:
+            if finished:
                 resident -= 1
                 buffer_used -= len(warp.members)
-                dispatch_collector_ready(step.end_time)
-                admit_source(step.end_time)
+                dispatch_collector_ready(end_time)
+                admit_source(end_time)
             else:
-                warp.ready_time = step.end_time
-                heapq.heappush(heap, (step.end_time, warp.age, warp))
+                warp.ready_time = end_time
+                heapq.heappush(heap, (end_time, warp.age, warp))
 
             if repack:
                 drain_collector(now, force=False)
@@ -488,103 +499,111 @@ class VectorRTUnit:
         st.mis_tri_fetches += tr.mis_tri_fetches
         st.guard_restarts += tr.guard_restarts
 
-    # Replay: one warp iteration over its ready threads, in member order
-    def _step_warp(self, st: _VecState, warp: _VecWarp, now: int) -> _StepOutcome:
-        rt = self.rt
+    # Replay: one warp iteration, one pass over its live threads in member order
+    def _step_warp(
+        self, st: _VecState, warp: _VecWarp, now: int
+    ) -> Tuple[int, bool, int, int, int]:
+        """Run one iteration of ``warp`` at cycle ``now``.
+
+        Returns ``(end_time, finished, active_threads, retired, updates)``.
+        """
         if warp.first:
             warp.first = False
             queue = st.queue
             if queue and any(r in queue for r in warp.members):
                 self._verify(st)
+        rt = self.rt
+        barrier = rt.warp_barrier
+        # Under the barrier every live thread joins the iteration.
+        horizon = math.inf if barrier else now + rt.coalesce_window
         rec_of, cnt_of, lat_of, hit_of = st.views
         cur, ready_time = st.cur, st.ready_time
-        out = _StepOutcome(end_time=now, finished=False, active_threads=0)
-        live = parts = warp.live
-        if not rt.warp_barrier:
-            horizon = now + rt.coalesce_window
-            parts = [r for r in live if ready_time[r] <= horizon]
-        counts = [cnt_of[cur[r]] for r in parts]
-        if counts and min(counts) < 0:
-            for r, c in zip(parts, counts):
+        lines = self._lines
+        access_line = self.memory.access_line_time
+        inflight = warp.inflight
+        prune_above = 4 * rt.warp_size
+        start = -1  # the iteration's controller slot, claimed by its first visit
+        active = retired = 0
+        live: List[int] = []
+        hits: List[int] = []
+        soonest = math.inf  # next ready time: min over the threads left live
+        latest = 0  # under the barrier: max over the participants left live
+        for r in warp.live:
+            ready = ready_time[r]
+            if ready > horizon:
+                live.append(r)
+                if ready < soonest:
+                    soonest = ready
+                continue
+            i = cur[r]
+            c = cnt_of[i]
+            if c < 0:
                 if c == FAULT:
-                    bad = rec_of[cur[r]]
+                    bad = rec_of[i]
                     raise TraversalError(
                         f"ray {r} popped invalid node {bad} "
                         "after a guard restart (corrupted traversal state)",
                         bad_nodes=[bad],
                         num_nodes=self._num_nodes,
                     )
-            # Drained stacks retire as scene misses (hit_tri stays -1).
-            self._retire_rows(st, [r for r, c in zip(parts, counts) if c < 0], out)
-            parts = [r for r, c in zip(parts, counts) if c >= 0]
-            counts = [c for c in counts if c >= 0]
-        k = out.active_threads = len(parts)
-        if k:
-            start = self.memory.acquire_scheduler_slot(now)
-            access_line = self.memory.access_line_time
-            lines = self._lines
-            inflight = warp.inflight
-            seen: Dict[int, int] = {}
-            hits = []
-            for r, c in zip(parts, counts):
-                i = cur[r]
-                cur[r] = i + 1
-                # A thread's data is ready at its last line's return; an
-                # empty leaf requests no lines and waits for `start + 1`.
-                data = 0 if c else start + 1
-                rec = rec_of[i]
-                for line in lines[rec:rec + c]:
-                    # Lines go out at their first touch in the step.
-                    t = seen.get(line)
-                    if t is None:
-                        # A line still in flight for this warp merges for free.
-                        t = inflight.get(line)
-                        if t is None or t < start:
-                            t = inflight[line] = access_line(line, start)
-                            if len(inflight) > 4 * rt.warp_size:
-                                inflight = warp.inflight = {
-                                    ln: tm for ln, tm in inflight.items()
-                                    if tm >= start
-                                }
-                        seen[line] = t
-                    if t > data:
-                        data = t
-                residual = ready_time[r] - now
-                floor = start + residual if residual > 0 else start
-                ready_time[r] = (data if data > floor else floor) + lat_of[i]
-                if hit_of[i]:
-                    hits.append(r)
-            # Retire freshly-hit threads in member order (train order must
-            # match the scalar engine's predictor-stamp sequence).
-            if hits:
-                self._retire_rows(st, hits, out)
-        if out.retired:
-            done = st.done
-            live = warp.live = [r for r in live if not done[r]]
-
-        if not live:
-            out.finished = True
-            last = max([ready_time[r] for r in warp.members]) if k else 0
-            out.end_time = max(now + 1, last)
-        else:
-            rem = [ready_time[r] for r in live]
-            pick = max(rem) if k and rt.warp_barrier else min(rem)
-            out.end_time = max(now + 1, pick)
-        return out
-
-    def _retire_rows(self, st: _VecState, rows: List[int], out: _StepOutcome) -> None:
-        """Retire ``rows``; train/confirm in member order (scalar parity)."""
-        out.retired += len(rows)
+                # A drained stack retires as a scene miss (hit_tri stays -1,
+                # so it never trains).
+                retired += 1
+                continue
+            if start < 0:
+                start = self.memory.acquire_scheduler_slot(now)
+            active += 1
+            cur[r] = i + 1
+            # A thread's data is ready at its last line's return; an empty
+            # leaf requests no lines and waits for `start + 1`.
+            data = 0 if c else start + 1
+            rec = rec_of[i]
+            for line in lines[rec:rec + c]:
+                # A line still in flight for this warp merges for free.  An
+                # access never returns before `start`, so a line sent in
+                # this step stays in flight: it goes out at its first touch
+                # and its later touches merge at that time.
+                t = inflight.get(line)
+                if t is None or t < start:
+                    t = inflight[line] = access_line(line, start)
+                    if len(inflight) > prune_above:
+                        inflight = warp.inflight = {
+                            ln: tm for ln, tm in inflight.items() if tm >= start
+                        }
+                if t > data:
+                    data = t
+            residual = ready - now
+            floor = start + residual if residual > 0 else start
+            ready = ready_time[r] = (data if data > floor else floor) + lat_of[i]
+            if hit_of[i]:
+                hits.append(r)
+            else:
+                live.append(r)
+                if ready < soonest:
+                    soonest = ready
+                if ready > latest:
+                    latest = ready
+        warp.live = live
+        # Hits retire after the misses, and train and confirm in member
+        # order: the predictor-stamp sequence must match the stepper's.
         predictor = self.predictor
-        for r in rows:
-            st.done[r] = True
-            tri = st.hit_tri_view[r]
-            if tri >= 0 and predictor is not None:
-                h = st.ray_hash[r]
-                predictor.train(h, tri)
-                out.updates += 1
-                if st.verified_view[r]:
-                    predictor.confirm(h, predictor.trained_node_for(tri))
+        updates = 0
+        if hits:
+            retired += len(hits)
+            if predictor is not None:
+                ray_hash, hit_tri = st.ray_hash, st.hit_tri_view
+                verified = st.verified_view
+                for r in hits:
+                    h, tri = ray_hash[r], hit_tri[r]
+                    predictor.train(h, tri)
+                    if verified[r]:
+                        predictor.confirm(h, predictor.trained_node_for(tri))
+                updates = len(hits)
+        if not live:
+            last = max([ready_time[r] for r in warp.members]) if active else 0
+            return max(now + 1, last), True, active, retired, updates
+        pick = latest if barrier else soonest
+        return max(now + 1, pick), False, active, retired, updates
 
 
 __all__ = ["VectorRTUnit"]

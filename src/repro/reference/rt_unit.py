@@ -23,7 +23,7 @@ from repro.geometry.intersect import ray_aabb_intersect, ray_triangle_intersect
 from repro.geometry.ray import RayBatch
 from repro.gpu.config import GPUConfig
 from repro.gpu.memory import MemoryHierarchy
-from repro.gpu.rt_unit import _RESTART_SENTINEL, RTUnitResult, _StepOutcome
+from repro.gpu.rt_unit import _RESTART_SENTINEL, RTUnitResult
 from repro.gpu.simulator import SimOutput, _simulate_serial, split_rays_across_sms
 from repro.telemetry.publish import (
     LaneHistogram,
@@ -31,6 +31,22 @@ from repro.telemetry.publish import (
     publish_table_stats,
     table_stats_state,
 )
+
+
+@dataclass
+class _StepOutcome:
+    """Bookkeeping produced by one warp step."""
+
+    end_time: int
+    finished: bool
+    active_threads: int
+    mis_node_fetches: int = 0
+    mis_tri_fetches: int = 0
+    box_tests: int = 0
+    tri_tests: int = 0
+    updates: int = 0
+    retired: int = 0
+    guard_restarts: int = 0
 
 
 @dataclass

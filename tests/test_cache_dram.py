@@ -21,6 +21,14 @@ class TestCacheConfig:
         with pytest.raises(ValueError):
             CacheConfig(size_bytes=128 * 3, line_bytes=128, ways=2)
 
+    @pytest.mark.parametrize("make", [CacheConfig, DRAMConfig], ids=["cache", "dram"])
+    def test_negative_latency_raises(self, make):
+        # The RT unit's replay merges a warp's repeated touches of a line
+        # on no access returning before it was issued.
+        assert make(latency=0).latency == 0
+        with pytest.raises(ValueError, match="latency must be >= 0"):
+            make(latency=-1)
+
 
 class TestCache:
     def make(self, size=1024, ways=2):

@@ -106,6 +106,22 @@ class TestInterFramePersistence:
         with pytest.raises(ValueError):
             simulate_workload(small_bvh, small_workload.rays, config, predictors=pool)
 
+    def test_baseline_config_rejects_predictor_pool(self, small_bvh, small_workload):
+        pool = make_predictors(small_bvh, GPUConfig(num_sms=2, predictor=PC))
+        with pytest.raises(ValueError, match="baseline"):
+            simulate_workload(
+                small_bvh, small_workload.rays, GPUConfig(num_sms=2), predictors=pool
+            )
+
+    def test_baseline_config_takes_empty_pool(self, small_bvh, small_workload):
+        config = GPUConfig(num_sms=2)
+        pool = make_predictors(small_bvh, config)
+        out = simulate_workload(small_bvh, small_workload.rays, config, predictors=pool)
+        assert out.predictor_lookups == 0
+        assert out.per_sm == simulate_workload(
+            small_bvh, small_workload.rays, config
+        ).per_sm
+
     def test_warm_table_predicts_more_on_second_frame(self, small_bvh, small_workload):
         config = GPUConfig(num_sms=1, predictor=PC)
         pool = make_predictors(small_bvh, config)

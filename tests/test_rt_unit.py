@@ -149,6 +149,20 @@ class TestConfigSensitivity:
         assert barrier.hits == free.hits
 
 
+class TestRTUnitConfig:
+    @pytest.mark.parametrize(
+        "field, least",
+        [("max_warps", 1), ("warp_size", 1), ("coalesce_window", 0)],
+    )
+    def test_unsimulatable_values_raise(self, field, least):
+        # Zero warps simulated nothing yet reported the root traces' hits,
+        # a zero warp size failed inside range(), and a negative window
+        # ran ~12x the warp steps of the default one.
+        assert getattr(RTUnitConfig(**{field: least}), field) == least
+        with pytest.raises(ValueError, match=f"{field} must be >= {least}"):
+            RTUnitConfig(**{field: least - 1})
+
+
 class TestSimulator:
     def test_split_round_robin(self, small_workload):
         parts = split_rays_across_sms(small_workload.rays, 2, warp_size=32)

@@ -220,11 +220,12 @@ class TestEngineEquivalence:
         warp_size=st.integers(min_value=2, max_value=24),
         max_warps=st.integers(min_value=1, max_value=3),
         warp_barrier=st.booleans(),
+        coalesce_window=st.sampled_from([0, 1, 4, 32]),
         n_rays=st.integers(min_value=1, max_value=48),
     )
     def test_property_small_warp_configs(
         self, small_bvh, small_workload, warp_size, max_warps, warp_barrier,
-        n_rays,
+        coalesce_window, n_rays,
     ):
         rays = small_workload.rays.subset(range(n_rays))
         scalar, vector = run_both(
@@ -233,6 +234,7 @@ class TestEngineEquivalence:
                 warp_size=warp_size,
                 max_warps=max_warps,
                 warp_barrier=warp_barrier,
+                coalesce_window=coalesce_window,
             ),
         )
         assert scalar == vector

@@ -27,8 +27,8 @@ LENGTH_RATIOS = [0.05, 0.15, 0.25, 0.35]
 
 
 def _geo_speedups(ctx, configs):
-    """Geomean sweep-scene speedup for each config key, sharded by
-    ``REPRO_BENCH_JOBS`` through :func:`sweep_config_metrics`."""
+    """Geomean sweep-scene speedup for each config key, simulated in
+    ``ctx`` through :func:`sweep_config_metrics`."""
     metrics = sweep_config_metrics(
         list(configs.values()), SWEEP_SCENES, SWEEP_WORKLOAD, ctx=ctx
     )

@@ -13,15 +13,16 @@ Commands:
                       a run ledger over BENCH_*/SIM_*.json artifacts and
                       --compare diffs two runs (regression gate)
 
-Resilience (``simulate``): ``--resume`` continues a sweep from its
-checkpoint without re-running completed scenes; ``--supervise`` /
-``--max-retries`` / ``--unit-timeout`` / ``--memory-budget`` run each
-scene under the run supervisor (retry with backoff, then the
-wavefront -> predictor-off -> skip degradation ladder); ``--no-degrade``
-fails the sweep instead of degrading; ``--chaos-rate`` /
-``--force-fail`` inject synthetic unit faults for chaos testing.  ``bench``
-has none of these: a gate fails, it never degrades.  See
-docs/ROBUSTNESS.md.
+Resilience (``simulate``): every scene runs under the run supervisor
+(retry with backoff, then the wavefront -> predictor-off -> skip
+degradation ladder); ``--max-retries`` / ``--unit-timeout`` /
+``--memory-budget`` tune it and ``--no-degrade`` fails the sweep instead
+of degrading.  ``--resume`` continues a sweep from its checkpoint
+without re-running completed scenes; any resilience flag turns on the
+default checkpoint ``<out>/SIM_<name>.checkpoint.json``.
+``--chaos-rate`` / ``--force-fail`` inject synthetic unit faults for
+chaos testing.  ``bench`` has none of these: a gate fails, it never
+degrades.  See docs/ROBUSTNESS.md.
 
 The global ``--telemetry`` flag (or ``REPRO_TELEMETRY=1``) switches on
 metric/span collection for any command; the ``telemetry`` subcommand
@@ -155,21 +156,24 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 def _resilience_from_args(args: argparse.Namespace, default_checkpoint: str):
     """Build (ResilienceOptions | None, UnitFaultPlan | None) from CLI flags.
 
-    Supervision turns on when any resilience flag is present.
+    The sweep supervises every scene either way; ``None`` options mean
+    the defaults without a checkpoint.  Any resilience flag turns on the
+    default checkpoint.  A fault plan is built for any non-zero
+    ``--chaos-rate`` or any ``--force-fail``, so an out-of-range rate is
+    rejected rather than ignored.
     """
     from repro.faults import UnitFaultPlan
     from repro.resilience import ResilienceOptions
 
     fault_plan = None
-    if args.chaos_rate > 0.0 or args.force_fail:
+    if args.chaos_rate != 0.0 or args.force_fail:
         fault_plan = UnitFaultPlan(
             seed=args.chaos_seed,
             rate=args.chaos_rate,
             force_fail=UnitFaultPlan.parse_force_fail(args.force_fail or []),
         )
     requested = (
-        args.supervise
-        or args.resume
+        args.resume
         or args.no_degrade
         or args.checkpoint is not None
         or args.max_retries is not None
@@ -193,11 +197,8 @@ def _resilience_from_args(args: argparse.Namespace, default_checkpoint: str):
 
 def _add_resilience_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group(
-        "resilience", "supervised execution, checkpoint/resume, chaos testing"
+        "resilience", "supervisor tuning, checkpoint/resume, chaos testing"
     )
-    group.add_argument("--supervise", action="store_true",
-                       help="run each scene under the supervisor with the "
-                       "degradation ladder (implied by the flags below)")
     group.add_argument("--resume", action="store_true",
                        help="continue from the sweep checkpoint; completed "
                        "scenes are not re-run")
@@ -287,8 +288,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     options, fault_plan = _resilience_from_args(args, default_checkpoint)
     payload = run_simulation_sweep(
-        preset, options=options, fault_plan=fault_plan, progress=print,
-        jobs=args.jobs,
+        preset, options=options, fault_plan=fault_plan, progress=print
     )
     print(summarize_sweep(payload))
     path = os.path.join(args.out, f"SIM_{preset.name}.json")
@@ -490,10 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="delayed-update window for the predictor")
     simulate.add_argument("--out", default="results",
                           help="directory for the SIM_*.json artifact")
-    simulate.add_argument("--jobs", type=int, default=1, metavar="N",
-                          help="worker processes sharding the scene units "
-                          "(results are deterministic: the artifact matches "
-                          "--jobs 1)")
     _add_resilience_args(simulate)
 
     tele = sub.add_parser(

@@ -29,8 +29,6 @@ original value.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -206,63 +204,31 @@ class ConfigMetrics:
     verified_rate: float
 
 
-def _config_metrics(
-    ctx: "ExperimentContext",
-    config: Optional[PredictorConfig],
-    code: str,
-    params: WorkloadParams,
-    sort: bool,
-) -> ConfigMetrics:
-    base = ctx.baseline(code, params, sort)
-    pred = ctx.predicted(code, config, params, sort)
-    return ConfigMetrics(
-        speedup=base.cycles / pred.cycles,
-        predicted_rate=pred.predicted_rate,
-        verified_rate=pred.verified_rate,
-    )
-
-
-def _config_metrics_worker(task) -> ConfigMetrics:
-    """Worker for :func:`sweep_config_metrics` (module-level: picklable).
-
-    Each worker process keeps its own default context, so scenes, BVHs
-    and baseline simulations memoize across the tasks it is handed.
-    """
-    config, code, params, sort = task
-    return _config_metrics(get_default_context(), config, code, params, sort)
-
-
 def sweep_config_metrics(
     configs: Sequence[Optional[PredictorConfig]],
     scenes: Sequence[str] = SWEEP_SCENES,
     params: WorkloadParams = SWEEP_WORKLOAD,
     sort: bool = False,
-    jobs: Optional[int] = None,
     ctx: Optional["ExperimentContext"] = None,
 ) -> Dict[Tuple[Optional[PredictorConfig], str], ConfigMetrics]:
-    """Metrics for every (config, scene) pair, optionally across processes.
+    """Metrics for every (config, scene) pair.
 
-    ``jobs`` defaults to the ``REPRO_BENCH_JOBS`` environment variable
-    (1 when unset).  The timing simulation is deterministic, so the
-    sharded sweep returns exactly the serial results; serial runs reuse
-    the caller's context (or the process-wide default) so pytest-session
-    memoization still applies.
+    Simulations run in (and memoize into) ``ctx``, or the process-wide
+    default context when it is omitted, so a scene's baseline is shared
+    by every config and by later calls.
     """
-    if jobs is None:
-        jobs = int(os.environ.get("REPRO_BENCH_JOBS", "1") or "1")
-    tasks = [
-        (config, code, params, sort) for config in configs for code in scenes
-    ]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            metrics = list(pool.map(_config_metrics_worker, tasks))
-    else:
-        context = ctx if ctx is not None else get_default_context()
-        metrics = [_config_metrics(context, *task) for task in tasks]
-    return {
-        (config, code): metric
-        for (config, code, _, _), metric in zip(tasks, metrics)
-    }
+    context = ctx if ctx is not None else get_default_context()
+    metrics = {}
+    for config in configs:
+        for code in scenes:
+            base = context.baseline(code, params, sort)
+            pred = context.predicted(code, config, params, sort)
+            metrics[config, code] = ConfigMetrics(
+                speedup=base.cycles / pred.cycles,
+                predicted_rate=pred.predicted_rate,
+                verified_rate=pred.verified_rate,
+            )
+    return metrics
 
 
 _DEFAULT_CONTEXT: Optional[ExperimentContext] = None

@@ -102,6 +102,15 @@ class PredictorConfig:
     repack: bool = True
     extra_warps: int = 0
 
+    def __post_init__(self) -> None:
+        # The RT unit divides each lookup group by ``ports``, adds
+        # ``lookup_latency`` to it and sizes its ray buffer with
+        # ``extra_warps``.
+        least_values = (("ports", 1), ("lookup_latency", 0), ("extra_warps", 0))
+        for name, least in least_values:
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
+
     @property
     def hash_bits(self) -> int:
         """Width of the ray hash / tag (3 bits per origin axis)."""

@@ -449,8 +449,7 @@ class VectorRTUnit:
                 # Copied: the stepper consumes a lookup's nodes at
                 # admission, and a predictor may reuse the list it returned.
                 st.queue[r] = tuple(nodes)
-        ports = max(1, config.ports)
-        return (len(group) + ports - 1) // ports + config.lookup_latency
+        return (len(group) + config.ports - 1) // config.ports + config.lookup_latency
 
     def _verify(self, st: _VecState) -> None:
         """Trace every queued ray from its speculative stack, in one launch.

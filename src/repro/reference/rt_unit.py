@@ -391,8 +391,7 @@ class RTUnit:
                 thread.predicted = True
                 # On verification failure the sentinel triggers a root restart.
                 thread.stack = [_RESTART_SENTINEL] + list(reversed(nodes))
-        ports = max(1, config.ports)
-        return (len(group) + ports - 1) // ports + config.lookup_latency
+        return (len(group) + config.ports - 1) // config.ports + config.lookup_latency
 
     def _step_warp(self, warp: _Warp, now: int) -> _StepOutcome:
         """Service every thread of ``warp`` that is ready at cycle ``now``.

@@ -12,15 +12,15 @@ with an exit status of 0 and an honest account of what happened.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro import telemetry
 from repro.bvh import build_bvh
 from repro.core.simulate import simulate_baseline, simulate_predictor
+from repro.errors import InputValidationError
 from repro.faults.injector import UnitFaultPlan
 from repro.rays import generate_ao_workload
 from repro.resilience.checkpoint import SweepCheckpoint
@@ -28,7 +28,7 @@ from repro.resilience.degrade import PartialResultsManifest, UnitEntry
 from repro.resilience.supervisor import ResilienceOptions, RunSupervisor
 from repro.scenes import get_scene
 from repro.scenes.registry import scene_code
-from repro.telemetry import distributed
+from repro.telemetry.tracing import summarize_spans
 
 #: Artifact schema for ``SIM_<name>.json``.
 SIM_SCHEMA = "repro-sim-sweep/1"
@@ -96,57 +96,29 @@ def sim_fingerprint(preset: SimulatePreset) -> dict:
     return {"kind": "simulate", "preset": asdict(preset)}
 
 
-def _supervised_unit_worker(
-    preset: SimulatePreset,
-    code: str,
-    options: ResilienceOptions,
-    fault_plan: Optional[UnitFaultPlan],
-    telemetry_on: bool = False,
-    ambient_labels: Optional[Dict[str, str]] = None,
-) -> dict:
-    """One supervised scene unit in a ``--jobs`` worker process.
-
-    The telemetry snapshot is captured after the supervisor settles, so
-    a degraded or skipped unit still ships the partial metrics and
-    spans its attempts recorded.
-    """
-    distributed.init_worker(telemetry_on, ambient_labels)
-    supervisor = RunSupervisor.from_options(options)
-
-    def make_fn(rung: str):
-        def run() -> dict:
-            if fault_plan is not None:
-                fault_plan.check(code)
-            return _scene_result(preset, code, rung)
-
-        return run
-
-    outcome = supervisor.run_unit(code, make_fn)
-    return {
-        "row": outcome.value,
-        "entry": outcome.entry.to_dict(),
-        "supervisor": supervisor.describe(),
-        "telemetry": distributed.capture_snapshot(unit=code),
-    }
-
-
 def run_simulation_sweep(
     preset: SimulatePreset,
     options: Optional[ResilienceOptions] = None,
     fault_plan: Optional[UnitFaultPlan] = None,
     progress=None,
-    jobs: int = 1,
 ) -> dict:
     """Run the sweep; always returns a payload with a manifest.
 
     The ladder for a simulate unit: the predictor simulation, then the
-    predictor-disabled baseline, then skip.
-    With ``jobs > 1``, non-resumed units shard across worker processes
-    (each supervising its own unit); the parent checkpoints them as
-    they complete, so ``--jobs`` composes with ``--resume``.
+    predictor-disabled baseline, then skip.  Units run in scene order;
+    a unit the checkpoint already holds is resumed, not re-run.
     """
     say = progress or (lambda msg: None)
     options = options or ResilienceOptions()
+    if fault_plan is not None:
+        # A forced fault on a unit the sweep never runs injects nothing,
+        # and the chaos run would pass without testing anything.
+        unknown = sorted(set(fault_plan.force_fail) - set(preset.scenes))
+        if unknown:
+            raise InputValidationError(
+                f"force_fail names unit(s) {', '.join(unknown)} outside "
+                f"the sweep's scenes {', '.join(preset.scenes)}"
+            )
     supervisor = RunSupervisor.from_options(options)
     manifest = PartialResultsManifest()
     checkpoint: Optional[SweepCheckpoint] = None
@@ -162,61 +134,19 @@ def run_simulation_sweep(
                 f"({len(checkpoint.completed)} unit(s) already complete)"
             )
 
-    unit_rows: Dict[str, Optional[dict]] = {}
-    unit_entries: Dict[str, UnitEntry] = {}
-    pending: List[str] = []
+    rows: List[dict] = []
     for code in preset.scenes:
         if checkpoint is not None and checkpoint.has(code):
             stored = checkpoint.get(code)
-            unit_rows[code] = stored.get("row")
-            prior = stored.get("entry", {})
-            unit_entries[code] = UnitEntry(
+            row = stored.get("row")
+            entry = UnitEntry(
                 unit=code, status="resumed",
-                rung=prior.get("rung", "wavefront"), attempts=0,
+                rung=stored.get("entry", {}).get("rung", "wavefront"),
+                attempts=0,
             )
             telemetry.inc_counter("supervisor.checkpoint_hits", unit=code)
             say(f"[{code}] resumed from checkpoint (not re-run)")
-            continue
-        pending.append(code)
-
-    if jobs > 1 and len(pending) > 1:
-        telemetry_on = telemetry.enabled()
-        ambient = telemetry.current_labels() if telemetry_on else None
-        workers = min(jobs, len(pending))
-        say(f"sharding {len(pending)} scene unit(s) across {workers} workers")
-        unit_snapshots: Dict[str, Optional[dict]] = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(
-                    _supervised_unit_worker, preset, code, options,
-                    fault_plan, telemetry_on, ambient,
-                ): code
-                for code in pending
-            }
-            for future in as_completed(futures):
-                code = futures[future]
-                outcome = future.result()
-                unit_rows[code] = outcome["row"]
-                unit_entries[code] = UnitEntry(**outcome["entry"])
-                unit_snapshots[code] = outcome.get("telemetry")
-                for counter, value in outcome["supervisor"].items():
-                    if counter in supervisor.counters:
-                        supervisor.counters[counter] += value
-                supervisor.total_backoff_s += (
-                    outcome["supervisor"]["total_backoff_s"]
-                )
-                if checkpoint is not None:
-                    checkpoint.record(code, {
-                        "row": outcome["row"],
-                        "entry": outcome["entry"],
-                    })
-                say(f"[{code}] unit complete ({unit_entries[code].status})")
-        # Scene-order merge: counters commute, gauge last-write-wins
-        # does not, and scene order matches the serial semantics.
-        for code in preset.scenes:
-            distributed.absorb_snapshot(unit_snapshots.get(code))
-    else:
-        for code in pending:
+        else:
             def make_fn(rung: str, code: str = code):
                 def run() -> dict:
                     if fault_plan is not None:
@@ -226,26 +156,17 @@ def run_simulation_sweep(
                 return run
 
             outcome = supervisor.run_unit(code, make_fn, progress=say)
-            unit_entries[code] = outcome.entry
-            unit_rows[code] = outcome.value
-            if outcome.value is not None:
+            row, entry = outcome.value, outcome.entry
+            if row is not None:
                 say(
-                    f"[{code}] verified {outcome.value['verified_rate']:.1%} "
-                    f"memory savings {outcome.value['memory_savings']:+.1%}"
+                    f"[{code}] verified {row['verified_rate']:.1%} "
+                    f"memory savings {row['memory_savings']:+.1%}"
                 )
             if checkpoint is not None:
-                checkpoint.record(code, {
-                    "row": outcome.value,
-                    "entry": outcome.entry.to_dict(),
-                })
-
-    rows: List[dict] = []
-    for code in preset.scenes:
-        row = unit_rows.get(code)
+                checkpoint.record(code, {"row": row, "entry": entry.to_dict()})
         if row is not None:
             rows.append(row)
-        if code in unit_entries:
-            manifest.add(unit_entries[code])
+        manifest.add(entry)
 
     payload = {
         "schema": SIM_SCHEMA,
@@ -263,15 +184,12 @@ def run_simulation_sweep(
         },
     }
     if telemetry.enabled():
-        section = {
+        tracer = telemetry.get_tracer()
+        payload["telemetry"] = {
             "metrics": telemetry.get_registry().snapshot(),
-            "spans": distributed.merged_span_summary(),
-            "dropped_events": distributed.total_dropped_events(),
+            "spans": summarize_spans(tracer.events()),
+            "dropped_events": tracer.dropped,
         }
-        workers_info = distributed.worker_summary()
-        if workers_info:
-            section["workers"] = workers_info
-        payload["telemetry"] = section
     say(manifest.summary())
     return payload
 

@@ -13,7 +13,8 @@ One subsystem, three pillars (see ``docs/OBSERVABILITY.md``):
   JSON (``chrome://tracing`` / Perfetto);
 * **profiling** - :class:`~repro.telemetry.profiling.PhaseTimer` and the
   opt-in :class:`~repro.telemetry.profiling.SamplingProfiler` feed the
-  bench harness's ``telemetry`` section.
+  ``phases`` and ``profile`` sections of the ``repro telemetry``
+  artifact.
 
 Telemetry is **off by default** and the off path is designed to cost
 nearly nothing: every hook first checks :func:`enabled` (one global
@@ -63,17 +64,13 @@ class _TelemetryState:
     """Process-global switch + instruments (one per process)."""
 
     __slots__ = ("enabled", "registry", "tracer", "phase_timer",
-                 "worker_snapshots", "hook_activations")
+                 "hook_activations")
 
     def __init__(self) -> None:
         self.enabled = env_enabled(os.environ.get(ENV_VAR))
         self.registry = Registry()
         self.tracer = EventTracer()
         self.phase_timer = PhaseTimer()
-        # Snapshots absorbed from worker processes this run (see
-        # repro.telemetry.distributed) - kept so the stitched Chrome
-        # trace and per-worker accounting survive until reset.
-        self.worker_snapshots: List[dict] = []
         # How many times an introspection hook's enabled-branch ran.
         # The off-path overhead guard tests assert this stays zero with
         # telemetry off - a hook firing while disabled is a bug.
@@ -104,11 +101,10 @@ def disable() -> None:
 
 
 def reset_telemetry() -> None:
-    """Clear the registry, tracer, phase timer, and distributed state."""
+    """Clear the registry, tracer, phase timer, and label context."""
     _STATE.registry.reset()
     _STATE.tracer.reset()
     _STATE.phase_timer.reset()
-    _STATE.worker_snapshots.clear()
     _STATE.hook_activations = 0
     _CONTEXT_LABELS.clear()
 
@@ -138,18 +134,8 @@ def get_tracer() -> EventTracer:
 
 
 def get_phase_timer() -> PhaseTimer:
-    """The process-global phase timer (bench harness integration)."""
+    """The process-global phase timer (``repro telemetry``'s phases)."""
     return _STATE.phase_timer
-
-
-def worker_snapshots() -> List[dict]:
-    """Worker telemetry snapshots absorbed this run (oldest first)."""
-    return list(_STATE.worker_snapshots)
-
-
-def _append_worker_snapshot(snapshot: dict) -> None:
-    """Store an absorbed worker snapshot (distributed-merge internal)."""
-    _STATE.worker_snapshots.append(snapshot)
 
 
 def record_hook_activation(count: int = 1) -> None:
@@ -270,6 +256,5 @@ __all__ = [
     "set_gauge",
     "span",
     "summarize_spans",
-    "worker_snapshots",
     "write_chrome_trace",
 ]

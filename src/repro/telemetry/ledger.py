@@ -128,7 +128,7 @@ def ledger_entry(path: str, payload: Optional[dict] = None) -> dict:
     payload = payload if payload is not None else load_artifact(path)
     schema = payload.get("schema", "")
     kind = "bench" if schema.startswith("repro-bench/") else "simulate"
-    entry = {
+    return {
         "path": path,
         "kind": kind,
         "artifact_schema": schema,
@@ -139,10 +139,6 @@ def ledger_entry(path: str, payload: Optional[dict] = None) -> dict:
         "counters": _counter_totals(payload),
         "has_telemetry": "telemetry" in payload,
     }
-    workers = payload.get("telemetry", {}).get("workers")
-    if workers:
-        entry["worker_pids"] = sorted({w["pid"] for w in workers})
-    return entry
 
 
 def build_ledger(paths: Iterable[str]) -> dict:

@@ -138,13 +138,12 @@ class Histogram:
     ) -> None:
         """Fold another histogram's *raw* (non-cumulative) state in.
 
-        The merge primitive behind cross-process aggregation
-        (:mod:`repro.telemetry.distributed`): bucket counts add
-        element-wise, so the merged distribution is exactly what a single
-        process observing both streams would have recorded.  The caller
-        must de-cumulate exported ``le`` buckets first; a length mismatch
-        means the edges differ and the merge would misplace counts, so it
-        raises :class:`MetricError` instead.
+        :class:`~repro.telemetry.publish.LaneHistogram` and the
+        reuse-distance publisher count locally and fold their counts in
+        through this once per run.  Bucket counts add element-wise, so the
+        result is exactly what observing both streams here would have
+        recorded.  A length mismatch means the edges differ and the fold
+        would misplace counts, so it raises :class:`MetricError` instead.
         """
         if len(bucket_counts) != len(self.bucket_counts):
             raise MetricError(

@@ -3,8 +3,9 @@
 Two opt-in layers on top of the metrics/tracing pillars:
 
 * :class:`PhaseTimer` - coarse per-phase wall *and* CPU time, cheap
-  enough to leave on for every benchmark run; the bench harness embeds
-  its report in the ``telemetry`` section of ``BENCH_*.json``.
+  enough to leave on for a whole run; ``repro telemetry``
+  (:mod:`repro.telemetry.runner`) embeds its report as the ``phases``
+  section of ``telemetry.json``.
 * :class:`SamplingProfiler` - a zero-dependency statistical profiler: a
   background thread snapshots the target thread's stack via
   ``sys._current_frames()`` at a fixed interval and aggregates collapsed

@@ -21,7 +21,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 #: Default ring-buffer capacity (events); ~64k spans is hours of
 #: window-granularity tracing at simulator speeds.
@@ -42,29 +42,6 @@ class TraceEvent:
     @property
     def dur_ms(self) -> float:
         return self.dur_ns / 1e6
-
-    def to_dict(self) -> dict:
-        """JSON-safe form for cross-process transport (pickle-free)."""
-        return {
-            "name": self.name,
-            "phase": self.phase,
-            "ts_ns": self.ts_ns,
-            "dur_ns": self.dur_ns,
-            "tid": self.tid,
-            "args": dict(self.args),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "TraceEvent":
-        """Rebuild an event shipped as :meth:`to_dict` output."""
-        return cls(
-            name=str(data["name"]),
-            phase=str(data["phase"]),
-            ts_ns=int(data["ts_ns"]),  # type: ignore[arg-type]
-            dur_ns=int(data["dur_ns"]),  # type: ignore[arg-type]
-            tid=int(data["tid"]),  # type: ignore[arg-type]
-            args=dict(data.get("args") or {}),  # type: ignore[arg-type]
-        )
 
 
 class _NullSpan:
@@ -180,48 +157,31 @@ class EventTracer:
         The returned list is a valid JSON trace on its own (the viewer
         accepts a bare event array); it leads with a process-name
         metadata record, then every buffered event with microsecond
-        timestamps.
+        timestamps relative to the tracer epoch.
         """
-        return chrome_trace_events(self.events(), os.getpid(), process_name)
-
-
-def chrome_trace_events(
-    events: List[TraceEvent],
-    pid: int,
-    process_name: str,
-) -> List[dict]:
-    """Render one process's events as a Chrome ``trace_event`` row.
-
-    Shared by :meth:`EventTracer.chrome_trace` (the local process) and
-    the distributed stitcher, which re-emits shipped worker events under
-    the worker's original ``pid`` so every shard gets its own row in the
-    viewer.  Timestamps stay relative to each process's tracer epoch;
-    rows therefore align at zero, not at absolute wall-clock - adequate
-    for within-process attribution, documented in
-    ``docs/OBSERVABILITY.md``.
-    """
-    out: List[dict] = [{
-        "name": "process_name",
-        "ph": "M",
-        "pid": pid,
-        "tid": 0,
-        "args": {"name": process_name},
-    }]
-    for ev in events:
-        record = {
-            "name": ev.name,
-            "ph": ev.phase,
-            "ts": ev.ts_ns / 1e3,
+        pid = os.getpid()
+        out: List[dict] = [{
+            "name": "process_name",
+            "ph": "M",
             "pid": pid,
-            "tid": ev.tid,
-            "args": ev.args,
-        }
-        if ev.phase == "X":
-            record["dur"] = ev.dur_ns / 1e3
-        else:
-            record["s"] = "t"  # instant scope: thread
-        out.append(record)
-    return out
+            "tid": 0,
+            "args": {"name": process_name},
+        }]
+        for ev in self.events():
+            record = {
+                "name": ev.name,
+                "ph": ev.phase,
+                "ts": ev.ts_ns / 1e3,
+                "pid": pid,
+                "tid": ev.tid,
+                "args": ev.args,
+            }
+            if ev.phase == "X":
+                record["dur"] = ev.dur_ns / 1e3
+            else:
+                record["s"] = "t"  # instant scope: thread
+            out.append(record)
+        return out
 
 
 def summarize_spans(events: List[TraceEvent]) -> Dict[str, dict]:
@@ -268,7 +228,6 @@ __all__ = [
     "NULL_SPAN",
     "EventTracer",
     "TraceEvent",
-    "chrome_trace_events",
     "summarize_spans",
     "write_chrome_trace",
 ]

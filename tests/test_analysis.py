@@ -12,7 +12,11 @@ from repro.analysis import (
     scaled_predictor_config,
 )
 from repro.analysis.correlate import hardware_proxy_rays_per_cycle
-from repro.analysis.experiments import WorkloadParams
+from repro.analysis.experiments import (
+    ConfigMetrics,
+    WorkloadParams,
+    sweep_config_metrics,
+)
 from repro.analysis.stats import speedup
 
 
@@ -147,3 +151,30 @@ class TestExperimentContext:
     def test_speedup_positive(self, context):
         s = context.speedup("SP", params=self.PARAMS)
         assert s > 0.0
+
+    def test_sweep_config_metrics_simulates_in_given_context(self, monkeypatch):
+        import repro.analysis.experiments as experiments
+
+        ctx = ExperimentContext()
+        params = WorkloadParams(width=8, height=8, spp=1, detail=0.25)
+        configs = [
+            scaled_predictor_config(), scaled_predictor_config(go_up_level=1)
+        ]
+        metrics = sweep_config_metrics(configs, ["SB"], params, ctx=ctx)
+        assert list(metrics) == [(config, "SB") for config in configs]
+
+        # Every simulation landed in ctx: neither a repeat call nor ctx
+        # itself simulates again.
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated outside the given context")
+
+        monkeypatch.setattr(experiments, "simulate_workload", no_simulation)
+        assert sweep_config_metrics(configs, ["SB"], params, ctx=ctx) == metrics
+        base = ctx.baseline("SB", params)
+        for config in configs:
+            pred = ctx.predicted("SB", config, params)
+            assert metrics[config, "SB"] == ConfigMetrics(
+                speedup=base.cycles / pred.cycles,
+                predicted_rate=pred.predicted_rate,
+                verified_rate=pred.verified_rate,
+            )

@@ -227,11 +227,12 @@ class TestExitCodeContract:
         assert flag[0] in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", [
-        ["--artifact-cache", "{tmp}/bvh"],
-    ], ids=["artifact-cache"])
+        ["--artifact-cache", "{tmp}/bvh"], ["--jobs", "2"], ["--supervise"],
+    ], ids=["artifact-cache", "jobs", "supervise"])
     def test_removed_simulate_flags_exit_2(self, flag, tmp_path, capsys):
-        # Every scene unit builds its tree with build_bvh; there is no
-        # on-disk tree store to point at.
+        # Every scene unit builds its tree with build_bvh (there is no
+        # on-disk tree store to point at), the sweep runs in one process,
+        # and every sweep runs its scenes under the supervisor.
         from repro.errors import EXIT_USAGE
 
         flag = [arg.format(tmp=tmp_path) for arg in flag]
@@ -355,6 +356,24 @@ class TestExitCodeContract:
         assert result.returncode == EXIT_SWEEP
         assert "error:" in result.stderr
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--force-fail", "XX"], "XX"),
+        (["--chaos-rate", "-1"], "chaos rate must be in [0, 1]"),
+    ], ids=["unknown-unit", "negative-rate"])
+    def test_chaos_flags_that_inject_nothing_exit_4(
+        self, flags, message, tmp_path, capsys
+    ):
+        # A chaos run that can inject no fault would pass without testing
+        # anything: reject it before any unit runs.
+        from repro.errors import EXIT_INPUT
+
+        assert main([
+            "--detail", "0.2", "simulate", "--scenes", "SB", "--size", "8",
+            "--rays", "32", "--out", str(tmp_path), *flags,
+        ]) == EXIT_INPUT
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_corrupt_checkpoint_on_resume_exits_8(self, tmp_path):
         from repro.errors import EXIT_CHECKPOINT
 
@@ -375,7 +394,8 @@ class TestExitCodeContract:
         out = tmp_path / "results"
         first = _run_repro(
             "--detail", "0.2", "simulate", "--scenes", "SB",
-            "--size", "8", "--rays", "32", "--supervise",
+            "--size", "8", "--rays", "32",
+            "--checkpoint", str(out / "SIM_simulate.checkpoint.json"),
             "--out", str(out),
         )
         assert first.returncode == 0

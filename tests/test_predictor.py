@@ -33,6 +33,18 @@ class TestConfig:
         with pytest.raises(Exception):
             PredictorConfig().go_up_level = 5
 
+    @pytest.mark.parametrize("field, least", [
+        ("ports", 1), ("lookup_latency", 0), ("extra_warps", 0),
+    ])
+    def test_rejects_timing_values_below_range(self, field, least):
+        # Below these the RT unit cannot time a lookup or size its ray
+        # buffer.
+        with pytest.raises(ValueError, match=f"{field} must be >= {least}"):
+            PredictorConfig(**{field: least - 1})
+        with pytest.raises(ValueError, match=field):
+            PredictorConfig().with_overrides(**{field: least - 8})
+        assert getattr(PredictorConfig(**{field: least}), field) == least
+
 
 class TestPredictor:
     @pytest.fixture()

@@ -659,6 +659,33 @@ class TestSimulateSweep:
         assert units["SP"]["status"] == "ok"
         assert len(payload["results"]) == 2
 
+    def test_resume_reruns_only_missing_units(self, tmp_path):
+        ckpt_path = str(tmp_path / "sweep.ckpt.json")
+        full = run_simulation_sweep(
+            TINY_SIM, options=fast_options(checkpoint_path=ckpt_path)
+        )
+
+        # Emulate a mid-sweep kill: drop SP from the persisted state.
+        with open(ckpt_path) as handle:
+            state = json.load(handle)
+        assert set(state["completed"]) == {"SB", "SP"}
+        del state["completed"]["SP"]
+        with open(ckpt_path, "w") as handle:
+            json.dump(state, handle)
+
+        resumed = run_simulation_sweep(
+            TINY_SIM,
+            options=fast_options(checkpoint_path=ckpt_path, resume=True),
+        )
+        # SB came from the checkpoint, SP was re-run; the rows match the
+        # uninterrupted sweep's, in scene order.
+        statuses = {
+            entry["unit"]: entry["status"]
+            for entry in resumed["resilience"]["manifest"]["units"]
+        }
+        assert statuses == {"SB": "resumed", "SP": "ok"}
+        assert resumed["results"] == full["results"]
+
 
 # ----------------------------------------------------------------------
 # Artifact schema

@@ -126,6 +126,40 @@ class TestHistogram:
         with pytest.raises(MetricError):
             reg.histogram("h", buckets=(3.0, 4.0))
 
+    def test_histograms_union_raw_buckets(self):
+        reg = Registry()
+        hist = reg.histogram("lat", buckets=(1.0, 2.0, 4.0))
+        hist.observe(0.5)
+        hist.observe(3.0)
+        other = Registry().histogram("lat", buckets=(1.0, 2.0, 4.0))
+        other.observe(1.5)
+        other.observe(10.0)
+        hist.add_raw(
+            other.bucket_counts, other.count, other.sum, other.min, other.max
+        )
+        merged = reg.snapshot()["histograms"][0]
+        assert merged["count"] == 4
+        assert merged["sum"] == pytest.approx(15.0)
+        assert merged["min"] == 0.5
+        assert merged["max"] == 10.0
+        # Cumulative buckets over {0.5, 1.5, 3.0, 10.0}.
+        by_le = {b["le"]: b["count"] for b in merged["buckets"]}
+        assert by_le[1.0] == 1
+        assert by_le[2.0] == 2
+        assert by_le[4.0] == 3
+        assert by_le["inf"] == 4
+
+    def test_histogram_edge_mismatch_rejected(self):
+        hist = Registry().histogram("lat", buckets=(1.0, 2.0))
+        hist.observe(0.5)
+        other = Registry().histogram("lat", buckets=(1.0, 2.0, 4.0))
+        other.observe(0.5)
+        with pytest.raises(MetricError):
+            hist.add_raw(
+                other.bucket_counts, other.count, other.sum, other.min,
+                other.max,
+            )
+
 
 class TestTracer:
     def test_span_nesting_records_both(self):

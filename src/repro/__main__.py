@@ -7,22 +7,15 @@ Commands:
     faults SCENE      differential fault-injection oracle for a scene
     bench             production code on pinned seeds, BENCH_*.json
                       artifacts; --check gates them exactly
-    simulate          resilient multi-scene predictor sweep, SIM_*.json
+    simulate          multi-scene functional predictor sweep, SIM_*.json
     telemetry         instrumented run, telemetry.json + summary
     report            stitch results/*.txt into REPORT.md; --ledger builds
                       a run ledger over BENCH_*/SIM_*.json artifacts and
                       --compare diffs two runs (regression gate)
 
-Resilience (``simulate``): every scene runs under the run supervisor
-(retry with backoff, then the wavefront -> predictor-off -> skip
-degradation ladder); ``--max-retries`` / ``--unit-timeout`` /
-``--memory-budget`` tune it and ``--no-degrade`` fails the sweep instead
-of degrading.  ``--resume`` continues a sweep from its checkpoint
-without re-running completed scenes; any resilience flag turns on the
-default checkpoint ``<out>/SIM_<name>.checkpoint.json``.
-``--chaos-rate`` / ``--force-fail`` inject synthetic unit faults for
-chaos testing.  ``bench`` has none of these: a gate fails, it never
-degrades.  See docs/ROBUSTNESS.md.
+``simulate`` runs its scenes once each, in order, and writes
+``SIM_<name>.json`` only after the last one succeeded; a failing scene
+stops the sweep with its exit code.  See docs/ROBUSTNESS.md.
 
 The global ``--telemetry`` flag (or ``REPRO_TELEMETRY=1``) switches on
 metric/span collection for any command; the ``telemetry`` subcommand
@@ -33,16 +26,16 @@ The CLI is a thin veneer over the library; the benchmark harness under
 
 Failures map to distinct exit codes (see :mod:`repro.errors`): 3 scene
 loading, 4 invalid input, 5 traversal integrity, 6 watchdog, 7 oracle
-mismatch, 8 checkpoint, 9 unit timeout, 10 memory budget, 11 escaped
-injected fault, 12 sweep failed, 70 unexpected internal error.
-Structured errors print a one-line actionable message instead of a
-traceback.
+mismatch, 70 unexpected internal error.  Structured errors print a
+one-line actionable message instead of a traceback; an unexpected one
+prints its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from repro import telemetry
 from repro.analysis.experiments import (
@@ -153,82 +146,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resilience_from_args(args: argparse.Namespace, default_checkpoint: str):
-    """Build (ResilienceOptions | None, UnitFaultPlan | None) from CLI flags.
-
-    The sweep supervises every scene either way; ``None`` options mean
-    the defaults without a checkpoint.  Any resilience flag turns on the
-    default checkpoint.  A fault plan is built for any non-zero
-    ``--chaos-rate`` or any ``--force-fail``, so an out-of-range rate is
-    rejected rather than ignored.
-    """
-    from repro.faults import UnitFaultPlan
-    from repro.resilience import ResilienceOptions
-
-    fault_plan = None
-    if args.chaos_rate != 0.0 or args.force_fail:
-        fault_plan = UnitFaultPlan(
-            seed=args.chaos_seed,
-            rate=args.chaos_rate,
-            force_fail=UnitFaultPlan.parse_force_fail(args.force_fail or []),
-        )
-    requested = (
-        args.resume
-        or args.no_degrade
-        or args.checkpoint is not None
-        or args.max_retries is not None
-        or args.unit_timeout is not None
-        or args.memory_budget is not None
-        or fault_plan is not None
-    )
-    if not requested:
-        return None, None
-    options = ResilienceOptions(
-        checkpoint_path=args.checkpoint or default_checkpoint,
-        resume=args.resume,
-        max_retries=1 if args.max_retries is None else args.max_retries,
-        unit_timeout_s=args.unit_timeout,
-        memory_budget_mb=args.memory_budget,
-        degrade=not args.no_degrade,
-        seed=args.chaos_seed,
-    )
-    return options, fault_plan
-
-
-def _add_resilience_args(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group(
-        "resilience", "supervisor tuning, checkpoint/resume, chaos testing"
-    )
-    group.add_argument("--resume", action="store_true",
-                       help="continue from the sweep checkpoint; completed "
-                       "scenes are not re-run")
-    group.add_argument("--checkpoint", default=None, metavar="PATH",
-                       help="checkpoint file (default: <out>/<artifact>"
-                       ".checkpoint.json)")
-    group.add_argument("--max-retries", type=int, default=None,
-                       dest="max_retries", metavar="N",
-                       help="retries per ladder rung for transient failures "
-                       "(default 1)")
-    group.add_argument("--unit-timeout", type=float, default=None,
-                       dest="unit_timeout", metavar="SECONDS",
-                       help="wall-clock deadline per scene attempt")
-    group.add_argument("--memory-budget", type=float, default=None,
-                       dest="memory_budget", metavar="MB",
-                       help="peak-allocation budget per scene attempt")
-    group.add_argument("--no-degrade", action="store_true", dest="no_degrade",
-                       help="fail the sweep (exit 12) instead of walking the "
-                       "degradation ladder")
-    group.add_argument("--chaos-rate", type=float, default=0.0,
-                       dest="chaos_rate", metavar="P",
-                       help="per-attempt probability of an injected unit fault")
-    group.add_argument("--chaos-seed", type=int, default=0, dest="chaos_seed",
-                       help="seed for injected-fault and backoff schedules")
-    group.add_argument("--force-fail", action="append", default=None,
-                       dest="force_fail", metavar="UNIT[:COUNT]",
-                       help="force scene UNIT to fail its first COUNT "
-                       "attempts (COUNT omitted = always); repeatable")
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     import os
 
@@ -265,9 +182,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     import os
 
-    from repro.resilience.checkpoint import atomic_write_json
-    from repro.resilience.sweep import (
+    from repro.analysis.sweep import (
         SimulatePreset,
+        atomic_write_json,
         run_simulation_sweep,
         summarize_sweep,
     )
@@ -283,13 +200,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         sim_rays=args.rays,
         in_flight=args.in_flight,
     )
-    default_checkpoint = os.path.join(
-        args.out, f"SIM_{preset.name}.checkpoint.json"
-    )
-    options, fault_plan = _resilience_from_args(args, default_checkpoint)
-    payload = run_simulation_sweep(
-        preset, options=options, fault_plan=fault_plan, progress=print
-    )
+    payload = run_simulation_sweep(preset, progress=print)
     print(summarize_sweep(payload))
     path = os.path.join(args.out, f"SIM_{preset.name}.json")
     atomic_write_json(path, payload)
@@ -471,11 +382,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser(
         "simulate",
-        help="resilient multi-scene predictor sweep, emit SIM_*.json",
-        description="Run the functional predictor simulation across scenes "
-        "under the run supervisor: per-scene checkpointing, retry with "
-        "backoff, and the graceful-degradation ladder.  The SIM_<name>.json "
-        "artifact always carries a partial-results manifest.",
+        help="multi-scene functional predictor sweep, emit SIM_*.json",
+        description="Run the functional predictor simulation on each scene "
+        "once, in order, and write SIM_<name>.json after the last one "
+        "succeeds.  A failing scene stops the sweep with its exit code and "
+        "writes no artifact.",
     )
     simulate.add_argument("--name", default="simulate",
                           help="sweep name (artifact is SIM_<name>.json)")
@@ -490,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="delayed-update window for the predictor")
     simulate.add_argument("--out", default="results",
                           help="directory for the SIM_*.json artifact")
-    _add_resilience_args(simulate)
 
     tele = sub.add_parser(
         "telemetry",
@@ -572,6 +482,11 @@ def main(argv: list[str] | None = None) -> int:
         return exit_code_for(exc)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception:
+        # A bug, not an anticipated failure: keep the traceback, and exit
+        # 70 so a crash never reads as a failed gate (exit 1).
+        traceback.print_exc()
         return EXIT_INTERNAL
 
 

@@ -4,7 +4,8 @@ One driver per paper artifact lives in :mod:`repro.analysis.experiments`
 (the benchmarks under ``benchmarks/`` are thin wrappers); formatting and
 statistics helpers live in :mod:`repro.analysis.tables` and
 :mod:`repro.analysis.stats`; the Figure 11 hardware proxy lives in
-:mod:`repro.analysis.correlate`.
+:mod:`repro.analysis.correlate`; the ``repro simulate`` sweep lives in
+:mod:`repro.analysis.sweep`.
 """
 
 from repro.analysis.experiments import (

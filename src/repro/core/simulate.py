@@ -430,45 +430,3 @@ def simulate_predictor(
     publish_simulation_result(result, engine="wavefront")
     publish_table_stats(table, since=table_base, engine="wavefront")
     return result
-
-
-def simulate_baseline(bvh: FlatBVH, rays: RayBatch) -> SimulationResult:
-    """Predictor-disabled baseline: plain occlusion traversal, no table.
-
-    This is the ``predictor_off`` rung of the resilience degradation
-    ladder (see :mod:`repro.resilience.degrade`): when the functional
-    predictor simulation itself is what keeps failing, a sweep can
-    still report exact per-ray occlusion and traversal traffic from a
-    full traversal.  The numbers come from the memoized wavefront
-    baseline record (:mod:`repro.core.baseline`), so a stream the
-    predictor simulation already traced costs nothing here.
-    Predictor-side counters mirror the baseline ones (a disabled
-    predictor saves nothing) and the table counters are zero, so
-    downstream consumers see ``memory_savings == 0`` rather than a hole
-    in the artifact.
-    """
-    base = baseline_record(bvh, rays, "wavefront")
-    nodes = int(base.node_fetches.sum())
-    tris = int(base.tri_fetches.sum())
-    hit_mask = base.hit_tri >= 0
-    outcomes = [
-        PredictionOutcome(hit=bool(h), full_node_fetches=0, full_tri_fetches=0)
-        for h in hit_mask
-    ]
-    result = SimulationResult(
-        num_rays=len(rays),
-        predicted=0,
-        verified=0,
-        hits=int(np.count_nonzero(hit_mask)),
-        predictor_node_fetches=nodes,
-        predictor_tri_fetches=tris,
-        baseline_node_fetches=nodes,
-        baseline_tri_fetches=tris,
-        misprediction_node_fetches=0,
-        misprediction_tri_fetches=0,
-        table_lookups=0,
-        table_updates=0,
-        outcomes=outcomes,
-    )
-    publish_simulation_result(result, engine="wavefront")
-    return result

@@ -27,11 +27,6 @@ code  meaning
 5     traversal integrity violation
 6     simulation watchdog fired (stall / cycle cap)
 7     differential oracle found a mismatch
-8     checkpoint invalid, incompatible, or corrupt
-9     unit wall-clock deadline exceeded
-10    unit memory budget exceeded
-11    injected (synthetic) fault escaped the supervisor
-12    sweep failed with degradation disabled
 70    unexpected internal error
 ====  =============================================
 """
@@ -47,11 +42,6 @@ EXIT_INPUT = 4
 EXIT_TRAVERSAL = 5
 EXIT_WATCHDOG = 6
 EXIT_ORACLE = 7
-EXIT_CHECKPOINT = 8
-EXIT_TIMEOUT = 9
-EXIT_MEMORY = 10
-EXIT_INJECTED = 11
-EXIT_SWEEP = 12
 EXIT_INTERNAL = 70
 
 
@@ -145,117 +135,6 @@ class OracleMismatchError(ReproError):
     def __init__(self, message: str, mismatched_rays: Optional[Sequence[int]] = None) -> None:
         super().__init__(message)
         self.mismatched_rays = list(mismatched_rays) if mismatched_rays is not None else []
-
-
-class CheckpointError(ReproError):
-    """A sweep checkpoint could not be loaded or does not match the run.
-
-    Raised when ``--resume`` points at a file that is corrupt, carries
-    an unknown schema, or was written by a sweep with a different
-    fingerprint (preset, scenes, seed) - resuming it would silently mix
-    incompatible results.
-
-    Attributes:
-        path: the checkpoint file involved.
-    """
-
-    exit_code = EXIT_CHECKPOINT
-
-    def __init__(self, message: str, path: Optional[str] = None) -> None:
-        super().__init__(message)
-        self.path = path
-
-
-class UnitTimeoutError(ReproError):
-    """A supervised unit of work exceeded its wall-clock deadline.
-
-    The supervisor classifies this as *retryable* (a loaded host can
-    transiently starve a unit) and, once attempts are exhausted, as
-    *degradable*; it only escapes to the CLI when degradation is
-    disabled.
-
-    Attributes:
-        unit: the unit's name.
-        deadline_s: the deadline that expired.
-    """
-
-    exit_code = EXIT_TIMEOUT
-
-    def __init__(
-        self, message: str, unit: str = "?", deadline_s: float = 0.0
-    ) -> None:
-        super().__init__(message)
-        self.unit = unit
-        self.deadline_s = deadline_s
-
-
-class MemoryBudgetError(ReproError):
-    """A supervised unit of work allocated past its memory budget.
-
-    Classified as *degradable*, never retryable: the same unit at the
-    same rung will allocate the same frontier again, so the only useful
-    response is a lighter configuration (see the degradation ladder).
-
-    Attributes:
-        unit: the unit's name.
-        peak_mb: observed peak traced allocation in MiB.
-        budget_mb: the configured budget in MiB.
-    """
-
-    exit_code = EXIT_MEMORY
-
-    def __init__(
-        self,
-        message: str,
-        unit: str = "?",
-        peak_mb: float = 0.0,
-        budget_mb: float = 0.0,
-    ) -> None:
-        super().__init__(message)
-        self.unit = unit
-        self.peak_mb = peak_mb
-        self.budget_mb = budget_mb
-
-
-class InjectedFaultError(ReproError):
-    """A synthetic fault planted by the chaos machinery (``repro.faults``).
-
-    Exists so chaos runs exercise the *real* retry/degrade paths with an
-    error that is unambiguously synthetic; it reaching the CLI means the
-    supervisor failed to absorb a fault it was explicitly being tested
-    against.
-
-    Attributes:
-        unit: the unit the fault was planted in.
-        attempt: the attempt number the fault fired on.
-    """
-
-    exit_code = EXIT_INJECTED
-
-    def __init__(self, message: str, unit: str = "?", attempt: int = 0) -> None:
-        super().__init__(message)
-        self.unit = unit
-        self.attempt = attempt
-
-
-class SweepFailedError(ReproError):
-    """A resilient sweep could not produce a result for some unit.
-
-    Raised only when degradation is disabled (``--no-degrade``): with the
-    ladder active a failing unit always terminates in ``skip`` with a
-    manifest entry instead.
-
-    Attributes:
-        failed_units: names of the units that failed.
-    """
-
-    exit_code = EXIT_SWEEP
-
-    def __init__(
-        self, message: str, failed_units: Optional[Sequence[str]] = None
-    ) -> None:
-        super().__init__(message)
-        self.failed_units = list(failed_units) if failed_units is not None else []
 
 
 def exit_code_for(exc: BaseException) -> int:

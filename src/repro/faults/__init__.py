@@ -28,7 +28,6 @@ from repro.faults.injector import (
     FaultInjector,
     FaultyPredictor,
     InjectionRecord,
-    UnitFaultPlan,
 )
 from repro.faults.oracle import (
     DifferentialReport,
@@ -43,6 +42,5 @@ __all__ = [
     "FaultInjector",
     "FaultyPredictor",
     "InjectionRecord",
-    "UnitFaultPlan",
     "run_differential_oracle",
 ]

@@ -28,15 +28,14 @@ and numpy versions.
 
 from __future__ import annotations
 
-import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.predictor import RayPredictor
 from repro.core.table import NODE_INDEX_BITS, PredictorTable
-from repro.errors import InjectedFaultError, InputValidationError
+from repro.errors import InputValidationError
 from repro.geometry.ray import RayBatch
 from repro.geometry.triangle import TriangleMesh
 
@@ -300,94 +299,3 @@ class FaultyPredictor:
 
     def __getattr__(self, name: str):
         return getattr(self.inner, name)
-
-
-@dataclass
-class UnitFaultPlan:
-    """Deterministic unit-level chaos for resilient sweeps.
-
-    Where :class:`FaultInjector` corrupts *data* (table entries, rays,
-    geometry), this plan injects *unit failures*: before a supervised
-    unit of sweep work runs, :meth:`check` may raise a structured
-    :class:`~repro.errors.InjectedFaultError`, exercising the
-    supervisor's real retry/degrade paths.
-
-    Determinism: each unit gets its own ``Generator`` seeded from
-    ``(seed, crc32(unit name))``, so whether attempt *k* of unit *u*
-    fails is a pure function of the plan's seed - independent of unit
-    ordering, process, or numpy version.  ``force_fail`` entries fail a
-    unit's first ``count`` attempts unconditionally (``count < 0`` means
-    every attempt, driving the unit all the way down the ladder).
-
-    Attributes:
-        seed: seeds the per-unit failure draws.
-        rate: per-attempt failure probability for non-forced units.
-        force_fail: unit name -> number of leading attempts to fail.
-    """
-
-    seed: int = 0
-    rate: float = 0.0
-    force_fail: Dict[str, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.rate <= 1.0:
-            raise InputValidationError(
-                f"chaos rate must be in [0, 1], got {self.rate}"
-            )
-        self._attempts: Dict[str, int] = {}
-        self._rngs: Dict[str, np.random.Generator] = {}
-        self.injected = 0
-
-    def check(self, unit: str) -> None:
-        """Raise :class:`InjectedFaultError` when this attempt must fail."""
-        attempt = self._attempts.get(unit, 0) + 1
-        self._attempts[unit] = attempt
-        forced = self.force_fail.get(unit)
-        if forced is not None and (forced < 0 or attempt <= forced):
-            self.injected += 1
-            raise InjectedFaultError(
-                f"forced fault in unit {unit} (attempt {attempt})",
-                unit=unit, attempt=attempt,
-            )
-        if self.rate <= 0.0:
-            return
-        rng = self._rngs.get(unit)
-        if rng is None:
-            rng = np.random.default_rng(
-                [self.seed, zlib.crc32(unit.encode("utf-8"))]
-            )
-            self._rngs[unit] = rng
-        if float(rng.random()) < self.rate:
-            self.injected += 1
-            raise InjectedFaultError(
-                f"random fault in unit {unit} (attempt {attempt}, "
-                f"rate {self.rate})",
-                unit=unit, attempt=attempt,
-            )
-
-    def describe(self) -> dict:
-        """JSON-safe form for the artifact's resilience section."""
-        return {
-            "seed": self.seed,
-            "rate": self.rate,
-            "force_fail": dict(self.force_fail),
-            "injected": self.injected,
-        }
-
-    @classmethod
-    def parse_force_fail(cls, specs: Optional[List[str]]) -> Dict[str, int]:
-        """Parse CLI ``UNIT[:COUNT]`` specs (COUNT defaults to -1, always)."""
-        plan: Dict[str, int] = {}
-        for spec in specs or []:
-            unit, _, count = spec.partition(":")
-            if not unit:
-                raise InputValidationError(
-                    f"bad --force-fail spec {spec!r} (expected UNIT[:COUNT])"
-                )
-            try:
-                plan[unit] = int(count) if count else -1
-            except ValueError as exc:
-                raise InputValidationError(
-                    f"bad --force-fail count in {spec!r}: {count!r}"
-                ) from exc
-        return plan

@@ -25,6 +25,7 @@ from repro.bench.harness import (
     summarize,
 )
 from repro.bvh import build_bvh, compute_stats
+from repro.errors import TraversalError
 
 #: One tiny scene, tiny image: keeps the end-to-end test fast.
 TEST_PRESET = BenchPreset(
@@ -412,3 +413,51 @@ class TestCommittedBaselines:
         assert fetches == {
             "SP": (83456, 25905), "LR": (45462, 18131), "CK": (62506, 12461),
         }
+
+
+#: Tiny bench preset: two scenes, so a failure in the second one
+#: follows a completed first one.
+TINY_BENCH = BenchPreset(
+    name="resilience-test",
+    scenes=("SB", "SP"),
+    width=6,
+    height=6,
+    spp=1,
+    seed=1,
+    detail=0.25,
+)
+
+
+class TestBenchResilience:
+    """``repro bench`` is a gate: a failing scene fails the run."""
+
+    def test_legacy_path_unchanged_without_resilience(self):
+        payload = run_benchmarks(TINY_BENCH)
+        assert "resilience" not in payload
+        assert {r["scene"] for r in payload["results"]} == {"SB", "SP"}
+
+    def test_failure_propagates_instead_of_degrading(self, monkeypatch):
+        import repro.bench.harness as harness
+
+        real = harness._workload_records
+
+        def failing(preset, code, scene):
+            if code == "SP":
+                raise TraversalError("injected")
+            return real(preset, code, scene)
+
+        monkeypatch.setattr(harness, "_workload_records", failing)
+        with pytest.raises(TraversalError, match="injected"):
+            run_benchmarks(TINY_BENCH)
+
+
+class TestSchemaBump:
+    def test_bench_schema_is_v7_only(self, tmp_path):
+        import repro.bench
+
+        assert BENCH_SCHEMA == "repro-bench/7"
+        assert not hasattr(repro.bench, "ACCEPTED_SCHEMAS")
+        path = tmp_path / "BENCH_old.json"
+        path.write_text(json.dumps({"schema": "repro-bench/6", "results": []}))
+        with pytest.raises(ValueError, match="unsupported benchmark schema"):
+            load_payload(str(path))

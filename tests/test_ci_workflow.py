@@ -40,7 +40,7 @@ class TestWorkflowStructure:
     def test_parses_and_has_expected_jobs(self, workflow):
         assert set(workflow["jobs"]) == {
             "test", "lint", "benchmark-smoke", "telemetry-smoke",
-            "chaos-smoke", "timing-smoke", "build-smoke",
+            "timing-smoke", "build-smoke",
         }
 
     def test_python_matrix_spans_supported_range(self, workflow):
@@ -72,7 +72,7 @@ class TestWorkflowStructure:
                     line.strip() for line in script.splitlines()
                     if line.strip().startswith("python -m repro ")
                 ]
-        assert len(commands) >= 6
+        assert len(commands) >= 5
         for command in commands:
             build_parser().parse_args(shlex.split(command)[3:])
 
@@ -142,44 +142,6 @@ class TestBenchmarkGate:
 
     def test_text_mentions_tier1_invocation(self, workflow_text):
         assert "python -m pytest -x -q" in workflow_text
-
-
-class TestChaosGate:
-    def test_smoke_job_runs_supervised_sweep_with_faults(self, workflow):
-        runs = [
-            step.get("run", "")
-            for step in workflow["jobs"]["chaos-smoke"]["steps"]
-        ]
-        sweep = [r for r in runs if "repro simulate" in r]
-        assert sweep, "chaos-smoke must run a repro simulate sweep"
-        # The job only exercises the resilience layer if faults are
-        # actually injected.
-        assert any("--force-fail" in r for r in sweep)
-        assert any("--chaos-rate" in r for r in sweep)
-        # SB fails only its top rung's attempts, so a rung below the top
-        # produces a result in CI.
-        assert any(
-            "--force-fail SB:2" in r and "--max-retries 1" in r for r in sweep
-        )
-
-    def test_smoke_job_checks_manifest(self, workflow):
-        runs = [
-            step.get("run", "")
-            for step in workflow["jobs"]["chaos-smoke"]["steps"]
-        ]
-        # Exit 0 alone is not enough: the job must also assert the
-        # partial-results manifest recorded the degradation honestly.
-        assert any("manifest" in r for r in runs)
-        check = next(r for r in runs if 'units["SB"]' in r)
-        assert 'units["SB"]["rung"] == "predictor_off"' in check
-        assert 'rows["SB"]["predictor_enabled"] is False' in check
-
-    def test_uploads_artifact(self, workflow):
-        paths = [
-            step.get("with", {}).get("path", "")
-            for step in workflow["jobs"]["chaos-smoke"]["steps"]
-        ]
-        assert any("SIM_chaos.json" in p for p in paths)
 
 
 class TestTimingGate:

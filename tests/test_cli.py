@@ -174,11 +174,6 @@ class TestExitCodeContract:
             errors.TraversalError("x"): errors.EXIT_TRAVERSAL,
             errors.SimulationStallError("x"): errors.EXIT_WATCHDOG,
             errors.OracleMismatchError("x"): errors.EXIT_ORACLE,
-            errors.CheckpointError("x"): errors.EXIT_CHECKPOINT,
-            errors.UnitTimeoutError("x"): errors.EXIT_TIMEOUT,
-            errors.MemoryBudgetError("x"): errors.EXIT_MEMORY,
-            errors.InjectedFaultError("x"): errors.EXIT_INJECTED,
-            errors.SweepFailedError("x"): errors.EXIT_SWEEP,
             KeyError("x"): errors.EXIT_INPUT,
             ValueError("x"): errors.EXIT_INPUT,
             RuntimeError("x"): errors.EXIT_INTERNAL,
@@ -228,11 +223,18 @@ class TestExitCodeContract:
 
     @pytest.mark.parametrize("flag", [
         ["--artifact-cache", "{tmp}/bvh"], ["--jobs", "2"], ["--supervise"],
-    ], ids=["artifact-cache", "jobs", "supervise"])
+        ["--resume"], ["--checkpoint", "{tmp}/SIM_simulate.checkpoint.json"],
+        ["--max-retries", "1"], ["--unit-timeout", "5"],
+        ["--memory-budget", "100"], ["--no-degrade"], ["--chaos-rate", "0.1"],
+        ["--chaos-seed", "7"], ["--force-fail", "SB"],
+    ], ids=["artifact-cache", "jobs", "supervise", "resume", "checkpoint",
+            "max-retries", "unit-timeout", "memory-budget", "no-degrade",
+            "chaos-rate", "chaos-seed", "force-fail"])
     def test_removed_simulate_flags_exit_2(self, flag, tmp_path, capsys):
-        # Every scene unit builds its tree with build_bvh (there is no
-        # on-disk tree store to point at), the sweep runs in one process,
-        # and every sweep runs its scenes under the supervisor.
+        # Every scene builds its tree with build_bvh (there is no on-disk
+        # tree store to point at), and the sweep runs each scene once, in
+        # one process: no retries, deadlines, budgets, checkpoints or
+        # injected unit faults.
         from repro.errors import EXIT_USAGE
 
         flag = [arg.format(tmp=tmp_path) for arg in flag]
@@ -290,9 +292,8 @@ class TestExitCodeContract:
         ids=["size", "spp", "rays", "in-flight"],
     )
     def test_simulate_count_below_one_exits_4(self, tmp_path, flag, field):
-        # Rejected before the sweep: inside it every scene would be
-        # skipped, degrade to predictor_off or simulate no rays, and the
-        # sweep would still exit 0.
+        # Rejected before any scene runs: a scene would otherwise simulate
+        # no rays, and the sweep would still exit 0.
         from repro.errors import EXIT_INPUT
 
         counts = {"--size": "8", "--rays": "32", flag: "0"}
@@ -331,8 +332,8 @@ class TestExitCodeContract:
         assert not (tmp_path / "telemetry.json").exists()
 
     def test_simulate_unknown_scene_exits_4(self, tmp_path):
-        # Rejected before the sweep: inside it the scene would fail every
-        # attempt, be skipped, and the sweep would still exit 0.
+        # Rejected before any scene runs, so a typo at the end of the list
+        # costs none of the scenes before it.
         from repro.errors import EXIT_INPUT
 
         result = _run_repro(
@@ -344,77 +345,46 @@ class TestExitCodeContract:
         assert "Traceback" not in result.stderr
         assert not (tmp_path / "SIM_simulate.json").exists()
 
-    def test_no_degrade_forced_failure_exits_12(self, tmp_path):
-        from repro.errors import EXIT_SWEEP
-
-        result = _run_repro(
-            "--detail", "0.2", "simulate", "--scenes", "SB",
-            "--size", "8", "--rays", "32",
-            "--force-fail", "SB", "--no-degrade", "--max-retries", "0",
-            "--out", str(tmp_path),
-        )
-        assert result.returncode == EXIT_SWEEP
-        assert "error:" in result.stderr
-
-    @pytest.mark.parametrize("flags, message", [
-        (["--force-fail", "XX"], "XX"),
-        (["--chaos-rate", "-1"], "chaos rate must be in [0, 1]"),
-    ], ids=["unknown-unit", "negative-rate"])
-    def test_chaos_flags_that_inject_nothing_exit_4(
-        self, flags, message, tmp_path, capsys
-    ):
-        # A chaos run that can inject no fault would pass without testing
-        # anything: reject it before any unit runs.
-        from repro.errors import EXIT_INPUT
-
-        assert main([
-            "--detail", "0.2", "simulate", "--scenes", "SB", "--size", "8",
-            "--rays", "32", "--out", str(tmp_path), *flags,
-        ]) == EXIT_INPUT
-        assert message in capsys.readouterr().err
-        assert not list(tmp_path.iterdir())
-
-    def test_corrupt_checkpoint_on_resume_exits_8(self, tmp_path):
-        from repro.errors import EXIT_CHECKPOINT
-
-        checkpoint = tmp_path / "SIM_simulate.checkpoint.json"
-        checkpoint.write_text("{ not json")
-        result = _run_repro(
-            "--detail", "0.2", "simulate", "--scenes", "SB",
-            "--size", "8", "--rays", "32",
-            "--resume", "--checkpoint", str(checkpoint),
-            "--out", str(tmp_path),
-        )
-        assert result.returncode == EXIT_CHECKPOINT
-        assert "checkpoint" in result.stderr.lower()
-
-    def test_mismatched_fingerprint_on_resume_exits_8(self, tmp_path):
-        from repro.errors import EXIT_CHECKPOINT
-
-        out = tmp_path / "results"
-        first = _run_repro(
-            "--detail", "0.2", "simulate", "--scenes", "SB",
-            "--size", "8", "--rays", "32",
-            "--checkpoint", str(out / "SIM_simulate.checkpoint.json"),
-            "--out", str(out),
-        )
-        assert first.returncode == 0
-        # Same checkpoint, different sweep shape: refuse to mix results.
-        second = _run_repro(
-            "--detail", "0.2", "simulate", "--scenes", "SB", "SP",
-            "--size", "8", "--rays", "32", "--resume",
-            "--out", str(out),
-        )
-        assert second.returncode == EXIT_CHECKPOINT
-
     def test_successful_sweep_exits_0_with_manifest(self, tmp_path):
         result = _run_repro(
-            "--detail", "0.2", "simulate", "--scenes", "SB",
+            "--detail", "0.2", "simulate", "--scenes", "SB", "CK",
             "--size", "8", "--rays", "32",
-            "--force-fail", "SB:1",
             "--out", str(tmp_path),
         )
         assert result.returncode == 0, result.stderr
         payload = json.loads((tmp_path / "SIM_simulate.json").read_text())
-        manifest = payload["resilience"]["manifest"]
-        assert manifest["complete"]
+        assert payload["scenes"] == ["SB", "CK"]
+        rows = payload["results"]
+        assert [row["scene"] for row in rows] == ["SB", "CK"]
+        assert all(row["num_rays"] == 32 for row in rows)
+
+    @pytest.mark.parametrize("detail", ["0", "-1", "nan"])
+    def test_simulate_bad_detail_exits_4(self, detail, tmp_path, capsys):
+        # A scene that cannot be built ends the sweep: exit 4, no artifact.
+        from repro.errors import EXIT_INPUT
+
+        assert main([
+            "--detail", detail, "simulate", "--scenes", "SB", "--size", "8",
+            "--rays", "32", "--out", str(tmp_path),
+        ]) == EXIT_INPUT
+        assert "error: detail must be" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_unexpected_error_exits_70(self, tmp_path, capsys, monkeypatch):
+        # A bug is not a result: the sweep stops, main() prints the
+        # traceback and exits 70, which no failed gate (exit 1) shares.
+        import repro.analysis.sweep as sweep
+        from repro.errors import EXIT_INTERNAL
+
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("simulated bug")
+
+        monkeypatch.setattr(sweep, "simulate_predictor", broken)
+        assert main([
+            "--detail", "0.2", "simulate", "--scenes", "SB", "--size", "8",
+            "--rays", "32", "--out", str(tmp_path),
+        ]) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert "Traceback" in err
+        assert "ZeroDivisionError: simulated bug" in err
+        assert not list(tmp_path.iterdir())

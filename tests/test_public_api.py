@@ -77,7 +77,6 @@ class TestSingleTraversalEngine:
         ("repro.rays.reflection", "generate_reflection_rays"),
         ("repro.render", "render_ao"),
         ("repro.core.simulate", "simulate_predictor"),
-        ("repro.core.simulate", "simulate_baseline"),
         ("repro.faults", "run_differential_oracle"),
     ]
 
@@ -87,7 +86,7 @@ class TestSingleTraversalEngine:
         assert "engine" not in inspect.signature(func).parameters
 
     def test_presets_have_no_engine_field(self):
-        from repro.resilience.sweep import SimulatePreset
+        from repro.analysis.sweep import SimulatePreset
         from repro.telemetry.runner import TelemetryPreset
 
         for preset in (SimulatePreset, TelemetryPreset):

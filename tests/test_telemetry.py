@@ -8,11 +8,15 @@ instrumented pipeline decompose every traced ray exactly once.
 """
 
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.analysis.sweep import SimulatePreset, run_simulation_sweep
+from repro.bench.harness import BenchPreset, run_benchmarks
 from repro.telemetry.metrics import MetricError, Registry
 from repro.telemetry.profiling import PhaseTimer, SamplingProfiler
 from repro.telemetry.schema import TELEMETRY_SCHEMA, validate_telemetry
@@ -20,6 +24,29 @@ from repro.telemetry.tracing import (
     EventTracer,
     summarize_spans,
     write_chrome_trace,
+)
+
+#: Every bench family on one tiny scene.
+BENCH_PRESET = BenchPreset(
+    name="disttest",
+    scenes=("SB",),
+    width=6,
+    height=6,
+    spp=1,
+    seed=1,
+    detail=0.25,
+    benchmarks=("occlusion_trace", "rt_timing", "predictor_sim"),
+)
+
+#: Two tiny scenes, so a sweep artifact has two scene rows.
+SIM_PRESET = SimulatePreset(
+    name="disttest",
+    scenes=("SB", "CK"),
+    width=8,
+    height=8,
+    spp=1,
+    detail=0.25,
+    sim_rays=64,
 )
 
 
@@ -249,6 +276,18 @@ class TestOffPath:
                 labels = telemetry.current_labels({"stage": "x"})
         assert labels == {"scene": "LR", "run": "1", "stage": "x"}
 
+    def test_disabled_run_activates_zero_hooks(self):
+        """With telemetry off, the new introspection hooks never fire."""
+        assert not telemetry.enabled()
+        run_benchmarks(BENCH_PRESET)
+        run_simulation_sweep(SIM_PRESET)
+        assert telemetry.hook_activations() == 0
+
+    def test_enabled_run_activates_hooks(self):
+        telemetry.enable(reset=True)
+        run_benchmarks(BENCH_PRESET)
+        assert telemetry.hook_activations() > 0
+
 
 class TestProfiling:
     def test_phase_timer_accumulates(self):
@@ -263,8 +302,6 @@ class TestProfiling:
         assert report["build"]["cpu_s"] >= 0.0
 
     def test_sampling_profiler_smoke(self):
-        import time
-
         profiler = SamplingProfiler(interval_s=0.001)
         with profiler.profile():
             deadline = time.perf_counter() + 0.05
@@ -275,6 +312,63 @@ class TestProfiling:
         assert report["total_samples"] >= 1
         assert report["hot_functions"]
         assert all("frame" in e for e in report["hot_functions"])
+
+    def test_with_block_stops_sampler_on_exception(self):
+        profiler = SamplingProfiler(interval_s=0.001)
+        with pytest.raises(RuntimeError, match="workload"):
+            with profiler:
+                assert profiler._thread is not None
+                raise RuntimeError("workload failed")
+        assert profiler._thread is None
+
+    def test_with_block_stops_sampler_on_success(self):
+        with SamplingProfiler(interval_s=0.001) as profiler:
+            assert profiler._thread is not None
+        assert profiler._thread is None
+
+    def test_clean_stop_raises_nothing(self):
+        profiler = SamplingProfiler(interval_s=0.001)
+        profiler.start()
+        time.sleep(0.02)
+        profiler.stop()
+        assert profiler._thread is None
+
+    def test_wedged_thread_is_diagnosed(self, monkeypatch, caplog):
+        import logging
+
+        profiler = SamplingProfiler(interval_s=0.001)
+        release = threading.Event()
+        wedged = threading.Thread(
+            target=release.wait, name="repro-profiler", daemon=True
+        )
+        wedged.start()
+        profiler._thread = wedged
+        try:
+            with caplog.at_level(logging.WARNING, "repro.telemetry.profiling"):
+                with pytest.raises(RuntimeError, match="did not stop"):
+                    profiler.stop(join_timeout_s=0.01)
+            assert any("did not stop" in r.message for r in caplog.records)
+            assert profiler._thread is None  # still resets; stop is final
+
+            # The suppressing form logs but does not raise (used when an
+            # exception is already propagating out of profile()).
+            profiler._thread = wedged
+            profiler.stop(join_timeout_s=0.01, raise_on_leak=False)
+        finally:
+            release.set()
+
+    def test_profile_context_does_not_mask_workload_error(self, monkeypatch):
+        profiler = SamplingProfiler(interval_s=0.001)
+
+        def never_joins(self, timeout=None):
+            return None
+
+        with pytest.raises(ValueError, match="workload bug"):
+            with profiler.profile():
+                monkeypatch.setattr(
+                    threading.Thread, "join", never_joins
+                )
+                raise ValueError("workload bug")
 
 
 class TestTraversalStatsShim:

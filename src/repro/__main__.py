@@ -147,8 +147,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    import os
-
     from repro.bench import PRESETS, run_benchmarks, write_payload
     from repro.bench.harness import check_against_baselines, summarize
 
@@ -159,15 +157,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     path = write_payload(payload, args.out)
     print(f"wrote {path}")
     if args.trace_out:
-        import json
+        from repro.analysis.sweep import atomic_write_json
 
         events = telemetry.get_tracer().chrome_trace()
-        directory = os.path.dirname(args.trace_out)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(args.trace_out, "w", encoding="utf-8") as handle:
-            json.dump({"traceEvents": events}, handle)
-            handle.write("\n")
+        atomic_write_json(args.trace_out, {"traceEvents": events})
         print(f"wrote {args.trace_out} (open in chrome://tracing or Perfetto)")
     if args.check:
         problems = check_against_baselines(payload, args.baselines)
@@ -234,16 +227,11 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
     path = write_telemetry(payload, args.out)
     print(f"wrote {path}")
     if args.trace_out:
-        events = payload["trace_events"]
-        import json
-        import os
+        from repro.analysis.sweep import atomic_write_json
 
-        directory = os.path.dirname(args.trace_out)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(args.trace_out, "w", encoding="utf-8") as handle:
-            json.dump({"traceEvents": events}, handle)
-            handle.write("\n")
+        atomic_write_json(
+            args.trace_out, {"traceEvents": payload["trace_events"]}
+        )
         print(f"wrote {args.trace_out} (open in chrome://tracing or Perfetto)")
     if args.check:
         problems = validate_telemetry(payload)
@@ -284,15 +272,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
         rendered = render_trends(ledger)
         print(rendered)
         if args.ledger_out:
-            import json
-            import os
+            from repro.analysis.sweep import atomic_write_json
 
-            directory = os.path.dirname(args.ledger_out)
-            if directory:
-                os.makedirs(directory, exist_ok=True)
-            with open(args.ledger_out, "w", encoding="utf-8") as handle:
-                json.dump(ledger, handle, indent=2, sort_keys=True)
-                handle.write("\n")
+            atomic_write_json(args.ledger_out, ledger)
             print(f"wrote {args.ledger_out}")
         return 0
     from repro.analysis.report import write_report

@@ -60,9 +60,13 @@ class SimulatePreset:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         # An unknown scene raises KeyError (exit 4) before any scene runs.
-        object.__setattr__(
-            self, "scenes", tuple(scene_code(code) for code in self.scenes)
-        )
+        codes = tuple(scene_code(code) for code in self.scenes)
+        # A repeated scene would run twice and write two rows of one
+        # name, which the ledger collapses into one.
+        for i, code in enumerate(codes):
+            if code in codes[:i]:
+                raise ValueError(f"scene {code} is listed more than once")
+        object.__setattr__(self, "scenes", codes)
 
 
 def _scene_row(preset: SimulatePreset, code: str) -> dict:

@@ -7,42 +7,62 @@ by tree depth rather than node count - the same ray-stream discipline
 :mod:`repro.trace.wavefront` and :mod:`repro.gpu.vec_rt_unit` apply to
 traversal and timing.
 
-Per level, for all open segments of the shared triangle ``order`` array
-at once:
+The open segments' triangles travel with the frontier: one
+coordinate-major ``(9, t)`` block, rows ``[tri_lo xyz | centroid xyz |
+tri_hi xyz]``, plus the triangle ids, holds every triangle of every
+segment still to be split, segment after segment in frontier order.  It
+is filled once from the mesh, and per level, for all open segments at
+once:
 
-* segment geometry (centroid/tri bounds) is gathered once and reduced
-  with ``np.minimum.reduceat``/``np.maximum.reduceat`` at segment
-  offsets;
-* binned SAH evaluates every ``(segment, axis, bin)`` candidate with,
-  per axis, one ``np.bincount`` over ``bin * k + segment`` cells, the
-  scalar builder's own ``np.minimum.at``/``np.maximum.at`` fold for the
-  bin bounds (one coordinate at a time, in triangle order) and a
-  bin-by-bin prefix-union sweep over all ``k`` segments at once;
-* partitioning is a single stable ``np.lexsort`` on
-  ``(segment, go-right)`` keys (centroid or Morton keys for the
-  median/LBVH paths), so each segment is permuted exactly as the scalar
-  builder's per-node stable argsort would;
+* the planner reads the block's rows directly.  Binned SAH evaluates
+  every ``(segment, axis, bin)`` candidate with, per axis, one
+  ``np.bincount`` over ``bin * k + segment`` cells, the scalar builder's
+  own ``np.minimum.at``/``np.maximum.at`` fold for the bin bounds (one
+  coordinate at a time, in triangle order) and a bin-by-bin
+  prefix-union sweep over all ``k`` segments at once;
+* each planner returns its level's permutation of the block.  A binned
+  SAH segment is partitioned by counting: its left rows first, then its
+  right rows, each side in row order, with no sort.  Median and LBVH
+  segments keep a stable sort on their centroid or Morton keys;
+* one ``np.minimum.reduceat`` over rows 0-5 and one
+  ``np.maximum.reduceat`` over rows 3-8 of the permuted block, at the
+  child offsets, give every child's node bounds and the next level's
+  centroid bounds; the rows of children that are leaves then leave the
+  block, and their ids are written to the triangle ``order``;
 * children are emitted in BFS order and then renumbered to the scalar
   builders' DFS pre-order via interior-subtree counts, making the
   output :class:`~repro.bvh.nodes.FlatBVH` *array-identical* to the
-  scalar oracle (topology, triangle order, and bit-for-bit bounds).
+  scalar oracle (topology, triangle order, and bounds).
 
 Every floating-point expression mirrors the scalar code exactly: min/max
 reductions are exact, the SAH cost uses the same product/sum ordering,
-and all sorts are stable, so equality is bitwise rather than
-approximate.  The differential tests in ``tests/test_vector_build.py``
-assert this on all seven scenes and under Hypothesis-generated meshes.
+and every partition is stable, so bounds and costs equal the oracle's
+exactly rather than approximately.  One difference stays below
+equality: ``+0.0 == -0.0``, and a ``reduceat`` along a contiguous row
+folds in another order than the oracle's ``.min(axis=0)``, so a node
+whose extreme coordinate is reached by both zeros may store the other
+one.  Bounds only ever reach comparisons, so no traversal result can
+tell.  The differential tests in ``tests/test_vector_build.py`` assert
+equality on all seven scenes and under Hypothesis-generated meshes.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.bvh.nodes import FlatBVH
 from repro.geometry.morton import morton_codes
 from repro.geometry.triangle import TriangleMesh
+
+
+def _segment_starts(counts: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sum: where each of ``counts``' segments begins."""
+    offsets = np.zeros(counts.size, dtype=np.int64)
+    np.cumsum(counts[:-1], out=offsets[1:])
+    return offsets
+
 
 def concat_ranges(
     starts: np.ndarray, ends: np.ndarray
@@ -58,16 +78,18 @@ def concat_ranges(
     counts = ends - starts
     total = int(counts.sum())
     seg_of = np.repeat(np.arange(starts.size, dtype=np.int64), counts)
-    seg_offsets = np.zeros(starts.size, dtype=np.int64)
-    np.cumsum(counts[:-1], out=seg_offsets[1:])
+    seg_offsets = _segment_starts(counts)
     within = np.arange(total, dtype=np.int64) - seg_offsets[seg_of]
     positions = starts[seg_of] + within
     return positions, seg_of, counts, seg_offsets
 
 
-def _segment_surface_areas(extent: np.ndarray) -> np.ndarray:
-    """``aabb_surface_area`` for an ``(n, 3)`` extent array (non-empty)."""
-    ex, ey, ez = extent[:, 0], extent[:, 1], extent[:, 2]
+def _surface_areas(extent: np.ndarray) -> np.ndarray:
+    """``aabb_surface_area`` for a coordinate-major ``(3, ...)`` extent.
+
+    An empty box (extent ``-inf`` on every axis) comes out ``+inf``.
+    """
+    ex, ey, ez = extent
     return 2.0 * (ex * ey + ey * ez + ez * ex)
 
 
@@ -78,9 +100,10 @@ def _running_union_areas(bin_lo: np.ndarray,
     ``bin_lo``/``bin_hi`` are coordinate-major, ``(3, num_bins, k)``,
     and the union runs along axis 1.  Each step is the scalar
     ``_prefix_areas``'s ``accumulate`` step ``run[b] = min(run[b-1],
-    bin[b])``, taken for all ``k`` segments at once.  Empty prefixes
-    (all bins so far empty) come out as 0.0 exactly like the scalar
-    ``_prefix_areas``.
+    bin[b])``, taken for all ``k`` segments at once.  An empty prefix
+    (all bins so far empty) comes out ``+inf`` where the scalar one is
+    0.0; it only feeds costs whose count is 0, which the caller sets to
+    ``inf`` either way.
     """
     run_lo = np.empty_like(bin_lo)
     run_hi = np.empty_like(bin_hi)
@@ -89,10 +112,7 @@ def _running_union_areas(bin_lo: np.ndarray,
     for b in range(1, bin_lo.shape[1]):
         np.minimum(run_lo[:, b - 1], bin_lo[:, b], out=run_lo[:, b])
         np.maximum(run_hi[:, b - 1], bin_hi[:, b], out=run_hi[:, b])
-    ex, ey, ez = np.subtract(run_hi, run_lo, out=run_hi)
-    empty = (ex < 0.0) | (ey < 0.0) | (ez < 0.0)
-    area = 2.0 * (ex * ey + ey * ez + ez * ex)
-    return np.where(empty, 0.0, area)
+    return _surface_areas(np.subtract(run_hi, run_lo, out=run_hi))
 
 
 def _high_bit(x: np.ndarray) -> np.ndarray:
@@ -112,22 +132,24 @@ def _high_bit(x: np.ndarray) -> np.ndarray:
     return out
 
 
-class _LevelPlan:
+class _LevelPlan(NamedTuple):
     """One level's split decisions for every candidate segment.
 
-    ``keys`` is the per-triangle stable-sort key (constant within a
-    segment means "do not reorder"); ``leaf`` marks candidate segments
-    that become leaves anyway (SAH cost says stop); ``split_abs`` is the
-    absolute partition index into ``order`` for segments that do split.
+    ``perm`` reorders the level's block columns (``None``: keep the
+    order); it must leave the rows of ``leaf`` segments in place.
+    ``leaf`` marks candidate segments that become leaves anyway (SAH
+    cost says stop); ``split`` is, for the others, the number of rows
+    that go to the left child.
     """
 
-    __slots__ = ("keys", "leaf", "split_abs")
+    perm: Optional[np.ndarray]
+    leaf: np.ndarray
+    split: np.ndarray
 
-    def __init__(self, keys: np.ndarray, leaf: np.ndarray,
-                 split_abs: np.ndarray) -> None:
-        self.keys = keys
-        self.leaf = leaf
-        self.split_abs = split_abs
+
+def _pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``[a[0], b[0], a[1], b[1], ...]``: one (left, right) pair per row."""
+    return np.stack((a, b), axis=1).reshape(-1)
 
 
 class _VectorFrontierBuilder:
@@ -135,7 +157,7 @@ class _VectorFrontierBuilder:
 
     Subclasses implement :meth:`_plan_level`, which decides - for the
     whole frontier at once - which candidate segments become leaves,
-    where the rest split, and what key orders their triangles.
+    where the rest split, and how their rows are permuted.
     """
 
     def __init__(self, max_leaf_size: int = 4) -> None:
@@ -152,23 +174,39 @@ class _VectorFrontierBuilder:
         n = len(mesh)
         if n == 0:
             raise ValueError("cannot build a BVH over an empty mesh")
+        max_leaf = self.max_leaf_size
+        # The frontier block, filled row by row; the root's node and
+        # centroid bounds come from the mesh-order arrays before they go.
+        block = np.empty((9, n))
         tri_lo, tri_hi = mesh.bounds()
+        root_lo = tri_lo.min(axis=0)
+        root_hi = tri_hi.max(axis=0)
+        block[0:3] = tri_lo.T
+        block[6:9] = tri_hi.T
+        del tri_lo, tri_hi
         cents = mesh.centroids()
+        # Per candidate segment: lo6 = [node lo | centroid lo] and
+        # hi6 = [centroid hi | node hi], coordinate-major like the block.
+        lo6 = np.concatenate((root_lo, cents.min(axis=0)))[:, None]
+        hi6 = np.concatenate((cents.max(axis=0), root_hi))[:, None]
+        block[3:6] = cents.T
+        self._prepare(cents, root_lo, root_hi)
+        del cents
+        ids = np.arange(n, dtype=np.int64)
         order = np.arange(n, dtype=np.int64)
-        self._prepare(mesh, tri_lo, tri_hi)
 
         # BFS node arrays accumulate as per-level chunks; within a level
         # children appear in frontier order, so concatenation order ==
         # BFS id order.
-        lo_chunks = [tri_lo.min(axis=0)[None, :]]
-        hi_chunks = [tri_hi.max(axis=0)[None, :]]
+        lo_chunks = [root_lo[None, :]]
+        hi_chunks = [root_hi[None, :]]
         parent_chunks = [np.full(1, -1, dtype=np.int64)]
         level_chunks = [np.zeros(1, dtype=np.int64)]
         left_chunks, right_chunks = [], []
         first_chunks, count_chunks = [], []
 
         starts = np.zeros(1, dtype=np.int64)
-        ends = np.full(1, n, dtype=np.int64)
+        counts = np.full(1, n, dtype=np.int64)
         bfs_ids = np.zeros(1, dtype=np.int64)
         total_nodes = 1
         self.levels_built = 0
@@ -176,32 +214,53 @@ class _VectorFrontierBuilder:
         while starts.size:
             self.levels_built += 1
             k = starts.size
-            counts = ends - starts
-            leaf = counts <= self.max_leaf_size
-            cand = np.nonzero(~leaf)[0]
-            split_abs = np.zeros(k, dtype=np.int64)
+            # The block holds exactly the rows of the candidates, in
+            # frontier order.
+            leaf = counts <= max_leaf
+            cand = np.flatnonzero(~leaf)
+            split = np.zeros(k, dtype=np.int64)
             if cand.size:
-                pos, seg, _, seg_off = concat_ranges(starts[cand], ends[cand])
-                ids = order[pos]
-                plan = self._plan_level(
-                    ids, cents, tri_lo, tri_hi, seg, seg_off,
-                    starts[cand], counts[cand],
+                c_counts = counts[cand]
+                seg_off = _segment_starts(c_counts)
+                seg = np.repeat(
+                    np.arange(cand.size, dtype=np.int64), c_counts
                 )
-                # Segments the plan turned into leaves must not reorder:
-                # zero their keys so the stable sort is the identity.
-                keys = plan.keys
-                leaf_tris = plan.leaf[seg]
-                if leaf_tris.any():
-                    keys = keys.copy()
-                    keys[leaf_tris] = 0
-                # One stable sort partitions/permutes every splitting
-                # segment exactly as the scalar per-node argsort would.
-                perm = np.lexsort((keys, seg))
-                order[pos] = ids[perm]
+                plan = self._plan_level(
+                    block, ids, seg, seg_off, c_counts, lo6, hi6
+                )
+                if plan.perm is not None:
+                    block = np.take(block, plan.perm, axis=1)
+                    ids = np.take(ids, plan.perm)
+                c_split = np.where(plan.leaf, 0, plan.split)
                 leaf[cand[plan.leaf]] = True
-                split_abs[cand] = plan.split_abs
+                split[cand] = c_split
 
-            split_rows = np.nonzero(~leaf)[0]
+                # One (left, right) piece per candidate; a leaf
+                # candidate's rows all fall in its right piece.
+                piece_off = _pairs(seg_off, seg_off + c_split)
+                lo6 = np.minimum.reduceat(block[0:6], piece_off, axis=1)
+                hi6 = np.maximum.reduceat(block[3:9], piece_off, axis=1)
+                piece_counts = _pairs(c_split, c_counts - c_split)
+                splits = np.repeat(~plan.leaf, 2)
+                child_lo = lo6[0:3, splits].T
+                child_hi = hi6[3:6, splits].T
+                # Rows of the next level's candidates stay; the rest are
+                # in their final place and retire into `order`.
+                keep = splits & (piece_counts > max_leaf)
+                rows_kept = np.repeat(keep, piece_counts)
+                gone = ~keep
+                c_starts = starts[cand]
+                piece_starts = _pairs(c_starts, c_starts + c_split)[gone]
+                pos = concat_ranges(
+                    piece_starts, piece_starts + piece_counts[gone]
+                )[0]
+                order[pos] = ids[~rows_kept]
+                block = np.compress(rows_kept, block, axis=1)
+                ids = ids[rows_kept]
+                lo6 = lo6[:, keep]
+                hi6 = hi6[:, keep]
+
+            split_rows = np.flatnonzero(~leaf)
             s = split_rows.size
 
             first_chunk = np.where(leaf, starts, 0)
@@ -220,24 +279,6 @@ class _VectorFrontierBuilder:
             if not s:
                 break
 
-            # Emit children: bounds from one gather + segmented
-            # reduction over the freshly permuted order.
-            s_starts = starts[split_rows]
-            s_ends = ends[split_rows]
-            s_mids = split_abs[split_rows]
-            pos2, _, s_counts, seg_off2 = concat_ranges(s_starts, s_ends)
-            ids2 = order[pos2]
-            mids_rel = s_mids - s_starts
-            child_off = np.stack(
-                (seg_off2, seg_off2 + mids_rel), axis=1
-            ).reshape(-1)
-            child_lo = np.minimum.reduceat(
-                np.take(tri_lo, ids2, axis=0), child_off, axis=0
-            )
-            child_hi = np.maximum.reduceat(
-                np.take(tri_hi, ids2, axis=0), child_off, axis=0
-            )
-
             lo_chunks.append(child_lo)
             hi_chunks.append(child_hi)
             parent_chunks.append(np.repeat(bfs_ids[split_rows], 2))
@@ -245,8 +286,11 @@ class _VectorFrontierBuilder:
                 np.full(2 * s, self.levels_built, dtype=np.int64)
             )
 
-            starts = np.stack((s_starts, s_mids), axis=1).reshape(-1)
-            ends = np.stack((s_mids, s_ends), axis=1).reshape(-1)
+            s_starts = starts[split_rows]
+            s_counts = counts[split_rows]
+            s_split = split[split_rows]
+            starts = _pairs(s_starts, s_starts + s_split)
+            counts = _pairs(s_split, s_counts - s_split)
             bfs_ids = total_nodes + np.arange(2 * s, dtype=np.int64)
             total_nodes += 2 * s
 
@@ -294,12 +338,15 @@ class _VectorFrontierBuilder:
         )
 
     # ------------------------------------------------------------------
-    def _prepare(self, mesh: TriangleMesh, tri_lo: np.ndarray,
-                 tri_hi: np.ndarray) -> None:
+    def _prepare(self, cents: np.ndarray, root_lo: np.ndarray,
+                 root_hi: np.ndarray) -> None:
         """Per-build precomputation hook (LBVH computes Morton codes)."""
 
-    def _plan_level(self, ids, cents, tri_lo, tri_hi, seg, seg_off,
-                    starts, counts) -> _LevelPlan:
+    def _plan_level(self, block, ids, seg, seg_off, counts, lo6,
+                    hi6) -> _LevelPlan:
+        """Plan one level: ``block``/``ids`` hold the candidates' rows,
+        ``seg[j]`` owns row ``j``, segment ``i`` spans ``counts[i]`` rows
+        from ``seg_off[i]``, and ``lo6``/``hi6`` are its bounds."""
         raise NotImplementedError
 
 
@@ -349,31 +396,27 @@ def _dfs_preorder_renumber(left: np.ndarray, right: np.ndarray,
 class VectorMedianSplitBuilder(_VectorFrontierBuilder):
     """Level-synchronous twin of :class:`~repro.reference.bvh.MedianSplitBuilder`."""
 
-    def _plan_level(self, ids, cents, tri_lo, tri_hi, seg, seg_off,
-                    starts, counts):
-        c = np.take(cents, ids, axis=0)
-        c_lo = np.minimum.reduceat(c, seg_off, axis=0)
-        c_hi = np.maximum.reduceat(c, seg_off, axis=0)
-        extent = c_hi - c_lo
-        k = starts.size
-        axis = np.argmax(extent, axis=1)
-        spread = extent[np.arange(k), axis] > 0.0
+    def _plan_level(self, block, ids, seg, seg_off, counts, lo6, hi6):
+        extent = hi6[0:3] - lo6[3:6]
+        k = counts.size
+        axis = np.argmax(extent, axis=0)
+        spread = extent[axis, np.arange(k)] > 0.0
         keys = np.zeros(ids.size, dtype=np.float64)
-        live = spread[seg]
+        live = np.flatnonzero(np.repeat(spread, counts))
         # Degenerate segments (coincident centroids) keep their order
         # and still split at the median, exactly like the scalar path.
-        keys[live] = c[live, axis[seg[live]]]
-        leaf = np.zeros(k, dtype=bool)
-        split_abs = starts + counts // 2
-        return _LevelPlan(keys, leaf, split_abs)
+        keys[live] = block[3 + axis[seg[live]], live]
+        perm = np.lexsort((keys, seg))
+        return _LevelPlan(perm, np.zeros(k, dtype=bool), counts // 2)
 
 
 class VectorBinnedSAHBuilder(_VectorFrontierBuilder):
     """Level-synchronous twin of :class:`~repro.reference.bvh.BinnedSAHBuilder`.
 
     Evaluates every ``(segment, axis, bin)`` split candidate of the
-    frontier in one cost tensor; the flat C-order ``argmin`` reproduces
-    the scalar cross-axis strict-``<`` tie-breaking exactly.
+    frontier in one cost tensor; the first-minimum ``argmin`` over its
+    ``(axis, bin)`` rows reproduces the scalar cross-axis strict-``<``
+    tie-breaking exactly.
     """
 
     def __init__(
@@ -390,36 +433,31 @@ class VectorBinnedSAHBuilder(_VectorFrontierBuilder):
         self.traversal_cost = traversal_cost
         self.intersect_cost = intersect_cost
 
-    def _plan_level(self, ids, cents, tri_lo, tri_hi, seg, seg_off,
-                    starts, counts):
+    def _plan_level(self, block, ids, seg, seg_off, counts, lo6, hi6):
         nb = self.num_bins
-        k = starts.size
+        k = counts.size
         t = ids.size
-        # np.take gathers (t, 3) rows several times faster than fancy
-        # indexing does.
-        c = np.take(cents, ids, axis=0)
-        tl = np.take(tri_lo, ids, axis=0)
-        th = np.take(tri_hi, ids, axis=0)
-        c_lo = np.minimum.reduceat(c, seg_off, axis=0)
-        c_hi = np.maximum.reduceat(c, seg_off, axis=0)
-        extent = c_hi - c_lo
+        c_lo = lo6[3:6]
+        extent = hi6[0:3] - c_lo
 
         # Bin every centroid on all three axes; a flat axis (zero
         # centroid extent) puts everything in bin 0 and is masked below.
         live = extent > 0.0
-        scale = np.zeros((k, 3))
-        scale[live] = nb / extent[live]
-        bins = np.minimum(
-            ((c - np.take(c_lo, seg, axis=0))
-             * np.take(scale, seg, axis=0)).astype(np.int64),
-            nb - 1,
-        )
+        scale = np.zeros((3, k))
+        np.divide(nb, extent, out=scale, where=live)
+        rel = np.repeat(c_lo, counts, axis=1)
+        np.subtract(block[3:6], rel, out=rel)
+        rel *= np.repeat(scale, counts, axis=1)
+        bins = rel.astype(np.int64)
+        np.minimum(bins, nb - 1, out=bins)
+        del rel
 
-        cost = np.full((k, 3, nb - 1), np.inf)
+        cost = np.empty((3, nb - 1, k))
+        left_counts = np.empty((3, nb - 1, k), dtype=np.int64)
         for axis in range(3):
             # One cell per (bin, segment), bin-major so the running
             # unions sweep whole segment rows.
-            cell = bins[:, axis] * k + seg
+            cell = bins[axis] * k + seg
             bin_counts = np.bincount(cell, minlength=nb * k).reshape(nb, k)
             # Bin bounds: the scalar builder's own np.minimum.at /
             # np.maximum.at fold, one coordinate at a time, so every
@@ -428,37 +466,31 @@ class VectorBinnedSAHBuilder(_VectorFrontierBuilder):
             bin_lo = np.full((3, nb, k), np.inf)
             bin_hi = np.full((3, nb, k), -np.inf)
             for d in range(3):
-                np.minimum.at(bin_lo[d].reshape(-1), cell, tl[:, d])
-                np.maximum.at(bin_hi[d].reshape(-1), cell, th[:, d])
+                np.minimum.at(bin_lo[d].reshape(-1), cell, block[d])
+                np.maximum.at(bin_hi[d].reshape(-1), cell, block[6 + d])
 
-            left_counts = np.cumsum(bin_counts, axis=0)[:-1]
-            right_counts = counts - left_counts
+            lefts = np.cumsum(bin_counts, axis=0)[:-1]
+            rights = counts - lefts
             left_area = _running_union_areas(bin_lo, bin_hi)
             right_area = _running_union_areas(
                 bin_lo[:, ::-1], bin_hi[:, ::-1]
             )[::-1]
             with np.errstate(invalid="ignore"):
-                axis_cost = (
-                    left_area[:-1] * left_counts
-                    + right_area[1:] * right_counts
-                )
-            axis_cost = np.where(
-                (left_counts == 0) | (right_counts == 0), np.inf, axis_cost
-            )
-            axis_cost[:, ~live[:, axis]] = np.inf
-            cost[:, axis, :] = axis_cost.T
+                axis_cost = left_area[:-1] * lefts + right_area[1:] * rights
+            axis_cost[(lefts == 0) | (rights == 0)] = np.inf
+            axis_cost[:, ~live[axis]] = np.inf
+            cost[axis] = axis_cost
+            left_counts[axis] = lefts
 
-        flat_cost = cost.reshape(k, -1)
-        best_flat = np.argmin(flat_cost, axis=1)
-        best_cost = flat_cost[np.arange(k), best_flat]
+        best = np.argmin(cost.reshape(-1, k), axis=0)
+        best_axis = best // (nb - 1)
+        best_bin = best % (nb - 1)
+        segs = np.arange(k)
+        best_cost = cost[best_axis, best_bin, segs]
         has_split = np.isfinite(best_cost)
-        best_axis = best_flat // (nb - 1)
-        best_bin = best_flat % (nb - 1)
 
         # Leaf test against the cost of intersecting everything here.
-        p_lo = np.minimum.reduceat(tl, seg_off, axis=0)
-        p_hi = np.maximum.reduceat(th, seg_off, axis=0)
-        parent_area = _segment_surface_areas(p_hi - p_lo)
+        parent_area = _surface_areas(hi6[3:6] - lo6[0:3])
         leaf = np.zeros(k, dtype=bool)
         measurable = has_split & (parent_area > 0.0)
         if measurable.any():
@@ -471,26 +503,31 @@ class VectorBinnedSAHBuilder(_VectorFrontierBuilder):
                 counts[measurable] <= 2 * self.max_leaf_size
             )
 
-        bins_best = bins[np.arange(t), best_axis[seg]]
-        go_left = bins_best <= best_bin[seg]
-        n_left = np.bincount(seg[go_left], minlength=k)
-        splitting = has_split & ~leaf
-        one_sided = splitting & ((n_left == 0) | (n_left == counts))
-        binned = splitting & ~one_sided
+        # No one-sided fallback: a finite cost has both sides non-empty.
+        binned = has_split & ~leaf
+        n_left = left_counts[best_axis, best_bin, segs]
+        # ~has_split (flat centroid cloud): no reorder, forced median
+        # split, matching the scalar fallback.
+        split = np.where(binned, n_left, counts // 2)
+        if not binned.any():
+            return _LevelPlan(None, leaf, split)
 
-        keys = np.zeros(t, dtype=np.float64)
-        on_binned = binned[seg]
-        keys[on_binned] = (~go_left[on_binned]).astype(np.float64)
-        on_sided = one_sided[seg]
-        # Every candidate landed in one bin: fall back to the scalar
-        # path's stable centroid sort + median split.
-        keys[on_sided] = c[on_sided, best_axis[seg[on_sided]]]
-        # ~has_split (flat centroid cloud): keys stay 0 -> no reorder,
-        # forced median split, again matching the scalar fallback.
-
-        mid = starts + counts // 2
-        split_abs = np.where(binned, starts + n_left, mid)
-        return _LevelPlan(keys, leaf, split_abs)
+        # Partition by counting: in a binned segment the left rows go
+        # first and the right rows after, each side in row order; every
+        # other segment counts all its rows as left and stays in place.
+        # A flat take of each row's best-axis bin is several times
+        # faster than a 2-D fancy index.
+        go_left = np.take(
+            bins, np.repeat(best_axis * t, counts) + np.arange(t)
+        ) <= np.repeat(best_bin, counts)
+        go_left |= np.repeat(~binned, counts)
+        left_slot = np.arange(t) < np.repeat(
+            seg_off + np.where(binned, n_left, counts), counts
+        )
+        perm = np.empty(t, dtype=np.int64)
+        perm[left_slot] = np.flatnonzero(go_left)
+        perm[~left_slot] = np.flatnonzero(~go_left)
+        return _LevelPlan(perm, leaf, split)
 
 
 class VectorLBVHBuilder(_VectorFrontierBuilder):
@@ -506,17 +543,13 @@ class VectorLBVHBuilder(_VectorFrontierBuilder):
         self.bits = bits
         self._codes: np.ndarray | None = None
 
-    def _prepare(self, mesh: TriangleMesh, tri_lo: np.ndarray,
-                 tri_hi: np.ndarray) -> None:
-        self._codes = morton_codes(
-            mesh.centroids(), tri_lo.min(axis=0), tri_hi.max(axis=0),
-            bits=self.bits,
-        )
+    def _prepare(self, cents: np.ndarray, root_lo: np.ndarray,
+                 root_hi: np.ndarray) -> None:
+        self._codes = morton_codes(cents, root_lo, root_hi, bits=self.bits)
 
-    def _plan_level(self, ids, cents, tri_lo, tri_hi, seg, seg_off,
-                    starts, counts):
-        codes = self._codes[ids]
-        k = starts.size
+    def _plan_level(self, block, ids, seg, seg_off, counts, lo6, hi6):
+        codes = np.take(self._codes, ids)
+        k = counts.size
         first = np.minimum.reduceat(codes, seg_off)
         last = np.maximum.reduceat(codes, seg_off)
         distinct = first != last
@@ -529,15 +562,14 @@ class VectorLBVHBuilder(_VectorFrontierBuilder):
         below = codes < threshold[seg]
         n_below = np.bincount(seg[below], minlength=k)
 
-        mid = starts + counts // 2
-        split_abs = np.where(distinct, starts + n_below, mid)
+        mid = counts // 2
+        split = np.where(distinct, n_below, mid)
         # A split falling on a segment edge (possible when one code
         # dominates) degrades to the object median, like the scalar
         # clamp.
-        edge = (split_abs <= starts) | (split_abs >= starts + counts)
-        split_abs = np.where(edge, mid, split_abs)
-        leaf = np.zeros(k, dtype=bool)
-        return _LevelPlan(codes, leaf, split_abs)
+        split = np.where((split <= 0) | (split >= counts), mid, split)
+        perm = np.lexsort((codes, seg))
+        return _LevelPlan(perm, np.zeros(k, dtype=bool), split)
 
 
 def trees_identical(a, b) -> bool:

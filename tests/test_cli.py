@@ -345,6 +345,24 @@ class TestExitCodeContract:
         assert "Traceback" not in result.stderr
         assert not (tmp_path / "SIM_simulate.json").exists()
 
+    def test_simulate_repeated_scene_exits_4(self, tmp_path, capsys,
+                                             monkeypatch):
+        # `sb` is SB again: rejected before any scene runs, where it
+        # would otherwise simulate SB twice and write two SB rows.
+        from repro.analysis import sweep
+        from repro.errors import EXIT_INPUT
+
+        def no_scene(*args, **kwargs):
+            raise AssertionError("scene built before the list was checked")
+
+        monkeypatch.setattr(sweep, "get_scene", no_scene)
+        assert main([
+            "--detail", "0.2", "simulate", "--scenes", "SB", "sb",
+            "--size", "8", "--rays", "32", "--out", str(tmp_path),
+        ]) == EXIT_INPUT
+        assert "scene SB is listed more than once" in capsys.readouterr().err
+        assert not list(tmp_path.glob("SIM_*.json"))
+
     def test_successful_sweep_exits_0_with_manifest(self, tmp_path):
         result = _run_repro(
             "--detail", "0.2", "simulate", "--scenes", "SB", "CK",

@@ -78,6 +78,11 @@ class TestSimulateSweep:
         assert aliased == coded
 
 
+    @pytest.mark.parametrize("scenes", [("SB", "sb"), ("SB", "SB")])
+    def test_repeated_scene_rejected(self, scenes):
+        with pytest.raises(ValueError, match="scene SB is listed more"):
+            replace(SIM_PRESET, scenes=scenes)
+
 class TestSweepTelemetry:
     def test_results_bit_identical_telemetry_on_off(self):
         off = run_simulation_sweep(SIM_PRESET)

@@ -5,8 +5,8 @@ The package implements the paper's ray intersection predictor and every
 substrate it depends on, in pure Python:
 
 * :mod:`repro.geometry` - vectors, boxes, triangles, intersection tests;
-* :mod:`repro.scenes` - the seven stand-in benchmark scenes + OBJ I/O;
-* :mod:`repro.bvh` - SAH/median/LBVH builders, flat Aila-Laine nodes;
+* :mod:`repro.scenes` - the seven stand-in benchmark scenes;
+* :mod:`repro.bvh` - the binned SAH builder, flat Aila-Laine nodes;
 * :mod:`repro.rays` - cameras, AO workload generation, Morton sorting;
 * :mod:`repro.trace` - reference while-while traversal (Algorithm 1);
 * :mod:`repro.core` - the predictor: hashing, table, Go Up Level,
@@ -51,7 +51,6 @@ from repro.errors import (
     OracleMismatchError,
     RayValidationError,
     ReproError,
-    SceneLoadError,
     SimulationStallError,
     TraversalError,
     exit_code_for,
@@ -89,7 +88,6 @@ __all__ = [
     "RayBatchValidation",
     "RayValidationError",
     "ReproError",
-    "SceneLoadError",
     "SimulationStallError",
     "TraversalError",
     "EnergyModel",

@@ -9,9 +9,7 @@ Commands:
                       artifacts; --check gates them exactly
     simulate          multi-scene functional predictor sweep, SIM_*.json
     telemetry         instrumented run, telemetry.json + summary
-    report            stitch results/*.txt into REPORT.md; --ledger builds
-                      a run ledger over BENCH_*/SIM_*.json artifacts and
-                      --compare diffs two runs (regression gate)
+    report            stitch results/*.txt into REPORT.md
 
 ``simulate`` runs its scenes once each, in order, and writes
 ``SIM_<name>.json`` only after the last one succeeded; a failing scene
@@ -24,9 +22,9 @@ always collects and writes the artifact (see docs/OBSERVABILITY.md).
 The CLI is a thin veneer over the library; the benchmark harness under
 ``benchmarks/`` regenerates the paper's full tables and figures.
 
-Failures map to distinct exit codes (see :mod:`repro.errors`): 3 scene
-loading, 4 invalid input, 5 traversal integrity, 6 watchdog, 7 oracle
-mismatch, 70 unexpected internal error.  Structured errors print a
+Failures map to distinct exit codes (see :mod:`repro.errors`): 4
+invalid input, 5 traversal integrity, 6 watchdog, 7 oracle mismatch,
+70 unexpected internal error.  Structured errors print a
 one-line actionable message instead of a traceback; an unexpected one
 prints its traceback.
 """
@@ -150,6 +148,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.bench import PRESETS, run_benchmarks, write_payload
     from repro.bench.harness import check_against_baselines, summarize
 
+    if args.trace_out and not telemetry.enabled():
+        # Without telemetry no span is recorded: the trace would be empty.
+        raise ValueError("--trace-out requires --telemetry")
     payload = run_benchmarks(
         PRESETS[args.preset], scenes=args.scenes, progress=print
     )
@@ -245,38 +246,6 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    if args.compare:
-        from repro.telemetry.ledger import (
-            compare_runs,
-            counter_deltas,
-            load_artifact,
-            render_counter_deltas,
-        )
-
-        old_path, new_path = args.compare
-        old = load_artifact(old_path)
-        new = load_artifact(new_path)
-        print(f"comparing {old_path} (old) -> {new_path} (new)")
-        print(render_counter_deltas(counter_deltas(old, new)))
-        problems = compare_runs(old, new, tolerance=args.tolerance)
-        if problems:
-            for problem in problems:
-                print(f"REGRESSION: {problem}", file=sys.stderr)
-            return 1
-        print(f"regression check passed (tolerance {args.tolerance:.0%})")
-        return 0
-    if args.ledger:
-        from repro.telemetry.ledger import build_ledger, render_trends
-
-        ledger = build_ledger(args.ledger)
-        rendered = render_trends(ledger)
-        print(rendered)
-        if args.ledger_out:
-            from repro.analysis.sweep import atomic_write_json
-
-            atomic_write_json(args.ledger_out, ledger)
-            print(f"wrote {args.ledger_out}")
-        return 0
     from repro.analysis.report import write_report
 
     write_report(args.results, args.output)
@@ -410,29 +379,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser(
         "report",
-        help="collect results/ into REPORT.md, or index/compare artifacts",
-        description="Default mode stitches results/*.txt into REPORT.md. "
-        "--ledger indexes BENCH_*.json / SIM_*.json artifacts into a "
-        "repro-ledger/1 run ledger with per-scene trend tables; "
-        "--compare OLD NEW prints telemetry counter deltas between two "
-        "artifacts and exits 1 if the regression gate fires.",
+        help="collect results/ into REPORT.md",
+        description="Stitch results/*.txt into REPORT.md, in the paper's "
+        "order.  Exits 4 and writes nothing when --results is not a "
+        "directory or holds no .txt artifact.",
     )
     report.add_argument("--results", default="results")
     report.add_argument("--output", default="REPORT.md")
-    report.add_argument("--ledger", nargs="+", metavar="PATH", default=None,
-                        help="artifact files or directories to index into "
-                        "a run ledger (trend tables, oldest run first)")
-    report.add_argument("--ledger-out", default=None, dest="ledger_out",
-                        metavar="FILE",
-                        help="also write the repro-ledger/1 JSON here")
-    report.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
-                        default=None,
-                        help="diff two artifacts: counter deltas plus the "
-                        "regression gate (exit 1 on regression)")
-    report.add_argument("--tolerance", type=float, default=0.2,
-                        help="allowed relative rate drift when --compare "
-                        "diffs SIM artifacts (default 0.2); BENCH artifacts "
-                        "compare exactly")
     return parser
 
 

@@ -110,9 +110,7 @@ class ExperimentContext:
         """The (cached) SAH BVH for ``code``."""
         key = (code, detail)
         if key not in self._bvhs:
-            self._bvhs[key] = build_bvh(
-                self.scene(code, detail).mesh, method="sah"
-            )
+            self._bvhs[key] = build_bvh(self.scene(code, detail).mesh)
         return self._bvhs[key]
 
     def workload(

@@ -23,6 +23,7 @@ ARTIFACT_ORDER: List[Tuple[str, str]] = [
     ("tab04_energy", "Table 4 — energy breakdown"),
     ("tab05_equation1", "Table 5 — Equation 1 vs measurement"),
     ("tab06_table_size", "Table 6 — predictor table geometry"),
+    ("tab06_node_policy", "Section 6.1.3 — node replacement policies"),
     ("tab07_placement", "Table 7 — placement policies"),
     ("tab08a_grid_spherical", "Table 8a — Grid Spherical sweep"),
     ("tab08b_two_point", "Table 8b — Two Point sweep"),
@@ -85,6 +86,16 @@ def build_report(results_dir: str | os.PathLike, title: str = "Regenerated resul
 def write_report(
     results_dir: str | os.PathLike, output_path: str | os.PathLike
 ) -> None:
-    """Write :func:`build_report`'s output to ``output_path``."""
+    """Write :func:`build_report`'s output to ``output_path``.
+
+    Raises:
+        ValueError: before anything is written, if ``results_dir`` is not
+            a directory or holds no ``.txt`` artifact.  A report listing
+            every artifact as missing would silently replace a real one.
+    """
+    if not os.path.isdir(results_dir):
+        raise ValueError(f"{str(results_dir)!r} is not a directory")
+    if not collect_results(results_dir):
+        raise ValueError(f"{str(results_dir)!r} holds no .txt artifact")
     with open(output_path, "w", encoding="utf-8") as handle:
         handle.write(build_report(results_dir) + "\n")

@@ -62,7 +62,7 @@ class SimulatePreset:
         # An unknown scene raises KeyError (exit 4) before any scene runs.
         codes = tuple(scene_code(code) for code in self.scenes)
         # A repeated scene would run twice and write two rows of one
-        # name, which the ledger collapses into one.
+        # name, which a reader keying rows by scene collapses into one.
         for i, code in enumerate(codes):
             if code in codes[:i]:
                 raise ValueError(f"scene {code} is listed more than once")

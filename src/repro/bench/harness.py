@@ -15,8 +15,8 @@ preset's ``benchmarks`` selector picks the families:
 * ``predictor_sim`` - the functional predictor simulation at the
   default window (``predictor_sim``) and at window 8
   (``predictor_sim_w8``), where it speculates its verifications;
-* ``bvh_build`` - one build per method (``bvh_build_<method>``) and a
-  refit of the SAH tree on a jittered mesh (``bvh_refit``).
+* ``bvh_build`` - the SAH build (``bvh_build_sah``) and a refit of its
+  tree on a jittered mesh (``bvh_refit``).
 
 ``--check`` (:func:`check_against_baselines`) requires every baseline
 record to reappear with equal deterministic fields, and every predictor
@@ -71,8 +71,6 @@ class BenchPreset:
     detail: float
     #: Which benchmark families to run (see the module docstring).
     benchmarks: Tuple[str, ...] = ("occlusion_trace", "closest_trace")
-    #: Methods the ``bvh_build`` family builds, one record each.
-    build_methods: Tuple[str, ...] = ("sah", "median", "lbvh")
     #: Per-triangle jitter of the ``bvh_refit`` mesh (seeded by ``seed``).
     build_jitter: float = 0.05
 
@@ -202,25 +200,17 @@ def _tree_fields(tree) -> Tuple[int, int, Dict[str, float]]:
 
 
 def _build_records(preset: BenchPreset, code: str, mesh) -> List[BenchRecord]:
-    """One build per method, then a refit of the SAH tree."""
+    """The SAH build, then a refit of its tree."""
     n = len(mesh)
-    records: List[BenchRecord] = []
-    refit_base = None
-    for method in preset.build_methods:
-        record, tree = _timed(
-            f"bvh_build_{method}", code, n,
-            lambda: build_bvh(mesh, method=method), _tree_fields,
-        )
-        records.append(record)
-        if method == "sah" or refit_base is None:
-            refit_base = tree
-    deformed = jitter_mesh(refit_base.mesh, preset.build_jitter, seed=preset.seed)
-    record, _ = _timed(
-        "bvh_refit", code, n, lambda: refit_bvh(refit_base, deformed),
+    build, tree = _timed(
+        "bvh_build_sah", code, n, lambda: build_bvh(mesh), _tree_fields,
+    )
+    deformed = jitter_mesh(tree.mesh, preset.build_jitter, seed=preset.seed)
+    refit, _ = _timed(
+        "bvh_refit", code, n, lambda: refit_bvh(tree, deformed),
         lambda out: (0, 0, {"nodes": float(out.num_nodes)}),
     )
-    records.append(record)
-    return records
+    return [build, refit]
 
 
 def _workload_records(

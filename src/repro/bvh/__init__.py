@@ -13,11 +13,7 @@ from repro.bvh.nodes import NODE_SIZE_BYTES, TRIANGLE_SIZE_BYTES, FlatBVH
 from repro.bvh.refit import jitter_mesh, refit_bvh
 from repro.bvh.stats import BVHStats, compute_stats
 from repro.bvh.validate import validate_bvh
-from repro.bvh.vector import (
-    VectorBinnedSAHBuilder,
-    VectorLBVHBuilder,
-    VectorMedianSplitBuilder,
-)
+from repro.bvh.vector import VectorBinnedSAHBuilder
 
 __all__ = [
     "NODE_SIZE_BYTES",
@@ -25,8 +21,6 @@ __all__ = [
     "BVHStats",
     "FlatBVH",
     "VectorBinnedSAHBuilder",
-    "VectorLBVHBuilder",
-    "VectorMedianSplitBuilder",
     "build_bvh",
     "compute_stats",
     "jitter_mesh",

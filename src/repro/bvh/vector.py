@@ -20,17 +20,16 @@ once:
   own ``np.minimum.at``/``np.maximum.at`` fold for the bin bounds (one
   coordinate at a time, in triangle order) and a bin-by-bin
   prefix-union sweep over all ``k`` segments at once;
-* each planner returns its level's permutation of the block.  A binned
-  SAH segment is partitioned by counting: its left rows first, then its
-  right rows, each side in row order, with no sort.  Median and LBVH
-  segments keep a stable sort on their centroid or Morton keys;
+* the planner returns its level's permutation of the block.  A binned
+  segment is partitioned by counting: its left rows first, then its
+  right rows, each side in row order, with no sort;
 * one ``np.minimum.reduceat`` over rows 0-5 and one
   ``np.maximum.reduceat`` over rows 3-8 of the permuted block, at the
   child offsets, give every child's node bounds and the next level's
   centroid bounds; the rows of children that are leaves then leave the
   block, and their ids are written to the triangle ``order``;
 * children are emitted in BFS order and then renumbered to the scalar
-  builders' DFS pre-order via interior-subtree counts, making the
+  builder's DFS pre-order via interior-subtree counts, making the
   output :class:`~repro.bvh.nodes.FlatBVH` *array-identical* to the
   scalar oracle (topology, triangle order, and bounds).
 
@@ -53,7 +52,6 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from repro.bvh.nodes import FlatBVH
-from repro.geometry.morton import morton_codes
 from repro.geometry.triangle import TriangleMesh
 
 
@@ -115,23 +113,6 @@ def _running_union_areas(bin_lo: np.ndarray,
     return _surface_areas(np.subtract(run_hi, run_lo, out=run_hi))
 
 
-def _high_bit(x: np.ndarray) -> np.ndarray:
-    """Index of the highest set bit per element (``x`` uint64, > 0).
-
-    Branch-free shift ladder; entries that are 0 return 0 (callers mask
-    them out).  Exact for the full 63-bit Morton range - a float ``log2``
-    would misplace bits above 2**52.
-    """
-    out = np.zeros(x.shape, dtype=np.uint64)
-    v = x.copy()
-    for shift in (32, 16, 8, 4, 2, 1):
-        s = np.uint64(shift)
-        big = v >= (np.uint64(1) << s)
-        out[big] += s
-        v[big] >>= s
-    return out
-
-
 class _LevelPlan(NamedTuple):
     """One level's split decisions for every candidate segment.
 
@@ -152,18 +133,73 @@ def _pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack((a, b), axis=1).reshape(-1)
 
 
-class _VectorFrontierBuilder:
-    """Shared level-synchronous machinery for the vector builders.
+def _dfs_preorder_renumber(left: np.ndarray, right: np.ndarray,
+                           level: np.ndarray) -> np.ndarray:
+    """Map BFS node ids to the scalar builder's DFS pre-order numbering.
 
-    Subclasses implement :meth:`_plan_level`, which decides - for the
-    whole frontier at once - which candidate segments become leaves,
-    where the rest split, and how their rows are permuted.
+    The scalar ``BinnedSAHBuilder`` pops work left-first, allocating the
+    child pair of the ``k``-th interior node it pops (DFS pre-order) at
+    indices ``2k+1``/``2k+2``.  Reproduce that with two level passes:
+    a bottom-up pass counts interior nodes per subtree, a top-down pass
+    propagates each interior node's pre-order rank
+    (``rank(l) = rank(v) + 1``,
+    ``rank(r) = rank(v) + 1 + interior_count(l)``), and children then
+    renumber directly off their parent's rank.
+    """
+    n = left.size
+    new_idx = np.zeros(n, dtype=np.int64)
+    if n == 1:
+        return new_idx
+    interior = left >= 0
+    by_level = np.argsort(level, kind="stable")
+    level_counts = np.bincount(level)
+    level_ends = np.cumsum(level_counts)
+    max_level = level_counts.size - 1
+
+    icount = np.zeros(n, dtype=np.int64)
+    rank = np.zeros(n, dtype=np.int64)
+    for d in range(max_level, -1, -1):
+        nodes = by_level[level_ends[d] - level_counts[d]:level_ends[d]]
+        ints = nodes[interior[nodes]]
+        if ints.size:
+            icount[ints] = 1 + icount[left[ints]] + icount[right[ints]]
+    for d in range(max_level):
+        nodes = by_level[level_ends[d] - level_counts[d]:level_ends[d]]
+        ints = nodes[interior[nodes]]
+        if ints.size:
+            le = left[ints]
+            ri = right[ints]
+            rank[le] = rank[ints] + 1
+            rank[ri] = rank[ints] + 1 + icount[le]
+            new_idx[le] = 2 * rank[ints] + 1
+            new_idx[ri] = 2 * rank[ints] + 2
+    return new_idx
+
+
+class VectorBinnedSAHBuilder:
+    """Level-synchronous twin of :class:`~repro.reference.bvh.BinnedSAHBuilder`.
+
+    Evaluates every ``(segment, axis, bin)`` split candidate of the
+    frontier in one cost tensor; the first-minimum ``argmin`` over its
+    ``(axis, bin)`` rows reproduces the scalar cross-axis strict-``<``
+    tie-breaking exactly.
     """
 
-    def __init__(self, max_leaf_size: int = 4) -> None:
+    def __init__(
+        self,
+        max_leaf_size: int = 4,
+        num_bins: int = 16,
+        traversal_cost: float = 1.0,
+        intersect_cost: float = 1.0,
+    ) -> None:
         if max_leaf_size < 1:
             raise ValueError("max_leaf_size must be >= 1")
+        if num_bins < 2:
+            raise ValueError("num_bins must be >= 2")
         self.max_leaf_size = max_leaf_size
+        self.num_bins = num_bins
+        self.traversal_cost = traversal_cost
+        self.intersect_cost = intersect_cost
         #: Frontier passes executed by the last :meth:`build` call
         #: (== max tree depth + 1); feeds the ``bvh.build_levels``
         #: telemetry counter.
@@ -190,7 +226,6 @@ class _VectorFrontierBuilder:
         lo6 = np.concatenate((root_lo, cents.min(axis=0)))[:, None]
         hi6 = np.concatenate((cents.max(axis=0), root_hi))[:, None]
         block[3:6] = cents.T
-        self._prepare(cents, root_lo, root_hi)
         del cents
         ids = np.arange(n, dtype=np.int64)
         order = np.arange(n, dtype=np.int64)
@@ -226,7 +261,7 @@ class _VectorFrontierBuilder:
                     np.arange(cand.size, dtype=np.int64), c_counts
                 )
                 plan = self._plan_level(
-                    block, ids, seg, seg_off, c_counts, lo6, hi6
+                    block, seg, seg_off, c_counts, lo6, hi6
                 )
                 if plan.perm is not None:
                     block = np.take(block, plan.perm, axis=1)
@@ -337,106 +372,14 @@ class _VectorFrontierBuilder:
             tri_indices=order,
         )
 
-    # ------------------------------------------------------------------
-    def _prepare(self, cents: np.ndarray, root_lo: np.ndarray,
-                 root_hi: np.ndarray) -> None:
-        """Per-build precomputation hook (LBVH computes Morton codes)."""
-
-    def _plan_level(self, block, ids, seg, seg_off, counts, lo6,
+    def _plan_level(self, block, seg, seg_off, counts, lo6,
                     hi6) -> _LevelPlan:
-        """Plan one level: ``block``/``ids`` hold the candidates' rows,
+        """Plan one level: ``block`` holds the candidates' rows,
         ``seg[j]`` owns row ``j``, segment ``i`` spans ``counts[i]`` rows
         from ``seg_off[i]``, and ``lo6``/``hi6`` are its bounds."""
-        raise NotImplementedError
-
-
-def _dfs_preorder_renumber(left: np.ndarray, right: np.ndarray,
-                           level: np.ndarray) -> np.ndarray:
-    """Map BFS node ids to the scalar builders' DFS pre-order numbering.
-
-    The scalar ``_TopDownBuilder`` pops work left-first, allocating the
-    child pair of the ``k``-th interior node it pops (DFS pre-order) at
-    indices ``2k+1``/``2k+2``.  Reproduce that with two level passes:
-    a bottom-up pass counts interior nodes per subtree, a top-down pass
-    propagates each interior node's pre-order rank
-    (``rank(l) = rank(v) + 1``,
-    ``rank(r) = rank(v) + 1 + interior_count(l)``), and children then
-    renumber directly off their parent's rank.
-    """
-    n = left.size
-    new_idx = np.zeros(n, dtype=np.int64)
-    if n == 1:
-        return new_idx
-    interior = left >= 0
-    by_level = np.argsort(level, kind="stable")
-    level_counts = np.bincount(level)
-    level_ends = np.cumsum(level_counts)
-    max_level = level_counts.size - 1
-
-    icount = np.zeros(n, dtype=np.int64)
-    rank = np.zeros(n, dtype=np.int64)
-    for d in range(max_level, -1, -1):
-        nodes = by_level[level_ends[d] - level_counts[d]:level_ends[d]]
-        ints = nodes[interior[nodes]]
-        if ints.size:
-            icount[ints] = 1 + icount[left[ints]] + icount[right[ints]]
-    for d in range(max_level):
-        nodes = by_level[level_ends[d] - level_counts[d]:level_ends[d]]
-        ints = nodes[interior[nodes]]
-        if ints.size:
-            le = left[ints]
-            ri = right[ints]
-            rank[le] = rank[ints] + 1
-            rank[ri] = rank[ints] + 1 + icount[le]
-            new_idx[le] = 2 * rank[ints] + 1
-            new_idx[ri] = 2 * rank[ints] + 2
-    return new_idx
-
-
-class VectorMedianSplitBuilder(_VectorFrontierBuilder):
-    """Level-synchronous twin of :class:`~repro.reference.bvh.MedianSplitBuilder`."""
-
-    def _plan_level(self, block, ids, seg, seg_off, counts, lo6, hi6):
-        extent = hi6[0:3] - lo6[3:6]
-        k = counts.size
-        axis = np.argmax(extent, axis=0)
-        spread = extent[axis, np.arange(k)] > 0.0
-        keys = np.zeros(ids.size, dtype=np.float64)
-        live = np.flatnonzero(np.repeat(spread, counts))
-        # Degenerate segments (coincident centroids) keep their order
-        # and still split at the median, exactly like the scalar path.
-        keys[live] = block[3 + axis[seg[live]], live]
-        perm = np.lexsort((keys, seg))
-        return _LevelPlan(perm, np.zeros(k, dtype=bool), counts // 2)
-
-
-class VectorBinnedSAHBuilder(_VectorFrontierBuilder):
-    """Level-synchronous twin of :class:`~repro.reference.bvh.BinnedSAHBuilder`.
-
-    Evaluates every ``(segment, axis, bin)`` split candidate of the
-    frontier in one cost tensor; the first-minimum ``argmin`` over its
-    ``(axis, bin)`` rows reproduces the scalar cross-axis strict-``<``
-    tie-breaking exactly.
-    """
-
-    def __init__(
-        self,
-        max_leaf_size: int = 4,
-        num_bins: int = 16,
-        traversal_cost: float = 1.0,
-        intersect_cost: float = 1.0,
-    ) -> None:
-        super().__init__(max_leaf_size=max_leaf_size)
-        if num_bins < 2:
-            raise ValueError("num_bins must be >= 2")
-        self.num_bins = num_bins
-        self.traversal_cost = traversal_cost
-        self.intersect_cost = intersect_cost
-
-    def _plan_level(self, block, ids, seg, seg_off, counts, lo6, hi6):
         nb = self.num_bins
         k = counts.size
-        t = ids.size
+        t = block.shape[1]
         c_lo = lo6[3:6]
         extent = hi6[0:3] - c_lo
 
@@ -530,54 +473,12 @@ class VectorBinnedSAHBuilder(_VectorFrontierBuilder):
         return _LevelPlan(perm, leaf, split)
 
 
-class VectorLBVHBuilder(_VectorFrontierBuilder):
-    """Level-synchronous twin of :class:`~repro.reference.bvh.LBVHBuilder`.
-
-    Keys every segment by raw uint64 Morton codes (never cast to float:
-    codes reach ``3 * bits`` bits and would lose exactness past 2**52)
-    and finds each segment's highest differing bit with a shift ladder.
-    """
-
-    def __init__(self, max_leaf_size: int = 4, bits: int = 10) -> None:
-        super().__init__(max_leaf_size=max_leaf_size)
-        self.bits = bits
-        self._codes: np.ndarray | None = None
-
-    def _prepare(self, cents: np.ndarray, root_lo: np.ndarray,
-                 root_hi: np.ndarray) -> None:
-        self._codes = morton_codes(cents, root_lo, root_hi, bits=self.bits)
-
-    def _plan_level(self, block, ids, seg, seg_off, counts, lo6, hi6):
-        codes = np.take(self._codes, ids)
-        k = counts.size
-        first = np.minimum.reduceat(codes, seg_off)
-        last = np.maximum.reduceat(codes, seg_off)
-        distinct = first != last
-
-        diff_bit = _high_bit(first ^ last)
-        mask = np.uint64(1) << diff_bit
-        one = np.uint64(1)
-        prefix = first & ~((mask << one) - one)
-        threshold = prefix | mask
-        below = codes < threshold[seg]
-        n_below = np.bincount(seg[below], minlength=k)
-
-        mid = counts // 2
-        split = np.where(distinct, n_below, mid)
-        # A split falling on a segment edge (possible when one code
-        # dominates) degrades to the object median, like the scalar
-        # clamp.
-        split = np.where((split <= 0) | (split >= counts), mid, split)
-        perm = np.lexsort((codes, seg))
-        return _LevelPlan(perm, np.zeros(k, dtype=bool), split)
-
-
 def trees_identical(a, b) -> bool:
     """True iff two :class:`~repro.bvh.nodes.FlatBVH` trees are
     array-identical - every node array, the reordered mesh, and the
     triangle permutation.  This is the contract between the frontier
-    builders and their :mod:`repro.reference` twins that the
-    differential suite and the ``bvh_build`` benchmark gate check.
+    builder and its :mod:`repro.reference` twin that the differential
+    suite checks.
     """
     return (
         np.array_equal(a.lo, b.lo)
@@ -596,8 +497,6 @@ def trees_identical(a, b) -> bool:
 
 __all__ = [
     "VectorBinnedSAHBuilder",
-    "VectorLBVHBuilder",
-    "VectorMedianSplitBuilder",
     "concat_ranges",
     "trees_identical",
 ]

@@ -22,7 +22,6 @@ code  meaning
 ====  =============================================
 0     success
 2     usage error (argparse)
-3     scene / asset loading failed
 4     invalid input (rays, configuration, arguments)
 5     traversal integrity violation
 6     simulation watchdog fired (stall / cycle cap)
@@ -37,7 +36,6 @@ from typing import Optional, Sequence
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_SCENE = 3
 EXIT_INPUT = 4
 EXIT_TRAVERSAL = 5
 EXIT_WATCHDOG = 6
@@ -49,16 +47,6 @@ class ReproError(Exception):
     """Base class for all structured errors raised by this package."""
 
     exit_code: int = EXIT_INTERNAL
-
-
-class SceneLoadError(ReproError, ValueError):
-    """A scene asset (OBJ file, registry entry) could not be loaded.
-
-    Subclasses :class:`ValueError` so pre-existing callers that caught
-    ``ValueError`` from the OBJ loader keep working.
-    """
-
-    exit_code = EXIT_SCENE
 
 
 class InputValidationError(ReproError, ValueError):

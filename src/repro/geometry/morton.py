@@ -1,10 +1,7 @@
 """Morton (Z-order) codes.
 
-Used in two places, mirroring the paper:
-
-* the LBVH builder orders triangle centroids by Morton code, and
-* ray sorting (Aila-Laine Morton-order quicksort, Section 5.2) orders AO
-  rays to evaluate the "sorted rays" bars of Figure 12.
+Ray sorting (Aila-Laine Morton-order quicksort, Section 5.2) orders AO
+rays by them to evaluate the "sorted rays" bars of Figure 12.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
-"""The per-node BVH builders and refit walk, kept as differential oracles.
+"""The per-node BVH builder and refit walk, kept as differential oracles.
 
 Production builds and refits trees level by level (:mod:`repro.bvh.vector`);
-its trees are array-identical to these builders' and its refits
-bit-identical to :func:`refit_bvh` (``tests/test_vector_build.py``,
+its trees are array-identical to :class:`BinnedSAHBuilder`'s and its
+refits bit-identical to :func:`refit_bvh` (``tests/test_vector_build.py``,
 ``tests/test_refit_interframe.py``).
 """
 
@@ -17,7 +17,6 @@ from repro import telemetry
 from repro.bvh.nodes import FlatBVH
 from repro.bvh.refit import _refit
 from repro.geometry.aabb import aabb_surface_area
-from repro.geometry.morton import morton_codes
 from repro.geometry.triangle import TriangleMesh
 from repro.telemetry.publish import publish_bvh
 
@@ -46,18 +45,30 @@ class _BuildArrays:
         return len(self.lo) - 1
 
 
-class _TopDownBuilder:
-    """Shared machinery for top-down builders.
+class BinnedSAHBuilder:
+    """Greedy binned surface-area-heuristic builder.
 
-    Subclasses implement :meth:`_choose_split`, returning the index at
-    which the (already ordered) triangle id slice should be partitioned,
-    or ``None`` to make a leaf.
+    Evaluates ``num_bins`` candidate splits per axis using the standard
+    SAH cost ``SA_L * N_L + SA_R * N_R`` and falls back to a median split
+    when binning degenerates.  ``traversal_cost``/``intersect_cost`` steer
+    the leaf-creation decision.
     """
 
-    def __init__(self, max_leaf_size: int = 4) -> None:
+    def __init__(
+        self,
+        max_leaf_size: int = 4,
+        num_bins: int = 16,
+        traversal_cost: float = 1.0,
+        intersect_cost: float = 1.0,
+    ) -> None:
         if max_leaf_size < 1:
             raise ValueError("max_leaf_size must be >= 1")
+        if num_bins < 2:
+            raise ValueError("num_bins must be >= 2")
         self.max_leaf_size = max_leaf_size
+        self.num_bins = num_bins
+        self.traversal_cost = traversal_cost
+        self.intersect_cost = intersect_cost
 
     def build(self, mesh: TriangleMesh) -> FlatBVH:
         """Build a :class:`FlatBVH` over ``mesh``."""
@@ -112,61 +123,9 @@ class _TopDownBuilder:
             tri_indices=order,
         )
 
-    def _choose_split(
-        self,
-        ids: np.ndarray,
-        centroids: np.ndarray,
-        tri_lo: np.ndarray,
-        tri_hi: np.ndarray,
-        order: np.ndarray,
-        start: int,
-        end: int,
-    ):
-        raise NotImplementedError
-
-
-class MedianSplitBuilder(_TopDownBuilder):
-    """Split at the centroid median of the longest centroid-extent axis."""
-
     def _choose_split(self, ids, centroids, tri_lo, tri_hi, order, start, end):
-        cents = centroids[ids]
-        extent = cents.max(axis=0) - cents.min(axis=0)
-        axis = int(np.argmax(extent))
-        if extent[axis] <= 0.0:
-            # All centroids coincide: split the id list in half anyway so
-            # degenerate clusters still terminate.
-            mid = start + (end - start) // 2
-            return mid if mid > start and mid < end else None
-        local = np.argsort(cents[:, axis], kind="stable")
-        order[start:end] = ids[local]
-        mid = start + (end - start) // 2
-        return mid
-
-
-class BinnedSAHBuilder(_TopDownBuilder):
-    """Greedy binned surface-area-heuristic builder.
-
-    Evaluates ``num_bins`` candidate splits per axis using the standard
-    SAH cost ``SA_L * N_L + SA_R * N_R`` and falls back to a median split
-    when binning degenerates.  ``traversal_cost``/``intersect_cost`` steer
-    the leaf-creation decision.
-    """
-
-    def __init__(
-        self,
-        max_leaf_size: int = 4,
-        num_bins: int = 16,
-        traversal_cost: float = 1.0,
-        intersect_cost: float = 1.0,
-    ) -> None:
-        super().__init__(max_leaf_size=max_leaf_size)
-        if num_bins < 2:
-            raise ValueError("num_bins must be >= 2")
-        self.num_bins = num_bins
-        self.traversal_cost = traversal_cost
-        self.intersect_cost = intersect_cost
-
-    def _choose_split(self, ids, centroids, tri_lo, tri_hi, order, start, end):
+        """Partition ``order[start:end]`` (``ids``) in place and return
+        the index where its right half begins, or ``None`` for a leaf."""
         cents = centroids[ids]
         c_lo = cents.min(axis=0)
         c_hi = cents.max(axis=0)
@@ -249,48 +208,6 @@ def _prefix_areas(bin_lo: np.ndarray, bin_hi: np.ndarray) -> np.ndarray:
     return np.where(empty, 0.0, area)
 
 
-
-class LBVHBuilder(_TopDownBuilder):
-    """Morton-code split builder."""
-
-    def __init__(self, max_leaf_size: int = 4, bits: int = 10) -> None:
-        super().__init__(max_leaf_size=max_leaf_size)
-        self.bits = bits
-        self._codes: np.ndarray | None = None
-
-    def build(self, mesh: TriangleMesh):
-        """Build: compute Morton codes, then run the top-down machinery."""
-        lo, hi = mesh.bounds()
-        self._codes = morton_codes(
-            mesh.centroids(), lo.min(axis=0), hi.max(axis=0), bits=self.bits
-        )
-        return super().build(mesh)
-
-    def _choose_split(self, ids, centroids, tri_lo, tri_hi, order, start, end):
-        codes = self._codes[ids]
-        local = np.argsort(codes, kind="stable")
-        ids_sorted = ids[local]
-        codes_sorted = codes[local]
-        order[start:end] = ids_sorted
-
-        first = int(codes_sorted[0])
-        last = int(codes_sorted[-1])
-        if first == last:
-            # Identical codes: fall back to an object-median split.
-            mid = start + (end - start) // 2
-            return mid
-        # Split where the highest differing bit flips.
-        diff_bit = (first ^ last).bit_length() - 1
-        mask = 1 << diff_bit
-        prefix = first & ~((mask << 1) - 1)
-        threshold = prefix | mask
-        split_local = int(np.searchsorted(codes_sorted, threshold, side="left"))
-        split = start + split_local
-        if split <= start or split >= end:
-            split = start + (end - start) // 2
-        return split
-
-
 def _refit_scalar(bvh: FlatBVH, tri_lo: np.ndarray, tri_hi: np.ndarray):
     """Reverse per-node reference loop (the differential oracle)."""
     lo = bvh.lo.copy()
@@ -311,20 +228,14 @@ def _refit_scalar(bvh: FlatBVH, tri_lo: np.ndarray, tri_hi: np.ndarray):
     return lo, hi
 
 
-#: The per-node builder behind each :func:`build_bvh` method.
-_BUILDERS = {"sah": BinnedSAHBuilder, "median": MedianSplitBuilder, "lbvh": LBVHBuilder}
-
-
-def build_bvh(
-    mesh: TriangleMesh, method: str = "sah", max_leaf_size: int = 4, **kwargs
-) -> FlatBVH:
-    """:func:`repro.bvh.build_bvh` on the per-node builders."""
+def build_bvh(mesh: TriangleMesh, max_leaf_size: int = 4, **kwargs) -> FlatBVH:
+    """:func:`repro.bvh.build_bvh` on the per-node builder."""
     with telemetry.span(
-        "bvh.build", method=method, engine="scalar", triangles=len(mesh)
+        "bvh.build", engine="scalar", triangles=len(mesh)
     ) as sp:
-        bvh = _BUILDERS[method](max_leaf_size=max_leaf_size, **kwargs).build(mesh)
+        bvh = BinnedSAHBuilder(max_leaf_size=max_leaf_size, **kwargs).build(mesh)
         sp.add(nodes=bvh.num_nodes)
-    publish_bvh(bvh, method=method)
+    publish_bvh(bvh)
     return bvh
 
 

@@ -5,11 +5,9 @@ Crytek Sponza, Lost Empire, Living Room, Fireplace Room, Bistro Interior
 and Country Kitchen.  Those .obj assets are not redistributable here, so
 this package provides deterministic *procedural stand-ins* with matching
 character (indoor architectural interiors of varying complexity; a voxel
-terrain for Lost Empire) at configurable triangle budgets, plus a Wavefront
-OBJ loader so the original models can be dropped in unchanged.
+terrain for Lost Empire) at configurable triangle budgets.
 """
 
-from repro.scenes.obj import ObjParseReport, load_obj, load_obj_with_report, save_obj
 from repro.scenes.registry import SCENE_CODES, available_scenes, get_scene
 from repro.scenes.scene import CameraSpec, Scene
 
@@ -19,8 +17,4 @@ __all__ = [
     "Scene",
     "available_scenes",
     "get_scene",
-    "ObjParseReport",
-    "load_obj",
-    "load_obj_with_report",
-    "save_obj",
 ]

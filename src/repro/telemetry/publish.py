@@ -250,15 +250,13 @@ def publish_dram_stats(stats, num_banks: int, **labels: object) -> None:
     )
 
 
-def publish_bvh(bvh, method: str, **labels: object) -> None:
+def publish_bvh(bvh, **labels: object) -> None:
     """Publish build-time facts of a :class:`~repro.bvh.nodes.FlatBVH`."""
     if not telemetry.enabled():
         return
-    telemetry.inc_counter("bvh.builds", 1, method=method, **labels)
-    telemetry.set_gauge("bvh.nodes", bvh.num_nodes, method=method, **labels)
-    telemetry.set_gauge(
-        "bvh.triangles", bvh.num_triangles, method=method, **labels
-    )
+    telemetry.inc_counter("bvh.builds", 1, **labels)
+    telemetry.set_gauge("bvh.nodes", bvh.num_nodes, **labels)
+    telemetry.set_gauge("bvh.triangles", bvh.num_triangles, **labels)
 
 
 __all__ = [

@@ -11,8 +11,6 @@ records its visits with the depth-first batch kernel of
 """
 
 from repro.telemetry.stats import TraversalStats
-from repro.trace.packets import occlusion_packet, trace_occlusion_packets
-from repro.trace.stackless import occlusion_any_hit_stackless
 from repro.trace.traversal import (
     closest_hit,
     occlusion_all_hit_leaves,
@@ -38,13 +36,10 @@ __all__ = [
     "closest_hit",
     "occlusion_all_hit_leaves",
     "occlusion_any_hit",
-    "occlusion_any_hit_stackless",
     "occlusion_any_hit_tri",
     "occlusion_from_nodes",
-    "occlusion_packet",
     "trace_closest_batch",
     "trace_occlusion_batch",
-    "trace_occlusion_packets",
     "wavefront_closest_batch",
     "wavefront_occlusion_batch",
     "wavefront_occlusion_tri_batch",

@@ -54,7 +54,7 @@ def small_scene() -> Scene:
 
 @pytest.fixture(scope="session")
 def small_bvh(small_scene):
-    return build_bvh(small_scene.mesh, method="sah")
+    return build_bvh(small_scene.mesh)
 
 
 @pytest.fixture(scope="session")

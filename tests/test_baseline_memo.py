@@ -101,7 +101,7 @@ class TestCachePolicy:
 
         rays = small_workload.rays
         first = baseline_record(small_bvh, rays, "wavefront")
-        rebuilt_bvh = build_bvh(small_scene.mesh, method="sah")
+        rebuilt_bvh = build_bvh(small_scene.mesh)
         # Equal content, different identity: must not alias.
         assert baseline_record(rebuilt_bvh, rays, "wavefront") is not first
 

@@ -209,7 +209,7 @@ class TestRegressionGate:
             check_against_baselines(payload, str(tmp_path))
 
 
-#: Build-benchmark variant of the test preset: every method plus refit.
+#: Build-benchmark variant of the test preset: the SAH build plus refit.
 BUILD_TEST_PRESET = BenchPreset(
     name="buildtest",
     scenes=("SB",),
@@ -229,10 +229,9 @@ def build_payload():
 
 class TestBuildArtifact:
     def test_record_matrix(self, build_payload):
-        # 3 methods + refit, production only.
         records = build_payload["results"]
         assert [r["benchmark"] for r in records] == [
-            "bvh_build_sah", "bvh_build_median", "bvh_build_lbvh", "bvh_refit",
+            "bvh_build_sah", "bvh_refit",
         ]
         for rec in records:
             assert rec["rays"] > 0  # triangle count
@@ -240,16 +239,14 @@ class TestBuildArtifact:
 
     def test_tree_shape_matches_records(self, build_payload):
         mesh = get_scene("SB", detail=BUILD_TEST_PRESET.detail).mesh
-        for method in BUILD_TEST_PRESET.build_methods:
-            tree = build_bvh(mesh, method=method)
-            stats = compute_stats(tree)
-            extra = record(build_payload, f"bvh_build_{method}")["extra"]
-            assert extra == {
-                "nodes": float(tree.num_nodes),
-                "max_depth": float(stats.max_depth),
-                "sah_cost": round(stats.sah_cost, 6),
-                "levels": float(len(tree.levels())),
-            }
+        tree = build_bvh(mesh)
+        stats = compute_stats(tree)
+        assert record(build_payload, "bvh_build_sah")["extra"] == {
+            "nodes": float(tree.num_nodes),
+            "max_depth": float(stats.max_depth),
+            "sah_cost": round(stats.sah_cost, 6),
+            "levels": float(len(tree.levels())),
+        }
 
     def test_summarize_mentions_build(self, build_payload):
         text = summarize(build_payload)
@@ -277,7 +274,7 @@ class TestBuildRegressionGate:
         current = copy.deepcopy(build_payload)
         current["results"] = []
         problems = compare_payloads(current, build_payload)
-        assert len(problems) == 4
+        assert len(problems) == 2
         assert all("record missing" in p for p in problems)
 
 

@@ -22,14 +22,12 @@ def mesh():
 
 
 class TestBuilders:
-    @pytest.mark.parametrize("method", ["sah", "median", "lbvh"])
-    def test_builds_valid_tree(self, mesh, method):
-        bvh = build_bvh(mesh, method=method)
+    def test_builds_valid_tree(self, mesh):
+        bvh = build_bvh(mesh)
         validate_bvh(bvh)
 
-    @pytest.mark.parametrize("method", ["sah", "median", "lbvh"])
-    def test_leaf_size_respected_or_split_degenerate(self, mesh, method):
-        bvh = build_bvh(mesh, method=method, max_leaf_size=4)
+    def test_leaf_size_respected_or_split_degenerate(self, mesh):
+        bvh = build_bvh(mesh, max_leaf_size=4)
         leaves = bvh.leaf_nodes()
         # SAH may keep slightly larger leaves when splitting is not
         # worthwhile (cost model), but never beyond 2x the limit.
@@ -48,28 +46,22 @@ class TestBuilders:
             build_bvh(empty)
 
     def test_identical_centroids_terminate(self):
-        # 20 coincident triangles: median split must still terminate.
+        # 20 coincident triangles: SAH binning degenerates and the
+        # forced median split must still terminate.
         v0 = np.zeros((20, 3))
         v1 = np.tile([1.0, 0, 0], (20, 1))
         v2 = np.tile([0, 1.0, 0], (20, 1))
-        mesh = TriangleMesh(v0, v1, v2)
-        for method in ("sah", "median", "lbvh"):
-            bvh = build_bvh(mesh, method=method)
-            validate_bvh(bvh)
+        bvh = build_bvh(TriangleMesh(v0, v1, v2))
+        validate_bvh(bvh)
 
     def test_unknown_method_raises(self, mesh):
-        with pytest.raises(ValueError):
+        # There is one split strategy, so build_bvh takes no method.
+        with pytest.raises(TypeError):
             build_bvh(mesh, method="bogus")
 
     def test_invalid_leaf_size_raises(self, mesh):
         with pytest.raises(ValueError):
-            build_bvh(mesh, method="median", max_leaf_size=0)
-
-    def test_sah_better_or_equal_quality_than_median(self, mesh):
-        sah = compute_stats(build_bvh(mesh, method="sah"))
-        median = compute_stats(build_bvh(mesh, method="median"))
-        # SAH should not be dramatically worse than median split.
-        assert sah.sah_cost <= median.sah_cost * 1.2
+            build_bvh(mesh, max_leaf_size=0)
 
 
 class TestFlatBVH:

@@ -82,6 +82,26 @@ class TestCLI:
         assert out.exists()
         assert "Figure 12" in out.read_text()
 
+    @pytest.mark.parametrize("contents", [None, {}, {"notes.md": "x\n"}],
+                             ids=["missing", "empty", "no-txt"])
+    def test_report_without_artifacts_exits_4(self, contents, capsys,
+                                              tmp_path):
+        # A typo in --results must not replace a real report with one
+        # that lists every artifact as missing.
+        from repro.errors import EXIT_INPUT
+
+        results = tmp_path / "results"
+        if contents is not None:
+            results.mkdir()
+            for name, text in contents.items():
+                (results / name).write_text(text)
+        out = tmp_path / "REPORT.md"
+        out.write_text("the previous report\n")
+        assert main(["report", "--results", str(results),
+                     "--output", str(out)]) == EXIT_INPUT
+        assert str(results) in capsys.readouterr().err
+        assert out.read_text() == "the previous report\n"
+
     def test_telemetry_command(self, capsys, tmp_path):
         import json
 
@@ -168,7 +188,6 @@ class TestExitCodeContract:
         from repro import errors
 
         cases = {
-            errors.SceneLoadError("x"): errors.EXIT_SCENE,
             errors.InputValidationError("x"): errors.EXIT_INPUT,
             errors.RayValidationError("x"): errors.EXIT_INPUT,
             errors.TraversalError("x"): errors.EXIT_TRAVERSAL,
@@ -244,6 +263,39 @@ class TestExitCodeContract:
         assert excinfo.value.code == EXIT_USAGE
         assert flag[0] in capsys.readouterr().err
         assert not (tmp_path / "SIM_simulate.json").exists()
+
+    @pytest.mark.parametrize("flag", [
+        ["--compare", "{tmp}/a.json", "{tmp}/b.json"], ["--tolerance", "0.2"],
+    ], ids=["compare", "tolerance"])
+    def test_removed_report_flags_exit_2(self, flag, tmp_path, capsys):
+        # repro report only stitches results/*.txt: BENCH artifacts are
+        # gated by bench --check, results/ by its committed files.
+        from repro.errors import EXIT_USAGE
+
+        flag = [arg.format(tmp=tmp_path) for arg in flag]
+        out = tmp_path / "REPORT.md"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["report", "--output", str(out), *flag])
+        assert excinfo.value.code == EXIT_USAGE
+        assert flag[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bench_trace_out_requires_telemetry(self, tmp_path, capsys):
+        # Without telemetry no span is recorded, so the trace would hold
+        # nothing; the preset must not run at all.
+        from repro import telemetry
+        from repro.errors import EXIT_INPUT
+
+        assert not telemetry.enabled()
+        trace = tmp_path / "trace.json"
+        assert main(["bench", "--preset", "quick", "--scenes", "SB",
+                     "--out", str(tmp_path), "--trace-out", str(trace)]
+                    ) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "--trace-out requires --telemetry" in captured.err
+        assert "building scene" not in captured.out
+        assert not trace.exists()
+        assert not (tmp_path / "BENCH_quick.json").exists()
 
     def test_bench_check_fails_on_changed_record(self, tmp_path, capsys):
         out, base = tmp_path / "out", tmp_path / "base"

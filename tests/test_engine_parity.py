@@ -36,7 +36,7 @@ CONFIG = scaled_predictor_config(origin_bits=3)
 
 def _scene_rays(code):
     scene = get_scene(code, detail=DETAIL)
-    bvh = build_bvh(scene.mesh, method="sah")
+    bvh = build_bvh(scene.mesh)
     workload = generate_ao_workload(
         scene, bvh, width=SIZE, height=SIZE, spp=SPP, seed=1
     )

@@ -139,7 +139,7 @@ class TestFaultInjectorRaysAndGeometry:
         degraded = injector.degrade_mesh(small_scene.mesh)
         assert len(degraded) == len(small_scene.mesh)
         assert any(r.surface == "geometry" for r in injector.log)
-        bvh = build_bvh(degraded, method="sah", validate=True)
+        bvh = build_bvh(degraded, validate=True)
         ray_batch = generate_ao_workload(
             small_scene, bvh, width=6, height=6, spp=1, seed=2
         ).rays

@@ -262,7 +262,7 @@ class TestBVHTraversalProperty:
         mesh = TriangleMesh(
             base, base + rng.normal(0, 1, (n, 3)), base + rng.normal(0, 1, (n, 3))
         )
-        bvh = build_bvh(mesh, method="median")
+        bvh = build_bvh(mesh)
         validate_bvh(bvh)
         for _ in range(5):
             origin = tuple(rng.uniform(-8, 8, 3))
@@ -281,37 +281,3 @@ class TestBVHTraversalProperty:
                     expected = True
                     break
             assert occlusion_any_hit(bvh, ray) == expected
-
-
-class TestTraversalVariantsAgree:
-    """All three occlusion kernels are interchangeable on random scenes."""
-
-    @settings(max_examples=8, deadline=None)
-    @given(st.integers(min_value=0, max_value=2**31 - 1))
-    def test_stack_trail_and_packets_agree(self, seed):
-        from repro.geometry.ray import RayBatch
-        from repro.trace import trace_occlusion_batch, trace_occlusion_packets
-        from repro.trace.stackless import occlusion_any_hit_stackless
-
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(6, 30))
-        base = rng.uniform(-4, 4, (n, 3))
-        mesh = TriangleMesh(
-            base, base + rng.normal(0, 0.8, (n, 3)), base + rng.normal(0, 0.8, (n, 3))
-        )
-        bvh = build_bvh(mesh, method="sah")
-
-        m = 12
-        origins = rng.uniform(-6, 6, (m, 3))
-        directions = rng.normal(size=(m, 3))
-        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-        rays = RayBatch(origins, directions, t_min=0.0,
-                        t_max=rng.uniform(1.0, 25.0, m))
-
-        stack = trace_occlusion_batch(bvh, rays)
-        packets = trace_occlusion_packets(bvh, rays, packet_size=5)
-        trail = np.asarray(
-            [occlusion_any_hit_stackless(bvh, rays[i]) for i in range(m)]
-        )
-        assert np.array_equal(stack, packets)
-        assert np.array_equal(stack, trail)

@@ -152,8 +152,7 @@ class TestOneEnginePerStage:
         assert "engine" not in inspect.signature(func).parameters
 
     GONE = {
-        "repro.bvh": ("BUILD_ENGINES", "REFIT_ENGINES", "BinnedSAHBuilder",
-                      "MedianSplitBuilder", "LBVHBuilder"),
+        "repro.bvh": ("BUILD_ENGINES", "REFIT_ENGINES", "BinnedSAHBuilder"),
         "repro.gpu": ("RT_ENGINES", "RTUnit", "make_rt_unit"),
     }
 
@@ -184,4 +183,4 @@ class TestSerialSimulation:
         assert list(inspect.signature(run_benchmarks).parameters) == [
             "preset", "scenes", "progress",
         ]
-        assert len(dataclasses.fields(BenchPreset)) == 10
+        assert len(dataclasses.fields(BenchPreset)) == 9

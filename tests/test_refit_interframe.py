@@ -30,7 +30,7 @@ class TestRefit:
     def test_refit_traversal_correct_on_moved_mesh(self, small_bvh, small_workload):
         moved = jitter_mesh(small_bvh.mesh, magnitude=0.1, seed=2)
         refitted = refit_bvh(small_bvh, moved)
-        rebuilt = build_bvh(moved, method="median")
+        rebuilt = build_bvh(moved)
         rays = [small_workload.rays[i] for i in range(0, len(small_workload), 17)]
         for ray in rays:
             assert occlusion_any_hit(refitted, ray) == occlusion_any_hit(rebuilt, ray)
@@ -53,9 +53,8 @@ class TestRefit:
 class TestRefitEngines:
     """The level-synchronous refit is a drop-in for the scalar oracle."""
 
-    @pytest.mark.parametrize("method", ["sah", "median", "lbvh"])
-    def test_vector_refit_bit_identical_to_scalar(self, small_scene, method):
-        bvh = build_bvh(small_scene.mesh, method=method)
+    def test_vector_refit_bit_identical_to_scalar(self, small_scene):
+        bvh = build_bvh(small_scene.mesh)
         moved = jitter_mesh(bvh.mesh, magnitude=0.07, seed=5)
         vec = refit_bvh(bvh, moved)
         sca = scalar_reference.refit_bvh(bvh, moved)

@@ -1,12 +1,11 @@
-"""Differential tests for the level-synchronous vector BVH builders.
+"""Differential tests for the level-synchronous vector BVH builder.
 
-The contract under test: for every method and every input,
-:func:`repro.bvh.build_bvh` produces a :class:`FlatBVH` that is
-*array-identical* to the scalar oracle's
-(:func:`repro.reference.build_bvh`) - same node numbering, same bounds
-to the bit, same triangle permutation.  The scalar builders are the
-specification; the vector builders are an optimization that must be
-observationally invisible.
+The contract under test: for every input, :func:`repro.bvh.build_bvh`
+produces a :class:`FlatBVH` that is *array-identical* to the scalar
+oracle's (:func:`repro.reference.build_bvh`) - same node numbering,
+same bounds to the bit, same triangle permutation.  The scalar builder
+is the specification; the vector builder is an optimization that must
+be observationally invisible.
 """
 
 import os
@@ -25,8 +24,6 @@ from repro.scenes import SCENE_CODES, get_scene
 
 MAX_EXAMPLES = int(os.environ.get("HYPOTHESIS_MAX_EXAMPLES", "50"))
 
-METHODS = ("sah", "median", "lbvh")
-
 #: Coordinates that make ties common: empty bins, equal SAH costs,
 #: coincident centroids and folds over both signed zeros.
 TIE_COORDS = (-1.0, -0.0, 0.0, 0.5, 1.0)
@@ -41,23 +38,22 @@ def random_mesh(n: int, seed: int, spread: float = 4.0) -> TriangleMesh:
     return TriangleMesh(v0, v1, v2)
 
 
-def assert_identical(mesh: TriangleMesh, method: str, **kwargs) -> None:
-    vec = build_bvh(mesh, method=method, **kwargs)
-    sca = reference.build_bvh(mesh, method=method, **kwargs)
+def assert_identical(mesh: TriangleMesh, **kwargs) -> None:
+    vec = build_bvh(mesh, **kwargs)
+    sca = reference.build_bvh(mesh, **kwargs)
     assert trees_identical(vec, sca), (
-        f"vector {method} tree diverged from the scalar oracle "
+        f"vector tree diverged from the scalar oracle "
         f"(n={len(mesh)}, kwargs={kwargs})"
     )
 
 
 class TestSceneDifferential:
-    """Every registry scene, every method: trees agree array-for-array."""
+    """Every registry scene: trees agree array-for-array."""
 
     @pytest.mark.parametrize("code", SCENE_CODES)
-    @pytest.mark.parametrize("method", METHODS)
-    def test_scene_trees_identical(self, code, method):
+    def test_scene_trees_identical(self, code):
         mesh = get_scene(code, detail=0.3).mesh
-        assert_identical(mesh, method)
+        assert_identical(mesh)
 
     @pytest.mark.parametrize("code", SCENE_CODES)
     def test_scene_refit_bit_identical(self, code):
@@ -71,21 +67,18 @@ class TestSceneDifferential:
         assert np.array_equal(vec.hi, sca.hi)
         assert not np.array_equal(vec.lo, bvh.lo)
 
-    @pytest.mark.parametrize("method", METHODS)
-    def test_vector_tree_validates(self, small_scene, method):
-        bvh = build_bvh(small_scene.mesh, method=method)
-        validate_bvh(bvh)
+    def test_vector_tree_validates(self, small_scene):
+        validate_bvh(build_bvh(small_scene.mesh))
 
 
 class TestPropertyDifferential:
     @given(
         n=st.integers(min_value=1, max_value=200),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
-        method=st.sampled_from(METHODS),
     )
     @settings(max_examples=MAX_EXAMPLES)
-    def test_random_meshes_identical(self, n, seed, method):
-        assert_identical(random_mesh(n, seed), method)
+    def test_random_meshes_identical(self, n, seed):
+        assert_identical(random_mesh(n, seed))
 
     @given(
         verts=hnp.arrays(
@@ -104,19 +97,15 @@ class TestPropertyDifferential:
         # Few bins put tied centroids on bin edges, where SAH's counting
         # partition must still leave both sides non-empty.
         mesh = TriangleMesh(verts[:, 0:3], verts[:, 3:6], verts[:, 6:9])
-        assert_identical(mesh, "sah", num_bins=num_bins,
-                         max_leaf_size=max_leaf_size)
-        for method in ("median", "lbvh"):
-            assert_identical(mesh, method, max_leaf_size=max_leaf_size)
+        assert_identical(mesh, num_bins=num_bins, max_leaf_size=max_leaf_size)
 
     @given(
         n=st.integers(min_value=1, max_value=64),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
-        method=st.sampled_from(METHODS),
     )
     @settings(max_examples=MAX_EXAMPLES)
-    def test_refit_engines_identical(self, n, seed, method):
-        bvh = build_bvh(random_mesh(n, seed), method=method)
+    def test_refit_engines_identical(self, n, seed):
+        bvh = build_bvh(random_mesh(n, seed))
         moved = jitter_mesh(bvh.mesh, magnitude=0.1, seed=seed % 97)
         vec = refit_bvh(bvh, moved)
         sca = reference.refit_bvh(bvh, moved)
@@ -125,15 +114,12 @@ class TestPropertyDifferential:
 
 
 class TestEdgeCases:
-    @pytest.mark.parametrize("method", METHODS)
-    def test_single_triangle(self, method):
-        assert_identical(random_mesh(1, 7), method)
+    def test_single_triangle(self):
+        assert_identical(random_mesh(1, 7))
 
-    @pytest.mark.parametrize("method", METHODS)
-    def test_coincident_centroids(self, method):
-        # Every centroid identical: the median/SAH splits degenerate to
-        # the halve-anyway fallback, LBVH to the object median; the
-        # vector planner must take the same fallbacks.
+    def test_coincident_centroids(self):
+        # Every centroid identical: SAH binning degenerates to the
+        # halve-anyway fallback, and the vector planner must take it too.
         tri = random_mesh(1, 3)
         n = 37
         mesh = TriangleMesh(
@@ -141,30 +127,20 @@ class TestEdgeCases:
             np.repeat(tri.v1, n, axis=0),
             np.repeat(tri.v2, n, axis=0),
         )
-        assert_identical(mesh, method)
+        assert_identical(mesh)
 
-    @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("max_leaf_size", [1, 8, 16])
-    def test_leaf_size_variants(self, method, max_leaf_size):
-        assert_identical(random_mesh(150, 11), method,
-                         max_leaf_size=max_leaf_size)
+    def test_leaf_size_variants(self, max_leaf_size):
+        assert_identical(random_mesh(150, 11), max_leaf_size=max_leaf_size)
 
     @pytest.mark.parametrize("num_bins", [2, 64])
     def test_sah_bin_count_variants(self, num_bins):
-        assert_identical(random_mesh(200, 13), "sah", num_bins=num_bins)
+        assert_identical(random_mesh(200, 13), num_bins=num_bins)
 
     def test_sah_cost_knobs(self):
         assert_identical(
-            random_mesh(180, 17), "sah",
-            traversal_cost=2.5, intersect_cost=0.5,
+            random_mesh(180, 17), traversal_cost=2.5, intersect_cost=0.5,
         )
-
-    @pytest.mark.parametrize("bits", [4, 21])
-    def test_lbvh_morton_bits_variants(self, bits):
-        # bits=21 exercises the full 63-bit Morton range (uint64 keys
-        # must never round-trip through float); bits=4 forces heavy
-        # code collisions and the median fallback.
-        assert_identical(random_mesh(160, 19), "lbvh", bits=bits)
 
     def test_flat_axis_cloud(self):
         # All centroids on one plane: one axis has zero extent, so the
@@ -174,15 +150,15 @@ class TestEdgeCases:
         shift = ((v0 + v1 + v2) / 3.0)[:, 2]
         for v in (v0, v1, v2):
             v[:, 2] -= shift
-        flat = TriangleMesh(v0, v1, v2)
-        for method in METHODS:
-            assert_identical(flat, method)
+        assert_identical(TriangleMesh(v0, v1, v2))
 
 
 class TestEngineSelection:
     def test_unknown_method_raises(self, tiny_mesh):
-        with pytest.raises(ValueError, match="build method"):
-            build_bvh(tiny_mesh, method="kdtree")
+        # One split strategy: neither builder takes a method.
+        for build in (build_bvh, reference.build_bvh):
+            with pytest.raises(TypeError, match="method"):
+                build(tiny_mesh, method="sah")
 
     def test_empty_mesh_raises(self):
         empty = TriangleMesh(
@@ -225,19 +201,17 @@ class TestBuildTelemetry:
     def test_build_levels_counter(self, tiny_mesh):
         with telemetry.enabled_scope():
             telemetry.reset_telemetry()
-            build_bvh(tiny_mesh, method="median")
+            build_bvh(tiny_mesh)
             reg = telemetry.get_registry()
             assert reg.total("bvh.build_levels") > 0
-            assert reg.value(
-                "bvh.build_levels", method="median", engine="vector"
-            ) > 0
+            assert reg.value("bvh.build_levels", engine="vector") > 0
 
     def test_scalar_build_reports_no_levels(self, tiny_mesh):
-        # The scalar builders have no frontier; the counter must not
-        # invent one for them.
+        # The scalar builder has no frontier; the counter must not
+        # invent one for it.
         with telemetry.enabled_scope():
             telemetry.reset_telemetry()
-            reference.build_bvh(tiny_mesh, method="median")
+            reference.build_bvh(tiny_mesh)
             assert telemetry.get_registry().total("bvh.build_levels") == 0
 
     def test_refit_nodes_counter(self, small_bvh):
